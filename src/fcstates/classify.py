@@ -30,9 +30,7 @@ from .cpmap import (
     commutant,
     fixed_points,
     gauge_group_order,
-    generated_algebra,
     invariant_state,
-    mixed_fixed_points,
     peripheral_spectrum,
     sigma_matrix,
 )
@@ -113,11 +111,11 @@ def classify_od(
 ) -> ClassificationReport:
     """Ergodicity, purity, and gauge-subgroup order of the compressed system.
 
-    Ergodicity (trivial fixed space) is computed twice, independently: from
-    the fixed-point space of the transfer map and from the self-intertwiner
-    space dimension. The two characterize purity of the same state and must
-    agree. When the map is ergodic the system is compressed to the support
-    of its unique invariant state, and k is the order of the circle
+    Ergodicity (a trivial fixed-point space of the transfer map) is
+    equivalent to purity of the induced state: the self-intertwiner space of
+    the dilation is that same fixed space, so one kernel decides both. When
+    the map is ergodic the system is compressed to the support of its
+    unique invariant state, and k is the order of the circle
     subgroup formed by the compressed peripheral spectrum; otherwise k is
     undefined and the peripheral set is informational.
     """
@@ -125,12 +123,6 @@ def classify_od(
     residual = validate(system)
     fixed = fixed_points(system, tol)
     ergodic = fixed.dim == 1
-    pure = mixed_fixed_points(system, system, tol).dim == 1
-    if pure != ergodic:
-        raise NumericalHealthError(
-            f"fixed-space dimension ({fixed.dim}) and self-intertwiner dimension "
-            "disagree about ergodicity"
-        )
     state = invariant_state(system)
     if state.unique is False:
         notes.append(
@@ -143,7 +135,7 @@ def classify_od(
         return ClassificationReport(
             validate_residual=residual,
             ergodic=False,
-            od_state_pure=pure,
+            od_state_pure=ergodic,
             invariant_state=state,
             compressed_ergodic=None,
             peripheral=peri,
@@ -161,7 +153,7 @@ def classify_od(
     return ClassificationReport(
         validate_residual=residual,
         ergodic=True,
-        od_state_pure=pure,
+        od_state_pure=ergodic,
         invariant_state=state,
         compressed_ergodic=compressed_ergodic,
         peripheral=values,
@@ -196,8 +188,8 @@ def classify_chain(
     """Full report: adds the two-sided chain verdicts to :func:`classify_od`.
 
     Pipeline: compute the invariant state; if it is not faithful, compress
-    to its support and continue there. Form the generated algebra M, the
-    commutant M', and the fixed space; test the hypotheses (M a factor,
+    to its support and continue there. Form the commutant M', the generated
+    algebra M = M'', and the fixed space; test the hypotheses (M a factor,
     fixed space = M', state faithful). When they hold, the chain state is
     pure iff the peripheral spectrum of the transfer map restricted to M is
     {1}, and purity coincides with factoriality in this finite-dimensional
@@ -206,8 +198,8 @@ def classify_chain(
     base = classify_od(system, tol, tol_peripheral)
     notes = list(base.notes)
     wsys, wstate = _comparable_system(system, base.invariant_state, notes)
-    algebra = generated_algebra(wsys.operators)
     comm = commutant(wsys.operators, tol)
+    algebra = commutant(comm.basis, tol)
     fixed = fixed_points(wsys, tol)
     hyp = ChainHypotheses(
         m_is_factor=algebra.intersection_dim(comm, tol) == 1,

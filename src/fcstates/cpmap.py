@@ -278,38 +278,12 @@ def commutant(generators, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace
 
 
 def generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:
-    """Span-closure of {I} + generators + adjoints under multiplication.
+    """The unital *-algebra M generated by the operators, as the bicommutant M''.
 
-    Each round multiplies the newly found directions against the whole basis
-    on both sides and re-orthonormalizes; terminates because the dimension is
-    capped by n^2 and strictly increases while anything new appears.
+    In finite dimensions a unital *-algebra equals its double commutant, so
+    M is the commutant of a basis of the commutant of the generators.
     """
-    gens = [as_matrix(g, "generator") for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = gens[0].shape[0]
-    seed = [np.eye(n)] + gens + [g.conj().T for g in gens]
-    basis = orthonormal_columns(np.stack([vec(m) for m in seed], axis=1), tol)
-    frontier = basis
-    while basis.shape[1] < n * n and frontier.shape[1] > 0:
-        f_mats = [unvec(frontier[:, k], (n, n)) for k in range(frontier.shape[1])]
-        b_mats = [unvec(basis[:, k], (n, n)) for k in range(basis.shape[1])]
-        prods = []
-        for f in f_mats:
-            for b in b_mats:
-                prods.append(vec(f @ b))
-                prods.append(vec(b @ f))
-        cand = np.stack(prods, axis=1)
-        resid = cand - basis @ (basis.conj().T @ cand)
-        # threshold against the candidate scale, not the residual's own
-        # largest singular value: an all-noise residual must yield nothing
-        scale = max(1.0, float(np.linalg.norm(cand, axis=0).max()))
-        new = orthonormal_columns(resid, max(tol, 1e-12), scale=scale)
-        if new.shape[1] == 0:
-            break
-        basis = np.concatenate([basis, new], axis=1)
-        frontier = new
-    return OperatorSubspace.from_vectors(basis, (n, n))
+    return commutant(commutant(generators, tol).basis, tol)
 
 
 def invariant_state(

@@ -1,17 +1,19 @@
 """Truncated dilation: a finite-level space carrying approximate d-isometries.
 
-The span of formal vectors I (x) xi, for words I of length <= L and xi in the
-base space, carries the semi-inner product determined by the prefix rule
+The minimal dilation of a system is a Cuntz representation S_1..S_d whose
+adjoints leave the base space invariant and restrict to the V_i* there, so
+the word vector I (x) xi = S_I xi obeys the prefix rule
 
-    < I (x) xi, IJ (x) eta > = < xi, V_J eta >,
-    < IJ (x) xi, I (x) eta > = < V_J xi, eta >,
-    0 otherwise,
+    < I (x) xi, IJ (x) eta > = < xi, V_J eta >,    0 unless one word
+                                                   is a prefix of the other.
 
-which is positive semidefinite whenever sum_i V_i V_i* = 1 (each level adds
-sums of squares). Dividing out the null space yields a finite-dimensional
-piece of the unique minimal dilation; the shift operators S_i act by
-prepending a letter followed by compression back onto the quotient. Because
-the quotient is invariant under the exact adjoints S_i*, all adjoint-side
+Below the truncation level L no new vectors appear: sum_i V_i V_i* = 1 gives
+xi = sum_i S_i V_i* xi, so a word vector of length k < L equals
+sum_{|J| = L-k} IJ (x) V_J* xi, and by the prefix rule the vectors of length
+exactly L are orthonormal. The level-L piece of the dilation is therefore
+(C^d)^{(x) L} (x) C^n for every system, with the base space embedded by
+E_L = [V_J*]_{|J| = L} and the compressed shifts S_i = e_i (x) I (x) [V_1 ... V_d].
+This space is invariant under the exact adjoints S_i*, so all adjoint-side
 identities hold exactly, and the isometry relations hold below the
 truncation boundary: the top word level is a boundary where no claims are
 made.
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmap import DensityState
-from .errors import NumericalHealthError
-from .numerics import as_matrix, orthonormal_columns
+from .numerics import as_matrix
 from .popescu import PopescuSystem, Word, words_up_to
 
 __all__ = [
@@ -45,8 +46,6 @@ __all__ = [
     "dilation_moments",
 ]
 
-DEFAULT_NULL_TOL = 1e-10
-
 
 def _word_products(system: PopescuSystem, max_len: int) -> dict[Word, np.ndarray]:
     prods: dict[Word, np.ndarray] = {(): np.eye(system.n, dtype=complex)}
@@ -56,90 +55,67 @@ def _word_products(system: PopescuSystem, max_len: int) -> dict[Word, np.ndarray
     return prods
 
 
-def _gram_blocks(
-    rows: list[Word],
-    cols: list[Word],
-    prods: dict[Word, np.ndarray],
-    n: int,
-) -> np.ndarray:
-    """Assemble the prefix-rule Gram over two word lists, n x n block per pair."""
-    g = np.zeros((len(rows) * n, len(cols) * n), dtype=complex)
-    for a, wi in enumerate(rows):
-        for b, wj in enumerate(cols):
-            if len(wi) <= len(wj) and wj[: len(wi)] == wi:
-                block = prods[wj[len(wi):]]
-            elif len(wj) < len(wi) and wi[: len(wj)] == wj:
-                block = prods[wi[len(wj):]].conj().T
-            else:
-                continue
-            g[a * n : (a + 1) * n, b * n : (b + 1) * n] = block
-    return g
+def _adjoint_stack(system: PopescuSystem, length: int) -> np.ndarray:
+    """E_k = [V_J*]_{|J| = k}, stacked in the order of ``words_of_length``: (d^k n) x n.
+
+    V_{jJ}* = V_J* V_j*, so E_k is E_{k-1} V_j* stacked over the first letter j.
+    It is an isometry because sum_J V_J V_J* = 1.
+    """
+    e = np.eye(system.n, dtype=complex)
+    for _ in range(length):
+        e = np.vstack([e @ v.conj().T for v in system.operators])
+    return e
 
 
 @dataclass(frozen=True)
 class TruncatedDilation:
-    """Finite-level dilation data.
+    """The level-L piece (C^d)^{(x) L} (x) C^n of the minimal dilation.
 
-    ``quotient_map`` sends coefficient vectors over the word basis to
-    coordinates in which the semi-inner product is Euclidean; ``operators``
-    are the compressed shifts on the quotient; ``base_embedding`` holds the
-    quotient coordinates of the embedded base space (empty-word vectors).
+    Coordinates are e_K (x) eta over words K of length L in lexicographic
+    order. ``operators`` are the compressed shifts
+    S_i = e_i (x) I_{d^{L-1}} (x) [V_1 ... V_d], which send e_K (x) eta with
+    K = K'k to e_{iK'} (x) V_k eta; ``base_embedding`` is the isometry
+    E_L = [V_J*]_{|J| = L}, the image of the empty-word vectors.
     """
 
     system: PopescuSystem
     level: int
-    words: tuple[Word, ...]
-    gram: np.ndarray
-    quotient_map: np.ndarray
     operators: tuple[np.ndarray, ...]
     base_embedding: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.quotient_map.shape[0]
+        return self.base_embedding.shape[0]
 
     def level_subspace(self, max_len: int) -> np.ndarray:
-        """Orthonormal basis (columns) of the image of vectors of length <= max_len."""
-        n = self.system.n
-        count = sum(1 for w in self.words if len(w) <= max_len) * n
-        return orthonormal_columns(self.quotient_map[:, :count])
+        """Orthonormal basis (columns) of the image of vectors of length <= max_len.
+
+        Shorter word vectors expand into those of length m = ``max_len``, which
+        map to e_I (x) E_{L-m} xi, so the basis is the isometry I_{d^m} (x) E_{L-m}.
+        """
+        if not 0 <= max_len <= self.level:
+            raise ValueError(f"max_len must lie in 0..{self.level}, got {max_len}")
+        return np.kron(
+            np.eye(self.system.d**max_len), _adjoint_stack(self.system, self.level - max_len)
+        )
 
 
-def build(system: PopescuSystem, level: int, tol: float = DEFAULT_NULL_TOL) -> TruncatedDilation:
-    """Construct the truncated dilation at the given word-length level."""
+def build(system: PopescuSystem, level: int) -> TruncatedDilation:
+    """Construct the truncated dilation at the given word-length level.
+
+    The dimension is d^level * n for every system; see the module docstring.
+    """
     if level < 1:
         raise ValueError("level must be >= 1")
-    n, d = system.n, system.d
-    words = words_up_to(d, level)
-    prods = _word_products(system, level + 1)
-    gram = _gram_blocks(words, words, prods, n)
-    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-    vmax = max(float(vals[-1]), 0.0)
-    if vmax == 0.0:
-        raise NumericalHealthError("dilation Gram matrix vanished")
-    if vals[0] < -tol * vmax:
-        raise NumericalHealthError(
-            f"dilation Gram matrix is indefinite: min eigenvalue {vals[0]:.3e}"
-        )
-    keep = vals > tol * vmax
-    t = (np.sqrt(vals[keep])[:, None]) * vecs[:, keep].conj().T  # (q, N)
-    dinv = 1.0 / np.sqrt(vals[keep])
-    # compressed shifts: S_i = P (prepend_i) P on the quotient, realized as
-    # D^{-1/2} U* M_i U D^{-1/2} with M_i[a, b] = < basis_a, i . basis_b >
-    ops = []
-    u_kept = vecs[:, keep]
-    for i in range(d):
-        m_i = _gram_blocks(words, [(i, *w) for w in words], prods, n)
-        ops.append((dinv[:, None] * (u_kept.conj().T @ m_i @ u_kept)) * dinv[None, :])
-    base = t[:, : n]  # coordinates of the empty-word block
+    d = system.d
+    row = np.hstack(system.operators)  # [V_1 ... V_d]: e_k (x) eta -> V_k eta
+    middle = np.kron(np.eye(d ** (level - 1)), row)
+    ops = tuple(np.kron(np.eye(d)[:, i : i + 1], middle) for i in range(d))
     return TruncatedDilation(
         system=system,
         level=level,
-        words=tuple(words),
-        gram=gram,
-        quotient_map=t,
-        operators=tuple(ops),
-        base_embedding=base,
+        operators=ops,
+        base_embedding=_adjoint_stack(system, level),
     )
 
 

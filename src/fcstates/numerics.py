@@ -4,8 +4,8 @@ All routines are pure functions of their ndarray inputs and delegate the
 heavy lifting to LAPACK via numpy/scipy. What this module adds on top is
 contract enforcement: residual bounds on eigenpairs, rank-revealing kernel
 thresholds, and tolerance-aware comparison of spectral sets (eigenvalue
-ordering is not canonical, so sets are compared by greedy matching in the
-complex plane).
+ordering is not canonical, so sets are compared by an optimal matching in
+the complex plane).
 """
 
 from __future__ import annotations
@@ -162,31 +162,47 @@ def orthonormal_columns(a, tol: float = 1e-10, scale: float | None = None) -> np
 
 
 def spectral_sets_match(a, b, tol: float = 1e-8) -> bool:
-    """Compare two spectral multisets by greedy matching in the complex plane.
+    """Compare two spectral multisets by matching in the complex plane.
 
-    Each value of ``a`` is matched to the nearest unused value of ``b``; the
-    sets match when every pairing is within ``tol`` and no value is left over.
+    The sets match when some one-to-one pairing puts every value of ``a``
+    within ``tol`` of its partner in ``b``. This is decided exactly, as a
+    perfect bipartite matching on the within-``tol`` relation found by
+    augmenting paths.
     """
-    a = list(np.atleast_1d(np.asarray(a, dtype=complex)))
-    b = list(np.atleast_1d(np.asarray(b, dtype=complex)))
-    if len(a) != len(b):
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    b = np.atleast_1d(np.asarray(b, dtype=complex))
+    if a.size != b.size:
         return False
-    used = [False] * len(b)
-    for x in a:
-        best, best_dist = -1, np.inf
-        for j, y in enumerate(b):
-            if not used[j] and abs(x - y) < best_dist:
-                best, best_dist = j, abs(x - y)
-        if best < 0 or best_dist > tol:
-            return False
-        used[best] = True
-    return True
+    near = np.abs(a[:, None] - b[None, :]) <= tol
+    partner = [-1] * b.size  # partner[j]: the value of a paired with b[j]
+
+    def augment(i: int, seen: list[bool]) -> bool:
+        for j in np.flatnonzero(near[i]):
+            if not seen[j]:
+                seen[j] = True
+                if partner[j] < 0 or augment(partner[j], seen):
+                    partner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * b.size) for i in range(a.size))
 
 
 def distinct_values(values, tol: float = 1e-8) -> list[complex]:
-    """Collapse a sequence of complex values into tolerance-distinct ones."""
-    out: list[complex] = []
-    for v in np.atleast_1d(np.asarray(values, dtype=complex)):
-        if not any(abs(v - w) <= tol for w in out):
-            out.append(complex(v))
-    return out
+    """Collapse a sequence of complex values into tolerance-distinct ones.
+
+    Values are grouped into the connected components of the relation
+    |v - w| <= tol, so the grouping does not depend on the input order. Each
+    component is represented by its first member in input order.
+    """
+    v = np.atleast_1d(np.asarray(values, dtype=complex))
+    near = np.abs(v[:, None] - v[None, :]) <= tol
+    # propagate the smallest index along the relation until every component
+    # carries the index of its first member
+    label = np.arange(v.size)
+    while True:
+        spread = np.where(near, label[None, :], v.size).min(axis=1, initial=v.size)
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    return [complex(v[i]) for i in range(v.size) if label[i] == i]

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from fcstates import PopescuSystem
+from fcstates import PopescuSystem, random_system
 
 
 def eij(i: int, j: int, n: int) -> np.ndarray:
@@ -56,3 +57,47 @@ def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def direct_sum(a: PopescuSystem, b: PopescuSystem) -> PopescuSystem:
+    """V_i = A_i (+) B_i."""
+    return PopescuSystem.from_operators(
+        [block_diag(x, y) for x, y in zip(a.operators, b.operators)]
+    )
+
+
+def ancilla(system: PopescuSystem, a: int) -> PopescuSystem:
+    """V_i (x) I_a."""
+    return PopescuSystem.from_operators([np.kron(v, np.eye(a)) for v in system.operators])
+
+
+def block_shift(k: int, d: int, m: int, seed: int) -> PopescuSystem:
+    """Block shift on C^k (x) C^m: V_i maps block j to block j+1 mod k.
+
+    Each step uses its own random system, so the peripheral spectrum is the
+    k-th roots of unity.
+    """
+    n = k * m
+    ops = [np.zeros((n, n), dtype=complex) for _ in range(d)]
+    for j in range(k):
+        t = (j + 1) % k
+        for i, a in enumerate(random_system(d, m, seed + j).operators):
+            ops[i][t * m : (t + 1) * m, j * m : (j + 1) * m] = a
+    return PopescuSystem.from_operators(ops)
+
+
+BUILT_SYSTEMS = {
+    "direct_sum": lambda: direct_sum(random_system(2, 2, 61), random_system(2, 3, 62)),
+    "ancilla": lambda: ancilla(random_system(2, 2, 63), 3),
+    "block_shift3": lambda: block_shift(3, 2, 2, 64),
+    "random_n4": lambda: random_system(3, 4, 65),
+    "random_n9": lambda: random_system(2, 9, 66),
+}
+
+
+@pytest.fixture(params=["averaging3", "swap2", "rank_one2", *BUILT_SYSTEMS])
+def known_system(request) -> PopescuSystem:
+    """Named and structured systems on which closed forms meet their oracles."""
+    if request.param in BUILT_SYSTEMS:
+        return BUILT_SYSTEMS[request.param]()
+    return request.getfixturevalue(request.param)

@@ -1,0 +1,77 @@
+"""Iterative reference constructions that the closed forms in fcstates replace.
+
+Tests compare the library against these independent routes:
+
+* the unital *-algebra generated by a set of matrices, by closing the span
+  of {I} + generators + adjoints under multiplication;
+* the truncated dilation, as the quotient of the formal word vectors
+  I (x) xi (|I| <= L) by the null space of the prefix-rule Gram matrix.
+"""
+
+import numpy as np
+
+from fcstates.cpmap import OperatorSubspace, unvec, vec
+from fcstates.numerics import orthonormal_columns
+from fcstates.popescu import PopescuSystem, v_word, words_up_to
+
+
+def frontier_generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:
+    """Span-closure of {I} + generators + adjoints under multiplication.
+
+    Each round multiplies the newly found directions against the whole basis
+    on both sides and re-orthonormalizes; terminates because the dimension is
+    capped by n^2 and strictly increases while anything new appears.
+    """
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    n = gens[0].shape[0]
+    seed = [np.eye(n)] + gens + [g.conj().T for g in gens]
+    basis = orthonormal_columns(np.stack([vec(m) for m in seed], axis=1), tol)
+    frontier = basis
+    while basis.shape[1] < n * n and frontier.shape[1] > 0:
+        f_mats = [unvec(frontier[:, k], (n, n)) for k in range(frontier.shape[1])]
+        b_mats = [unvec(basis[:, k], (n, n)) for k in range(basis.shape[1])]
+        prods = []
+        for f in f_mats:
+            for b in b_mats:
+                prods.append(vec(f @ b))
+                prods.append(vec(b @ f))
+        cand = np.stack(prods, axis=1)
+        resid = cand - basis @ (basis.conj().T @ cand)
+        # threshold against the candidate scale, not the residual's own
+        # largest singular value: an all-noise residual must yield nothing
+        scale = max(1.0, float(np.linalg.norm(cand, axis=0).max()))
+        new = orthonormal_columns(resid, max(tol, 1e-12), scale=scale)
+        if new.shape[1] == 0:
+            break
+        basis = np.concatenate([basis, new], axis=1)
+        frontier = new
+    return OperatorSubspace.from_vectors(basis, (n, n))
+
+
+def prefix_gram(system: PopescuSystem, level: int) -> np.ndarray:
+    """Prefix-rule Gram of the word vectors I (x) xi over ``words_up_to(d, level)``.
+
+    <I (x) xi, IJ (x) eta> = <xi, V_J eta>, its adjoint when the second word
+    is the shorter one, and 0 when neither word is a prefix of the other;
+    one n x n block per word pair.
+    """
+    n = system.n
+    words = words_up_to(system.d, level)
+    g = np.zeros((len(words) * n, len(words) * n), dtype=complex)
+    for a, wi in enumerate(words):
+        for b, wj in enumerate(words):
+            if len(wi) <= len(wj) and wj[: len(wi)] == wi:
+                block = v_word(system, wj[len(wi):])
+            elif len(wj) < len(wi) and wi[: len(wj)] == wj:
+                block = v_word(system, wi[len(wj):]).conj().T
+            else:
+                continue
+            g[a * n : (a + 1) * n, b * n : (b + 1) * n] = block
+    return g
+
+
+def prefix_quotient_rank(system: PopescuSystem, level: int, tol: float = 1e-10) -> int:
+    """Dimension of the word-vector space modulo the null space of the prefix Gram."""
+    gram = prefix_gram(system, level)
+    vals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+    return int(np.sum(vals > tol * vals[-1]))

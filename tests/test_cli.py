@@ -127,7 +127,8 @@ def test_cluster_swap_constant(capsys, swap_path):
 def test_dilate(capsys, rank_one_path):
     assert main(["dilate", rank_one_path, "--level", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["dimension"] >= 2
+    assert set(doc) == {"level", "dimension", "isometry_residual", "completeness_residual"}
+    assert doc["dimension"] == 2**3 * 2
     assert doc["isometry_residual"] <= 1e-9
     assert doc["completeness_residual"] <= 1e-9
 

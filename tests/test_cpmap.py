@@ -23,6 +23,7 @@ from fcstates import (
 from fcstates.cpmap import DensityState, OperatorSubspace
 
 from conftest import eij, random_psd, scalar
+from oracles import frontier_generated_algebra
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +150,11 @@ def test_generated_algebra_is_closed():
     sys_ = random_system(2, 3, 31)
     alg = generated_algebra(sys_.operators)
     assert is_algebra(alg, 1e-8)
+
+
+def test_generated_algebra_matches_frontier_oracle(known_system):
+    ops = known_system.operators
+    assert generated_algebra(ops).span_equals(frontier_generated_algebra(ops))
 
 
 # ----------------------------------------------------------------------

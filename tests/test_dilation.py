@@ -16,6 +16,7 @@ from fcstates import (
 from fcstates.dilation import MomentTable
 
 from conftest import scalar
+from oracles import prefix_gram, prefix_quotient_rank
 
 
 def test_build_scalar_quotient_classes():
@@ -39,15 +40,39 @@ def test_build_monotone_in_level():
 
 
 def test_build_gram_psd():
+    # the prefix-rule Gram is PSD, and it is the Gram of the word-vector
+    # images I (x) xi -> e_I (x) E_{L-|I|} xi, the column blocks of the level
+    # subspaces in words_up_to order
     sys_ = random_system(3, 2, 33)
     dil = build(sys_, 3)
-    vals = np.linalg.eigvalsh(0.5 * (dil.gram + dil.gram.conj().T))
+    gram = prefix_gram(sys_, 3)
+    vals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     assert vals[0] >= -1e-10 * vals[-1]
+    images = np.hstack([dil.level_subspace(m) for m in range(4)])
+    assert np.max(np.abs(images.conj().T @ images - gram)) <= 1e-12
+
+
+def test_build_dimension_matches_prefix_quotient(known_system):
+    level = 3
+    dil = build(known_system, level)
+    expected = known_system.d**level * known_system.n
+    assert dil.dim == prefix_quotient_rank(known_system, level) == expected
+
+
+def test_level_subspaces_are_isometries(known_system):
+    dil = build(known_system, 3)
+    for m in range(4):
+        w = dil.level_subspace(m)
+        assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1]), 2) <= 1e-12
 
 
 def test_build_rejects_bad_level(swap2):
     with pytest.raises(ValueError):
         build(swap2, 0)
+    dil = build(swap2, 2)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError):
+            dil.level_subspace(bad)
 
 
 def test_cuntz_residuals_scalar_exact():

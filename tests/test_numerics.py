@@ -1,7 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from fcstates import eig, herm_inv_sqrt, herm_sqrt, kernel, sigma_matrix, spectral_sets_match
+from fcstates.numerics import distinct_values
 
 from conftest import eij
 
@@ -125,3 +128,13 @@ def test_spectral_sets_match():
     assert spectral_sets_match([1.0, -1.0], [-1.0, 1.0 + 1e-10])
     assert not spectral_sets_match([1.0, -1.0], [1.0, 1.0])
     assert not spectral_sets_match([1.0], [1.0, -1.0])
+    # nearest-first pairing takes 0.4 for 0.5 and leaves 0.9 for 0; the
+    # pairing 0.5-0.9, 0-0.4 is within tolerance
+    assert spectral_sets_match([0.5, 0.0], [0.4, 0.9], 0.5)
+
+
+def test_distinct_values_independent_of_order():
+    # 0 and 1.2 are farther apart than tol but chained through 0.6
+    counts = {len(distinct_values(p, 0.6)) for p in permutations([0.0, 0.6, 1.2])}
+    assert counts == {1}
+    assert distinct_values([1.0, -1.0, 1.0 + 1e-12]) == [1.0, -1.0]
