@@ -82,26 +82,89 @@ class ClassificationReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _comparable_system(system: PopescuSystem, state: DensityState, notes: list[str]):
-    """Compress to the support of the invariant state when it is not faithful."""
+def _comparable_system(
+    system: PopescuSystem,
+    state: DensityState,
+    fixed: OperatorSubspace,
+    notes: list[str],
+    tol: float,
+):
+    """The system, its state and its fixed space, compressed to the support of
+    the state when the state is not faithful."""
     if state.faithful:
-        return system, state
+        return system, state, fixed
     notes.append(
         f"invariant state has rank {state.rank} < {state.n}; "
         "compressed to its support"
     )
     csys = compress(system, state.support)
-    cstate = invariant_state(csys)
-    return csys, cstate
+    return csys, invariant_state(csys), fixed_points(csys, tol)
 
 
 def _check_semisimple(peripherals, notes: list[str]) -> None:
-    bad = [p.value for p in peripherals if not p.semisimple]
+    bad = [
+        f"{p.value:.6f} (geometric {p.multiplicity}, algebraic {p.algebraic})"
+        for p in peripherals
+        if not p.semisimple
+    ]
     if bad:
         raise NumericalHealthError(
-            f"unimodular Jordan block at eigenvalue(s) {bad}: the faithful-state "
-            "hypotheses exclude this, so classification is aborted"
+            f"geometric and algebraic multiplicities differ at unimodular eigenvalue(s) "
+            f"{', '.join(bad)}: a Jordan block, which the hypotheses exclude, or a "
+            "kernel and a spectrum that disagree at the tolerance boundary; "
+            "classification is aborted"
         )
+
+
+def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
+    """:func:`classify_od`, also returning the system, state and fixed space
+    it ended on: compressed to the support of the state when the map is
+    ergodic, as given otherwise."""
+    notes: list[str] = []
+    residual = validate(system)
+    fixed = fixed_points(system, tol)
+    ergodic = fixed.dim == 1
+    state = invariant_state(system)
+    if state.unique is False:
+        notes.append(
+            "predual fixed space has dimension > 1; reported state is the "
+            "exact Cesaro limit from I/n, not unique"
+        )
+    if not ergodic:
+        peripherals = peripheral_spectrum(system, tol_peripheral, tol)
+        _check_semisimple(peripherals, notes)
+        notes.append("transfer map is not ergodic; k undefined, peripheral set informational")
+        report = ClassificationReport(
+            validate_residual=residual,
+            ergodic=False,
+            od_state_pure=ergodic,
+            invariant_state=state,
+            compressed_ergodic=None,
+            peripheral=tuple(p.value for p in peripherals),
+            k=None,
+            notes=_dedupe(notes),
+        )
+        return report, (system, state, fixed)
+    working = _comparable_system(system, state, fixed, notes, tol)
+    csys, _, cfixed = working
+    cperi = peripheral_spectrum(csys, tol_peripheral, tol)
+    _check_semisimple(cperi, notes)
+    compressed_ergodic = cfixed.dim == 1
+    if not compressed_ergodic:
+        notes.append("ergodicity was lost under compression to the support")
+    values = tuple(p.value for p in cperi)
+    k = gauge_group_order(values, tol=tol, max_denominator=csys.n**2)
+    report = ClassificationReport(
+        validate_residual=residual,
+        ergodic=True,
+        od_state_pure=ergodic,
+        invariant_state=state,
+        compressed_ergodic=compressed_ergodic,
+        peripheral=values,
+        k=k,
+        notes=_dedupe(notes),
+    )
+    return report, working
 
 
 def classify_od(
@@ -117,49 +180,11 @@ def classify_od(
     the map is ergodic the system is compressed to the support of its
     unique invariant state, and k is the order of the circle
     subgroup formed by the compressed peripheral spectrum; otherwise k is
-    undefined and the peripheral set is informational.
+    undefined and the peripheral set is informational. In both cases the
+    geometric and algebraic multiplicities of every peripheral value must
+    agree.
     """
-    notes: list[str] = []
-    residual = validate(system)
-    fixed = fixed_points(system, tol)
-    ergodic = fixed.dim == 1
-    state = invariant_state(system)
-    if state.unique is False:
-        notes.append(
-            "predual fixed space has dimension > 1; reported state is the "
-            "canonical Cesaro limit from I/n, not unique"
-        )
-    if not ergodic:
-        peri = tuple(p.value for p in peripheral_spectrum(system, tol_peripheral, tol))
-        notes.append("transfer map is not ergodic; k undefined, peripheral set informational")
-        return ClassificationReport(
-            validate_residual=residual,
-            ergodic=False,
-            od_state_pure=ergodic,
-            invariant_state=state,
-            compressed_ergodic=None,
-            peripheral=peri,
-            k=None,
-            notes=_dedupe(notes),
-        )
-    csys, _ = _comparable_system(system, state, notes)
-    cperi = peripheral_spectrum(csys, tol_peripheral, tol)
-    _check_semisimple(cperi, notes)
-    compressed_ergodic = fixed_points(csys, tol).dim == 1
-    if not compressed_ergodic:
-        notes.append("ergodicity was lost under compression to the support")
-    values = tuple(p.value for p in cperi)
-    k = gauge_group_order(values, tol=tol, max_denominator=csys.n**2)
-    return ClassificationReport(
-        validate_residual=residual,
-        ergodic=True,
-        od_state_pure=ergodic,
-        invariant_state=state,
-        compressed_ergodic=compressed_ergodic,
-        peripheral=values,
-        k=k,
-        notes=_dedupe(notes),
-    )
+    return _classify_od(system, tol, tol_peripheral)[0]
 
 
 def _restricted_peripheral(
@@ -195,12 +220,12 @@ def classify_chain(
     {1}, and purity coincides with factoriality in this finite-dimensional
     setting; a clustering probe cross-checks the verdict numerically.
     """
-    base = classify_od(system, tol, tol_peripheral)
+    base, (wsys, wstate, fixed) = _classify_od(system, tol, tol_peripheral)
     notes = list(base.notes)
-    wsys, wstate = _comparable_system(system, base.invariant_state, notes)
+    if not base.ergodic:
+        wsys, wstate, fixed = _comparable_system(wsys, wstate, fixed, notes, tol)
     comm = commutant(wsys.operators, tol)
     algebra = commutant(comm.basis, tol)
-    fixed = fixed_points(wsys, tol)
     hyp = ChainHypotheses(
         m_is_factor=algebra.intersection_dim(comm, tol) == 1,
         fixed_equals_m_prime=fixed.span_equals(comm, tol),

@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from .errors import NumericalHealthError, ValidationError
-from .numerics import as_matrix, distinct_values, eig, herm_sqrt, kernel, orthonormal_columns
+from .numerics import as_matrix, distinct_values, eig, herm_sqrt, kernel
 from .popescu import PopescuSystem
 
 __all__ = [
@@ -201,45 +201,15 @@ class DensityState:
         return complex(np.trace(self.rho @ x))
 
 
-def _hermitian_split_basis(columns: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    # A *-closed subspace has a basis of Hermitian matrices; recover one by
-    # real-orthonormalizing the Hermitian/anti-Hermitian parts of the kernel
-    # basis. Falls back to the raw basis if splitting loses dimensions
-    # (possible only when the subspace is not actually *-closed).
-    dim = columns.shape[1]
-    if dim == 0 or shape[0] != shape[1]:
-        return columns
-    parts = []
-    for k in range(dim):
-        x = unvec(columns[:, k], shape)
-        parts.append(0.5 * (x + x.conj().T))
-        parts.append((x - x.conj().T) / 2j)
-    stacked = np.stack([vec(p) for p in parts], axis=1)
-    real_rep = np.vstack([stacked.real, stacked.imag])
-    u, s, _ = np.linalg.svd(real_rep, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
-    if rank != dim:
-        return columns
-    half = stacked.shape[0]
-    herm_cols = u[:half, :rank] + 1j * u[half:, :rank]
-    # re-orthonormalize in the complex trace inner product
-    out = orthonormal_columns(herm_cols)
-    if out.shape[1] != dim:
-        return columns
-    return out
-
-
 def fixed_points(system: PopescuSystem, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace:
-    """Orthonormal basis of {X : sigma(X) = X}.
+    """Orthonormal basis of {X : sigma(X) = X}, as the kernel returns it.
 
-    The fixed set is *-closed, so the basis is re-expressed with Hermitian
-    elements whenever possible. It contains the commutant of the generators
-    but need not be an algebra.
+    The fixed set is *-closed and contains the commutant of the generators,
+    but need not be an algebra. The basis elements need not be Hermitian.
     """
     sop = sigma_matrix(system)
     null = kernel(sop.matrix - np.eye(system.n**2), tol, scale=1.0)
-    cols = _hermitian_split_basis(null, (system.n, system.n))
-    return OperatorSubspace.from_vectors(cols, (system.n, system.n))
+    return OperatorSubspace.from_vectors(null, (system.n, system.n))
 
 
 def is_algebra(sub: OperatorSubspace, tol: float = DEFAULT_SUBSPACE_TOL) -> bool:
@@ -258,7 +228,10 @@ def is_algebra(sub: OperatorSubspace, tol: float = DEFAULT_SUBSPACE_TOL) -> bool
 
 
 def commutant(generators, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace:
-    """Orthonormal basis of {X : XA = AX and XA* = A*X for all generators A}."""
+    """Orthonormal basis of {X : XA = AX and XA* = A*X for all generators A}.
+
+    The basis is the kernel's; its elements need not be Hermitian.
+    """
     gens = [as_matrix(g, "generator") for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
@@ -273,8 +246,7 @@ def commutant(generators, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace
             rows.append(np.kron(a.T, eye) - np.kron(eye, a))
     gnorm = max(np.linalg.norm(g, 2) for g in gens)
     null = kernel(np.vstack(rows), tol, scale=max(1.0, float(gnorm)))
-    cols = _hermitian_split_basis(null, (n, n))
-    return OperatorSubspace.from_vectors(cols, (n, n))
+    return OperatorSubspace.from_vectors(null, (n, n))
 
 
 def generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:
@@ -286,23 +258,25 @@ def generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:
     return commutant(commutant(generators, tol).basis, tol)
 
 
-def invariant_state(
-    system: PopescuSystem,
-    tol: float = 1e-12,
-    rho0: np.ndarray | None = None,
-    max_iter: int | None = None,
-) -> DensityState:
-    """A sigma-invariant state, by Cesaro iteration of the predual.
+def invariant_state(system: PopescuSystem, rho0: np.ndarray | None = None) -> DensityState:
+    """The sigma-invariant state reached from rho_0, as the exact Cesaro limit.
 
-    Iterates rho_k = sigma_*^k(rho_0) from rho_0 = I/n (or the given start)
-    and averages; peripheral eigenvalues other than 1 cancel in the mean.
-    The average is then refined by orthogonal projection onto the exact
-    eigenvalue-1 space of the predual matrix, Hermitized, clipped, and
-    renormalized. When the predual fixed space is one-dimensional the result
-    is the unique invariant state and ``unique`` is set on the output.
+    The Cesaro mean of sigma_*^k(rho_0), from rho_0 = I/n or the given
+    start, converges to the spectral projection of rho_0 onto the fixed
+    space R of the predual, along the other spectral subspaces. With F the
+    fixed space of sigma (the left eigenvectors of sigma_* for eigenvalue 1)
+    that projection is
+
+        rho = R (F* R)^{-1} F* vec(rho_0).
+
+    F* R is invertible because eigenvalue 1 of a unital CP map is
+    semisimple: sigma is a contraction in operator norm, so it has no Jordan
+    block on the unit circle. As vec(I) lies in F, the trace of rho_0 is
+    kept. When R is one-dimensional the state is its basis vector
+    normalized to unit trace, it is the unique invariant state, and
+    ``unique`` is set on the output.
     """
     n = system.n
-    pre = predual_matrix(system).matrix
     if rho0 is None:
         r0 = vec(np.eye(n)) / n
     else:
@@ -311,58 +285,33 @@ def invariant_state(
         if abs(tr) < 1e-14:
             raise ValueError("rho0 must have nonzero trace")
         r0 = vec(rho0) / tr
-    cap = max_iter if max_iter is not None else 100 * n * n
-    fixed_cols = kernel(pre - np.eye(n * n), DEFAULT_SUBSPACE_TOL, scale=1.0)
-    unique = fixed_cols.shape[1] == 1
-
-    def refine(mean_vec: np.ndarray) -> tuple[np.ndarray, float]:
-        v = mean_vec
-        if fixed_cols.shape[1] > 0:
-            v = fixed_cols @ (fixed_cols.conj().T @ mean_vec)
-        rho = unvec(v, (n, n))
-        rho = 0.5 * (rho + rho.conj().T)
-        vals, vecs = np.linalg.eigh(rho)
-        if vals[0] < -1e-8:
+    pre = predual_matrix(system).matrix
+    eye = np.eye(n * n)
+    right = kernel(pre - eye, DEFAULT_SUBSPACE_TOL, scale=1.0)
+    unique = right.shape[1] == 1
+    if unique:
+        v = right[:, 0] / np.sum(right[:: n + 1, 0])
+    else:
+        # sigma is the adjoint of sigma_*, so F is the kernel of the adjoint
+        left = kernel(pre.conj().T - eye, DEFAULT_SUBSPACE_TOL, scale=1.0)
+        if left.shape != right.shape:
             raise NumericalHealthError(
-                f"Cesaro limit has a significantly negative eigenvalue {vals[0]:.3e}"
+                f"fixed spaces of the map ({left.shape[1]}) and its predual "
+                f"({right.shape[1]}) differ in dimension"
             )
-        vals = np.clip(vals, 0.0, None)
-        s = vals.sum()
-        if s <= 0:
-            raise NumericalHealthError("Cesaro limit vanished after clipping")
-        rho = (vecs * (vals / s)[None, :]) @ vecs.conj().T
-        resid = float(np.linalg.norm(pre @ vec(rho) - vec(rho)))
-        return rho, resid
-
-    acc = r0.copy()
-    cur = r0.copy()
-    count = 1
-    best: tuple[np.ndarray, float] | None = None
-    prev_candidate: np.ndarray | None = None
-    for k in range(1, cap + 1):
-        cur = pre @ cur
-        acc += cur
-        count += 1
-        mean = acc / count
-        # proxy for the mean's invariance residual ||rho_{k+1} - rho_0|| / count;
-        # the returned state is re-checked exactly in refine()
-        if np.linalg.norm(cur - r0) / count <= tol:
-            break
-        if k % 16 == 0 or k == cap:
-            cand, resid = refine(mean)
-            if best is None or resid < best[1]:
-                best = (cand, resid)
-            if prev_candidate is not None and resid <= max(tol, 1e-13) * n:
-                if np.linalg.norm(cand - prev_candidate) <= 1e-12 * n:
-                    break
-            prev_candidate = cand
-    rho, resid = refine(acc / count)
-    if best is not None and best[1] < resid:
-        rho, resid = best
-    if resid > max(tol, 1e-10) * n:
+        v = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ r0)
+    rho = unvec(v, (n, n))
+    rho = 0.5 * (rho + rho.conj().T)
+    vals, vecs = np.linalg.eigh(rho)
+    if vals[0] < -1e-8:
         raise NumericalHealthError(
-            f"invariant state iteration did not converge: residual {resid:.3e} after {count} steps"
+            f"Cesaro limit has a significantly negative eigenvalue {vals[0]:.3e}"
         )
+    vals = np.clip(vals, 0.0, None)
+    rho = (vecs * (vals / vals.sum())[None, :]) @ vecs.conj().T
+    resid = float(np.linalg.norm(pre @ vec(rho) - vec(rho)))
+    if resid > 1e-10 * n:
+        raise NumericalHealthError(f"invariant state has residual {resid:.3e}")
     return DensityState.from_matrix(rho, unique=unique)
 
 
@@ -407,9 +356,10 @@ class PeripheralEigenvalue:
     """A unimodular eigenvalue of the forward transfer map."""
 
     value: complex
-    multiplicity: int  # geometric
+    multiplicity: int  # geometric: the dimension of the kernel of sigma - value
     operator: np.ndarray  # representative eigen-operator, unit trace norm
     semisimple: bool  # geometric multiplicity == algebraic multiplicity
+    algebraic: int = 1  # the number of eigenvalues eig places at this value
 
 
 def _canonical_phase(x: np.ndarray) -> np.ndarray:
@@ -428,10 +378,11 @@ def peripheral_spectrum(
 ) -> list[PeripheralEigenvalue]:
     """Unimodular eigenvalues of the forward map, with eigen-operators.
 
-    Reports geometric multiplicities; ``semisimple`` is false when the
-    algebraic multiplicity exceeds the geometric one (a unimodular Jordan
-    block), which the classification layer treats as a hypothesis failure.
-    Results are sorted by phase angle starting at 1.
+    Reports geometric and algebraic multiplicities. ``semisimple`` is false
+    when they differ: a unimodular Jordan block when the algebraic one is
+    larger, and a kernel that counts eigenvalues the eigensolver puts off
+    the circle when the geometric one is. The classification layer treats
+    either as a failure. Results are sorted by phase angle starting at 1.
     """
     sop = sigma_matrix(system)
     dec = eig(sop.matrix)
@@ -456,7 +407,8 @@ def peripheral_spectrum(
                 value=value,
                 multiplicity=geometric,
                 operator=_canonical_phase(op),
-                semisimple=geometric >= algebraic,
+                semisimple=geometric == algebraic,
+                algebraic=algebraic,
             )
         )
     out.sort(key=lambda p: (abs(np.angle(p.value)), np.angle(p.value)))

@@ -29,14 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmap import (
-    DensityState,
-    fixed_points,
-    peripheral_spectrum,
-    predual_matrix,
-)
+from .cpmap import DensityState, peripheral_spectrum
 from .errors import NumericalHealthError
-from .numerics import distinct_values, eig, herm_inv_sqrt, herm_sqrt, spectral_sets_match
+from .numerics import eig  # noqa: F401  (bound here for perfbench's span tracer)
+from .numerics import herm_inv_sqrt, herm_sqrt, spectral_sets_match
 from .popescu import PopescuSystem
 
 __all__ = [
@@ -244,7 +240,6 @@ class DualComparison:
     psp_match: bool
     peripheral: tuple[complex, ...]
     dual_peripheral: tuple[complex, ...]
-    adjoint_spectrum_deviation: float
 
 
 def compare_duals(
@@ -254,32 +249,18 @@ def compare_duals(
 ) -> DualComparison:
     """Ergodicity and peripheral-spectrum agreement of the dual pair.
 
-    Additionally checks, at finite level, that every unimodular eigenvalue
-    of the predual is (the conjugate of) an eigenvalue of the forward map;
-    for matrices this is automatic, so it is asserted as a sanity bound.
+    Both peripheral spectra start at the value 1, whose geometric
+    multiplicity is the dimension of the fixed space, so it decides
+    ergodicity of each side without another kernel.
     """
     dual = dual_system(system, state)
-    dsys = dual.parameter_system()
-    erg = fixed_points(system).dim == 1
-    derg = fixed_points(dsys).dim == 1
-    peri = tuple(p.value for p in peripheral_spectrum(system))
-    dperi = tuple(p.value for p in peripheral_spectrum(dsys))
-    psp_match = spectral_sets_match(peri, dperi, tol)
-    pre_vals = distinct_values(
-        [z for z in eig(predual_matrix(system).matrix).eigenvalues if abs(1.0 - abs(z)) <= 1e-9],
-        tol,
-    )
-    dev = max(
-        (min(abs(np.conj(z) - w) for w in peri) for z in pre_vals), default=0.0
-    )
-    if dev > tol:
-        raise NumericalHealthError(
-            f"unimodular predual eigenvalues do not mirror the forward spectrum (dev {dev:.3e})"
-        )
+    peri = peripheral_spectrum(system)
+    dperi = peripheral_spectrum(dual.parameter_system())
+    values = tuple(p.value for p in peri)
+    dvalues = tuple(p.value for p in dperi)
     return DualComparison(
-        ergodic_match=erg == derg,
-        psp_match=psp_match,
-        peripheral=peri,
-        dual_peripheral=dperi,
-        adjoint_spectrum_deviation=float(dev),
+        ergodic_match=(peri[0].multiplicity == 1) == (dperi[0].multiplicity == 1),
+        psp_match=spectral_sets_match(values, dvalues, tol),
+        peripheral=values,
+        dual_peripheral=dvalues,
     )

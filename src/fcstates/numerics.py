@@ -43,14 +43,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 class EigenDecomposition:
     """Full eigendecomposition of a square complex matrix.
 
-    ``eigenvectors[:, k]`` is a unit right eigenvector for ``eigenvalues[k]``.
-    ``diagonalizable`` reports whether the eigenvector matrix is numerically
-    nonsingular; ``residual`` is max_k ||A v_k - lambda_k v_k|| / ||A||.
+    ``eigenvectors[:, k]`` is a unit right eigenvector for ``eigenvalues[k]``
+    and ``residual`` is ||A V - V Lambda|| / ||A|| in the spectral norm. A
+    backward-stable solver keeps it at roundoff level whether or not A has
+    a full set of eigenvectors; nearly parallel eigenvectors, as at a
+    Jordan block, do not raise it.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    diagonalizable: bool
     residual: float
 
 
@@ -58,8 +59,7 @@ def eig(a, tol: float = 1e-10) -> EigenDecomposition:
     """Eigendecomposition with an enforced residual bound.
 
     Raises NumericalHealthError if LAPACK fails to converge or the residual
-    of a returned eigenpair exceeds ``tol * ||A||`` while the matrix is
-    flagged diagonalizable.
+    of the returned eigenpairs exceeds ``tol * ||A||``.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -71,13 +71,11 @@ def eig(a, tol: float = 1e-10) -> EigenDecomposition:
     norm_a = np.linalg.norm(a, 2)
     resid = np.linalg.norm(a @ vecs - vecs * vals[None, :], 2)
     residual = float(resid / norm_a) if norm_a > 0 else float(resid)
-    sv = np.linalg.svd(vecs, compute_uv=False)
-    diagonalizable = bool(sv[-1] > max(a.shape) * np.finfo(float).eps * sv[0] * 1e3)
-    if diagonalizable and residual > tol:
+    if residual > tol:
         raise NumericalHealthError(
             f"eigenpair residual {residual:.3e} exceeds tolerance {tol:.3e}"
         )
-    return EigenDecomposition(vals, vecs, diagonalizable, residual)
+    return EigenDecomposition(vals, vecs, residual)
 
 
 def kernel(a, tol: float | None = None, scale: float | None = None) -> np.ndarray:

@@ -86,6 +86,33 @@ def block_shift(k: int, d: int, m: int, seed: int) -> PopescuSystem:
     return PopescuSystem.from_operators(ops)
 
 
+def nonfaithful(d: int, r: int, s: int, seed: int) -> PopescuSystem:
+    """V_i = [[A_i, 0], [C_i, D_i]] on C^r (+) C^s with A a random system on C^r.
+
+    Every V_i* maps C^r into itself and mass outside C^r leaks out, so the
+    unique invariant state has rank r.
+    """
+    rng = np.random.default_rng(seed)
+    n = r + s
+    w = np.zeros((n, d * n), dtype=complex)
+    for i, a in enumerate(random_system(d, r, seed).operators):
+        w[:r, i * n : i * n + r] = a
+    g = rng.standard_normal((s, d * n)) + 1j * rng.standard_normal((s, d * n))
+    g -= (g @ w[:r].conj().T) @ w[:r]
+    q, _ = np.linalg.qr(g.conj().T)
+    w[r:] = q.conj().T
+    return PopescuSystem.from_operators([w[:, i * n : (i + 1) * n] for i in range(d)])
+
+
+def pauli_channel(p: float) -> PopescuSystem:
+    """V = (sqrt(1-p) I, sqrt(p/2) X, sqrt(p/2) Z): ergodic, second eigenvalue 1 - p."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    return PopescuSystem.from_operators(
+        [np.sqrt(1 - p) * np.eye(2), np.sqrt(p / 2) * x, np.sqrt(p / 2) * z]
+    )
+
+
 BUILT_SYSTEMS = {
     "direct_sum": lambda: direct_sum(random_system(2, 2, 61), random_system(2, 3, 62)),
     "ancilla": lambda: ancilla(random_system(2, 2, 63), 3),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import fcstates.classify
 from fcstates import (
+    NumericalHealthError,
     PopescuSystem,
     classify_chain,
     classify_od,
@@ -12,6 +14,7 @@ from fcstates import (
 )
 from fcstates.classify import HYPOTHESES_NOT_MET
 
+from conftest import direct_sum, nonfaithful, pauli_channel
 
 
 def test_classify_od_rank_one(rank_one2):
@@ -157,3 +160,42 @@ def test_cyclic_systems_have_gauge_order_m(m):
     assert rep.chain_pure is False
     roots = [np.exp(2j * np.pi * l / m) for l in range(m)]
     assert spectral_sets_match(rep.peripheral, roots, 1e-9)
+
+
+def test_multiplicity_mismatch_at_the_tolerance_boundary_aborts():
+    # at p = 3e-9 the kernel counts 4 fixed points while eig places one
+    # eigenvalue on the circle: the verdict must fail, not read "not ergodic"
+    with pytest.raises(NumericalHealthError, match="geometric 4, algebraic 1"):
+        classify_chain(pauli_channel(3e-9))
+    rep = classify_chain(pauli_channel(1e-6))
+    assert rep.ergodic and rep.k == 1
+
+
+@pytest.mark.parametrize(
+    "make, calls",
+    [
+        (lambda: random_system(3, 5, 21), {"fixed_points": 1, "compress": 0, "invariant_state": 1}),
+        (lambda: nonfaithful(2, 3, 2, 22), {"fixed_points": 2, "compress": 1, "invariant_state": 2}),
+        (
+            lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
+            {"fixed_points": 1, "compress": 0, "invariant_state": 1},
+        ),
+    ],
+    ids=["random", "nonfaithful", "direct_sum"],
+)
+def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
+    counts = dict.fromkeys(calls, 0)
+
+    def counted(name):
+        original = getattr(fcstates.classify, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fcstates.classify, name, counted(name))
+    classify_chain(make())
+    assert counts == calls

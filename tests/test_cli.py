@@ -11,7 +11,7 @@ from fcstates.cli import (
     system_to_json,
 )
 
-from conftest import eij
+from conftest import eij, pauli_channel
 
 
 def write_system(tmp_path, system, name="sys.json"):
@@ -105,6 +105,14 @@ def test_analyze_deterministic(capsys, swap_path):
     assert main(["analyze", swap_path]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_analyze_multiplicity_mismatch_exits_numerical(capsys, tmp_path):
+    path = write_system(tmp_path, pauli_channel(3e-9))
+    assert main(["analyze", path]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "numerical-health failure"
+    assert "Jordan" in doc["notes"][0]
 
 
 def test_chain_eval(capsys, swap_path):

@@ -22,7 +22,9 @@ from fcstates import (
 )
 from fcstates.cpmap import DensityState, OperatorSubspace
 
-from conftest import eij, random_psd, scalar
+from scipy.linalg import block_diag
+
+from conftest import direct_sum, eij, random_psd, scalar
 from oracles import frontier_generated_algebra
 
 
@@ -190,6 +192,23 @@ def test_invariant_state_unique_and_start_independent():
         for _ in range(5):
             other = invariant_state(sys_, rho0=random_psd(rng, 3))
             assert np.linalg.norm(other.rho - base.rho, 2) <= 1e-8
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 3), (3, 3), (4, 4), (6, 6)])
+def test_invariant_state_of_direct_sum_is_exact_limit(n1, n2):
+    # from I/n the Cesaro limit weighs each ergodic block by its share of the
+    # trace; from a start on block A it is A's own state
+    a, b = random_system(2, n1, 80 + n1), random_system(2, n2, 90 + n2)
+    rho_a, rho_b = invariant_state(a).rho, invariant_state(b).rho
+    both = direct_sum(a, b)
+    n = n1 + n2
+    state = invariant_state(both)
+    assert state.unique is False
+    expect = block_diag(n1 / n * rho_a, n2 / n * rho_b)
+    assert np.linalg.norm(state.rho - expect, 2) <= 1e-12
+    start = block_diag(random_psd(np.random.default_rng(n), n1), np.zeros((n2, n2)))
+    on_a = invariant_state(both, rho0=start)
+    assert np.linalg.norm(on_a.rho - block_diag(rho_a, np.zeros((n2, n2))), 2) <= 1e-12
 
 
 def test_invariant_state_really_invariant():

@@ -173,5 +173,4 @@ def test_compare_duals_random_batch():
         found += 1
         cmp_ = compare_duals(sys_, state)
         assert cmp_.ergodic_match and cmp_.psp_match
-        assert cmp_.adjoint_spectrum_deviation <= 1e-8
     assert found >= 5

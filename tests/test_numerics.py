@@ -12,7 +12,14 @@ from conftest import eij
 def test_eig_diagonal():
     dec = eig(np.diag([1.0, 2.0]))
     assert spectral_sets_match(dec.eigenvalues, [1.0, 2.0], 1e-12)
-    assert dec.diagonalizable
+
+
+def test_eig_residual_holds_without_diagonalizability(rank_one2):
+    # eig is backward stable: the residual bound holds at a Jordan block,
+    # where the eigenvector matrix is singular, as on any other input
+    for a in (np.array([[1.0, 1.0], [0.0, 1.0]]), sigma_matrix(rank_one2).matrix):
+        dec = eig(a)
+        assert dec.residual <= 1e-10
 
 
 def test_eig_symmetric_flip():
