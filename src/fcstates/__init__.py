@@ -17,6 +17,7 @@ from .cpmap import (
     DensityState,
     OperatorSubspace,
     PeripheralEigenvalue,
+    RealTransfer,
     Superoperator,
     coinvariance_check,
     commutant,
@@ -29,6 +30,7 @@ from .cpmap import (
     peripheral_eigenunitary,
     peripheral_spectrum,
     predual_matrix,
+    real_transfer,
     sigma_matrix,
     unvec,
     vec,
@@ -61,12 +63,14 @@ __all__ = [
     "random_system",
     "compress",
     "Superoperator",
+    "RealTransfer",
     "OperatorSubspace",
     "DensityState",
     "CoinvarianceCheck",
     "PeripheralEigenvalue",
     "sigma_matrix",
     "predual_matrix",
+    "real_transfer",
     "fixed_points",
     "is_algebra",
     "commutant",

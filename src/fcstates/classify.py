@@ -27,12 +27,13 @@ from .chain import LocalObservable, clustering_defect
 from .cpmap import (
     DensityState,
     OperatorSubspace,
+    RealTransfer,
     commutant,
     fixed_points,
     gauge_group_order,
     invariant_state,
     peripheral_spectrum,
-    sigma_matrix,
+    real_transfer,
 )
 from .errors import NumericalHealthError
 from .numerics import distinct_values, eig, spectral_sets_match
@@ -83,22 +84,22 @@ class ClassificationReport:
 
 
 def _comparable_system(
-    system: PopescuSystem,
+    form: RealTransfer,
     state: DensityState,
     fixed: OperatorSubspace,
     notes: list[str],
     tol: float,
 ):
-    """The system, its state and its fixed space, compressed to the support of
-    the state when the state is not faithful."""
+    """The transfer map of the system, its state and its fixed space,
+    compressed to the support of the state when the state is not faithful."""
     if state.faithful:
-        return system, state, fixed
+        return form, state, fixed
     notes.append(
         f"invariant state has rank {state.rank} < {state.n}; "
         "compressed to its support"
     )
-    csys = compress(system, state.support)
-    return csys, invariant_state(csys), fixed_points(csys, tol)
+    cform = real_transfer(compress(form.system, state.support))
+    return cform, invariant_state(cform), fixed_points(cform, tol)
 
 
 def _check_semisimple(peripherals, notes: list[str]) -> None:
@@ -117,21 +118,23 @@ def _check_semisimple(peripherals, notes: list[str]) -> None:
 
 
 def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
-    """:func:`classify_od`, also returning the system, state and fixed space
-    it ended on: compressed to the support of the state when the map is
-    ergodic, as given otherwise."""
+    """:func:`classify_od`, also returning the transfer map, state and fixed
+    space it ended on: compressed to the support of the state when the map
+    is ergodic, as given otherwise. The transfer map is built once per
+    system."""
     notes: list[str] = []
     residual = validate(system)
-    fixed = fixed_points(system, tol)
+    form = real_transfer(system)
+    fixed = fixed_points(form, tol)
     ergodic = fixed.dim == 1
-    state = invariant_state(system)
+    state = invariant_state(form)
     if state.unique is False:
         notes.append(
             "predual fixed space has dimension > 1; reported state is the "
             "exact Cesaro limit from I/n, not unique"
         )
     if not ergodic:
-        peripherals = peripheral_spectrum(system, tol_peripheral, tol)
+        peripherals = peripheral_spectrum(form, tol_peripheral, tol)
         _check_semisimple(peripherals, notes)
         notes.append("transfer map is not ergodic; k undefined, peripheral set informational")
         report = ClassificationReport(
@@ -144,16 +147,16 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
             k=None,
             notes=_dedupe(notes),
         )
-        return report, (system, state, fixed)
-    working = _comparable_system(system, state, fixed, notes, tol)
-    csys, _, cfixed = working
-    cperi = peripheral_spectrum(csys, tol_peripheral, tol)
+        return report, (form, state, fixed)
+    working = _comparable_system(form, state, fixed, notes, tol)
+    cform, _, cfixed = working
+    cperi = peripheral_spectrum(cform, tol_peripheral, tol)
     _check_semisimple(cperi, notes)
     compressed_ergodic = cfixed.dim == 1
     if not compressed_ergodic:
         notes.append("ergodicity was lost under compression to the support")
     values = tuple(p.value for p in cperi)
-    k = gauge_group_order(values, tol=tol, max_denominator=csys.n**2)
+    k = gauge_group_order(values, tol=tol, max_denominator=cform.n**2)
     report = ClassificationReport(
         validate_residual=residual,
         ergodic=True,
@@ -188,18 +191,19 @@ def classify_od(
 
 
 def _restricted_peripheral(
-    system: PopescuSystem, algebra: OperatorSubspace, tol: float, tol_peripheral: float = 1e-9
+    form: RealTransfer, algebra: OperatorSubspace, tol: float, tol_peripheral: float = 1e-9
 ):
-    """Peripheral eigenvalues of the transfer map restricted to an invariant subspace."""
-    sig = sigma_matrix(system).matrix
-    q = algebra.to_columns()
+    """Peripheral eigenvalues of the transfer map restricted to an invariant
+    subspace with a Hermitian basis, in real arithmetic."""
+    sig = form.matrix
+    q = algebra.hermitian_columns()
     image = sig @ q
-    leak = np.linalg.norm(image - q @ (q.conj().T @ image), 2)
+    leak = np.linalg.norm(image - q @ (q.T @ image), 2)
     if leak > max(tol, 1e-8) * max(1.0, np.linalg.norm(image, 2)):
         raise NumericalHealthError(
             f"transfer map does not leave the generated algebra invariant (leak {leak:.3e})"
         )
-    restricted = q.conj().T @ image
+    restricted = q.T @ image
     vals = eig(restricted).eigenvalues
     return distinct_values([z for z in vals if abs(1.0 - abs(z)) <= tol_peripheral], tol)
 
@@ -220,10 +224,11 @@ def classify_chain(
     {1}, and purity coincides with factoriality in this finite-dimensional
     setting; a clustering probe cross-checks the verdict numerically.
     """
-    base, (wsys, wstate, fixed) = _classify_od(system, tol, tol_peripheral)
+    base, (wform, wstate, fixed) = _classify_od(system, tol, tol_peripheral)
     notes = list(base.notes)
     if not base.ergodic:
-        wsys, wstate, fixed = _comparable_system(wsys, wstate, fixed, notes, tol)
+        wform, wstate, fixed = _comparable_system(wform, wstate, fixed, notes, tol)
+    wsys = wform.system
     comm = commutant(wsys.operators, tol)
     algebra = commutant(comm.basis, tol)
     hyp = ChainHypotheses(
@@ -262,7 +267,7 @@ def classify_chain(
             chain_factor=None,
             notes=_dedupe(notes),
         )
-    peri_m = _restricted_peripheral(wsys, algebra, tol, tol_peripheral)
+    peri_m = _restricted_peripheral(wform, algebra, tol, tol_peripheral)
     chain_pure = spectral_sets_match(peri_m, [1.0], tol)
     chain_factor = chain_pure
     if clustering_check:

@@ -28,7 +28,7 @@ from .classify import ClassificationReport, classify_chain
 from .cpmap import invariant_state, mixed_fixed_points
 from .dilation import build, cuntz_residuals
 from .errors import NumericalHealthError, ValidationError
-from .modular import compare_duals, verify_duality
+from .modular import compare_duals, dual_system, verify_duality
 from .popescu import PopescuSystem, random_system, validate
 
 EXIT_OK = 0
@@ -257,8 +257,9 @@ def _cmd_dual(args) -> int:
         raise ValidationError(
             "invariant state is not faithful; compress to its support before dualizing"
         )
-    rep = verify_duality(system, state)
-    cmp_ = compare_duals(system, state, tol=args.tol_spectral_set)
+    dual = dual_system(system, state)
+    rep = verify_duality(dual)
+    cmp_ = compare_duals(dual, tol=args.tol_spectral_set)
     print(
         json.dumps(
             {

@@ -2,38 +2,58 @@
 
 The completely positive unital map sigma(X) = sum_i V_i X V_i* and its
 trace-preserving predual sigma_*(rho) = sum_i V_i* rho V_i are materialized
-as n^2 x n^2 matrices acting on column-stacked n x n matrices. The single
-convention everything hinges on is
+as n^2 x n^2 matrices in two coordinate systems.
+
+*vec coordinates* act on column-stacked n x n matrices. The convention is
 
     vec(A X B) = (B^T kron A) vec(X)     (column stacking),
 
 so the forward matrix is sum_i conj(V_i) kron V_i and the predual matrix is
-sum_i V_i^T kron V_i^dagger. The two are adjoint to each other in the
-trace pairing, and this is verified by tests rather than assumed.
+sum_i V_i^T kron V_i^dagger (:func:`sigma_matrix`, :func:`predual_matrix`).
+The two are adjoint to each other in the trace pairing, and this is
+verified by tests rather than assumed.
+
+*Hermitian coordinates* expand a matrix in the trace-orthonormal basis of
+Hermitian matrices
+
+    E_jj,   (E_jk + E_kj)/sqrt(2),   i(E_jk - E_kj)/sqrt(2)     (j < k),
+
+in that order. A Hermitian matrix has real coordinates, and a map that
+commutes with the adjoint (sigma, sigma_*, X -> i[X, K] for Hermitian K) has
+a real matrix, with the same eigenvalues and singular values as in vec
+coordinates because the change of basis B is unitary. :func:`real_form`
+computes B* M B by an index gather, each basis vector having at most two
+nonzero vec entries. The real matrix of sigma is :class:`RealTransfer`; that
+of sigma_* is its transpose. Fixed points, the invariant state, the
+peripheral spectrum and commutants are computed there in real arithmetic,
+and the subspaces they return have Hermitian bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
 from .errors import NumericalHealthError, ValidationError
-from .numerics import as_matrix, distinct_values, eig, herm_sqrt, kernel
+from .numerics import as_matrix, distinct_values, eig, herm_sqrt, kernel, value_clusters
 from .popescu import PopescuSystem
 
 __all__ = [
     "vec",
     "unvec",
+    "real_form",
     "Superoperator",
+    "RealTransfer",
     "OperatorSubspace",
     "DensityState",
     "CoinvarianceCheck",
     "PeripheralEigenvalue",
     "sigma_matrix",
     "predual_matrix",
+    "real_transfer",
     "fixed_points",
     "is_algebra",
     "commutant",
@@ -63,6 +83,57 @@ def unvec(v: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
         m = int(round(np.sqrt(v.size)))
         shape = (m, m)
     return v.reshape(shape, order="F")
+
+
+_HALF_SQRT2 = np.sqrt(0.5)
+
+
+def _hermitian_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vec positions of the diagonal entries (j, j), and of the entries (j, k)
+    and (k, j) for j < k, in the order of the Hermitian basis."""
+    j, k = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), j + k * n, k + j * n
+
+
+def _to_hermitian(v: np.ndarray) -> np.ndarray:
+    """Hermitian coordinates B* v of vec coordinates v (along axis 0)."""
+    dg, up, lo = _hermitian_index(isqrt(v.shape[0]))
+    return np.concatenate(
+        [v[dg], _HALF_SQRT2 * (v[up] + v[lo]), -1j * _HALF_SQRT2 * (v[up] - v[lo])]
+    )
+
+
+def _from_hermitian(c: np.ndarray) -> np.ndarray:
+    """Vec coordinates B c of Hermitian coordinates c (along axis 0)."""
+    n = isqrt(c.shape[0])
+    dg, up, lo = _hermitian_index(n)
+    p = up.size
+    sym = _HALF_SQRT2 * c[n : n + p]
+    anti = 1j * _HALF_SQRT2 * c[n + p :]
+    v = np.empty(c.shape, dtype=complex)
+    v[dg], v[up], v[lo] = c[:n], sym + anti, sym - anti
+    return v
+
+
+def real_form(m: np.ndarray) -> np.ndarray:
+    """The real matrix B* M B, in Hermitian coordinates, of a map given in vec
+    coordinates.
+
+    ``m`` acts on its last two axes (a stack of maps is converted at once)
+    and must commute with the adjoint, X -> X*; the imaginary part that
+    roundoff leaves is discarded. Costs O(n^4) per map, with no matrix
+    product.
+    """
+    dg, up, lo = _hermitian_index(isqrt(m.shape[-1]))
+    mu, ml = m[..., up], m[..., lo]
+    mb = np.concatenate(
+        [m[..., dg], _HALF_SQRT2 * (mu + ml), 1j * _HALF_SQRT2 * (mu - ml)], axis=-1
+    )
+    ru, rl = mb[..., up, :], mb[..., lo, :]
+    return np.concatenate(
+        [mb[..., dg, :].real, _HALF_SQRT2 * (ru + rl).real, _HALF_SQRT2 * (ru - rl).imag],
+        axis=-2,
+    )
 
 
 @dataclass(frozen=True)
@@ -100,6 +171,39 @@ def predual_matrix(system: PopescuSystem) -> Superoperator:
 
 
 @dataclass(frozen=True)
+class RealTransfer:
+    """The forward map sigma of one system, in Hermitian coordinates.
+
+    ``matrix[a, b] = trace(H_a sigma(H_b))`` for the Hermitian basis H, a
+    real n^2 x n^2 matrix; the predual sigma_* is its transpose. Build it
+    once per system with :func:`real_transfer` and pass it to the stages
+    (:func:`fixed_points`, :func:`invariant_state`,
+    :func:`peripheral_spectrum`) in place of the system.
+    """
+
+    system: PopescuSystem
+    matrix: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.system.n
+
+    def shifted(self, value: complex) -> np.ndarray:
+        """sigma - value * I, real when the value is."""
+        value = complex(value)
+        return self.matrix - (value if value.imag else value.real) * np.eye(self.n**2)
+
+
+def real_transfer(system: PopescuSystem) -> RealTransfer:
+    """sigma of the system as a real matrix in Hermitian coordinates."""
+    return RealTransfer(system, real_form(sigma_matrix(system).matrix))
+
+
+def _as_real_transfer(system: PopescuSystem | RealTransfer) -> RealTransfer:
+    return system if isinstance(system, RealTransfer) else real_transfer(system)
+
+
+@dataclass(frozen=True)
 class OperatorSubspace:
     """A linear subspace of matrices with a trace-orthonormal basis."""
 
@@ -110,6 +214,18 @@ class OperatorSubspace:
     def from_vectors(cls, columns: np.ndarray, shape: tuple[int, int]) -> "OperatorSubspace":
         mats = tuple(unvec(columns[:, k], shape) for k in range(columns.shape[1]))
         return cls(mats, shape)
+
+    @classmethod
+    def from_hermitian(cls, columns: np.ndarray, n: int) -> "OperatorSubspace":
+        """The subspace of n x n matrices with the given Hermitian coordinates."""
+        return cls.from_vectors(_from_hermitian(columns), (n, n))
+
+    def hermitian_columns(self) -> np.ndarray:
+        """Real Hermitian coordinates of the basis, which must be Hermitian."""
+        c = _to_hermitian(self.to_columns())
+        if np.abs(c.imag).max(initial=0.0) > 1e-12:
+            raise ValueError("subspace basis is not Hermitian")
+        return c.real
 
     @property
     def dim(self) -> int:
@@ -201,15 +317,18 @@ class DensityState:
         return complex(np.trace(self.rho @ x))
 
 
-def fixed_points(system: PopescuSystem, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace:
-    """Orthonormal basis of {X : sigma(X) = X}, as the kernel returns it.
+def fixed_points(
+    system: PopescuSystem | RealTransfer, tol: float = DEFAULT_SUBSPACE_TOL
+) -> OperatorSubspace:
+    """Orthonormal basis of {X : sigma(X) = X} of Hermitian matrices.
 
     The fixed set is *-closed and contains the commutant of the generators,
-    but need not be an algebra. The basis elements need not be Hermitian.
+    but need not be an algebra. The basis is the real kernel of sigma - I in
+    Hermitian coordinates, so its elements are Hermitian.
     """
-    sop = sigma_matrix(system)
-    null = kernel(sop.matrix - np.eye(system.n**2), tol, scale=1.0)
-    return OperatorSubspace.from_vectors(null, (system.n, system.n))
+    form = _as_real_transfer(system)
+    null = kernel(form.shifted(1.0), tol, scale=1.0)
+    return OperatorSubspace.from_hermitian(null, form.n)
 
 
 def is_algebra(sub: OperatorSubspace, tol: float = DEFAULT_SUBSPACE_TOL) -> bool:
@@ -227,10 +346,28 @@ def is_algebra(sub: OperatorSubspace, tol: float = DEFAULT_SUBSPACE_TOL) -> bool
     return True
 
 
+def _commutant_constraints(gens: list[np.ndarray]) -> np.ndarray:
+    """The stacked real matrices of X -> i[X, K] over the Hermitian parts K of
+    the generators, in Hermitian coordinates."""
+    n = gens[0].shape[0]
+    eye = np.eye(n)
+    parts = [_HALF_SQRT2 * (g + g.conj().T) for g in gens]
+    parts += [1j * _HALF_SQRT2 * (g - g.conj().T) for g in gens if np.any(g != g.conj().T)]
+    ads = np.stack([1j * (np.kron(k.T, eye) - np.kron(eye, k)) for k in parts])
+    return real_form(ads).reshape(-1, n * n)
+
+
 def commutant(generators, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace:
     """Orthonormal basis of {X : XA = AX and XA* = A*X for all generators A}.
 
-    The basis is the kernel's; its elements need not be Hermitian.
+    X commutes with A and A* iff it commutes with the Hermitian matrices
+    (A + A*)/sqrt(2) and i(A - A*)/sqrt(2). The constraints X -> i[X, K] for
+    these K are stacked as real matrices in Hermitian coordinates. This is a
+    unitary recombination of the (A, A*) constraints, so the singular
+    values and the threshold are those of the (A, A*) stack. When A is
+    Hermitian the second K is zero and is left out; the singular values
+    stay the same. The basis is the real kernel, so its elements are
+    Hermitian.
     """
     gens = [as_matrix(g, "generator") for g in generators]
     if not gens:
@@ -239,14 +376,9 @@ def commutant(generators, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace
     for g in gens:
         if g.shape != (n, n):
             raise ValueError("generators must share a common square dimension")
-    eye = np.eye(n)
-    rows = []
-    for g in gens:
-        for a in (g, g.conj().T):
-            rows.append(np.kron(a.T, eye) - np.kron(eye, a))
     gnorm = max(np.linalg.norm(g, 2) for g in gens)
-    null = kernel(np.vstack(rows), tol, scale=max(1.0, float(gnorm)))
-    return OperatorSubspace.from_vectors(null, (n, n))
+    null = kernel(_commutant_constraints(gens), tol, scale=max(1.0, float(gnorm)))
+    return OperatorSubspace.from_hermitian(null, n)
 
 
 def generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:
@@ -258,7 +390,9 @@ def generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:
     return commutant(commutant(generators, tol).basis, tol)
 
 
-def invariant_state(system: PopescuSystem, rho0: np.ndarray | None = None) -> DensityState:
+def invariant_state(
+    system: PopescuSystem | RealTransfer, rho0: np.ndarray | None = None
+) -> DensityState:
     """The sigma-invariant state reached from rho_0, as the exact Cesaro limit.
 
     The Cesaro mean of sigma_*^k(rho_0), from rho_0 = I/n or the given
@@ -275,32 +409,35 @@ def invariant_state(system: PopescuSystem, rho0: np.ndarray | None = None) -> De
     kept. When R is one-dimensional the state is its basis vector
     normalized to unit trace, it is the unique invariant state, and
     ``unique`` is set on the output.
+
+    R and F are real kernels in Hermitian coordinates, where sigma_* is the
+    transpose of sigma.
     """
-    n = system.n
+    form = _as_real_transfer(system)
+    n = form.n
     if rho0 is None:
-        r0 = vec(np.eye(n)) / n
+        rho0 = np.eye(n) / n
     else:
         rho0 = as_matrix(rho0, "rho0")
         tr = np.trace(rho0)
         if abs(tr) < 1e-14:
             raise ValueError("rho0 must have nonzero trace")
-        r0 = vec(rho0) / tr
-    pre = predual_matrix(system).matrix
-    eye = np.eye(n * n)
-    right = kernel(pre - eye, DEFAULT_SUBSPACE_TOL, scale=1.0)
+        rho0 = rho0 / tr
+    right = kernel(form.matrix.T - np.eye(n * n), DEFAULT_SUBSPACE_TOL, scale=1.0)
     unique = right.shape[1] == 1
     if unique:
-        v = right[:, 0] / np.sum(right[:: n + 1, 0])
+        # the trace of a matrix is the sum of its diagonal coordinates
+        v = right[:, 0] / np.sum(right[:n, 0])
     else:
-        # sigma is the adjoint of sigma_*, so F is the kernel of the adjoint
-        left = kernel(pre.conj().T - eye, DEFAULT_SUBSPACE_TOL, scale=1.0)
+        left = kernel(form.shifted(1.0), DEFAULT_SUBSPACE_TOL, scale=1.0)
         if left.shape != right.shape:
             raise NumericalHealthError(
                 f"fixed spaces of the map ({left.shape[1]}) and its predual "
                 f"({right.shape[1]}) differ in dimension"
             )
-        v = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ r0)
-    rho = unvec(v, (n, n))
+        r0 = _to_hermitian(vec(rho0))
+        v = right @ np.linalg.solve(left.T @ right, left.T @ r0)
+    rho = unvec(_from_hermitian(v), (n, n))
     rho = 0.5 * (rho + rho.conj().T)
     vals, vecs = np.linalg.eigh(rho)
     if vals[0] < -1e-8:
@@ -309,7 +446,8 @@ def invariant_state(system: PopescuSystem, rho0: np.ndarray | None = None) -> De
         )
     vals = np.clip(vals, 0.0, None)
     rho = (vecs * (vals / vals.sum())[None, :]) @ vecs.conj().T
-    resid = float(np.linalg.norm(pre @ vec(rho) - vec(rho)))
+    h = _to_hermitian(vec(rho)).real
+    resid = float(np.linalg.norm(form.matrix.T @ h - h))
     if resid > 1e-10 * n:
         raise NumericalHealthError(f"invariant state has residual {resid:.3e}")
     return DensityState.from_matrix(rho, unique=unique)
@@ -356,10 +494,10 @@ class PeripheralEigenvalue:
     """A unimodular eigenvalue of the forward transfer map."""
 
     value: complex
-    multiplicity: int  # geometric: the dimension of the kernel of sigma - value
+    multiplicity: int  # geometric: the dimension of the kernel of sigma - value (may be 0)
     operator: np.ndarray  # representative eigen-operator, unit trace norm
     semisimple: bool  # geometric multiplicity == algebraic multiplicity
-    algebraic: int = 1  # the number of eigenvalues eig places at this value
+    algebraic: int = 1  # the number of eigenvalues eig places in this value's cluster
 
 
 def _canonical_phase(x: np.ndarray) -> np.ndarray:
@@ -372,33 +510,37 @@ def _canonical_phase(x: np.ndarray) -> np.ndarray:
 
 
 def peripheral_spectrum(
-    system: PopescuSystem,
+    system: PopescuSystem | RealTransfer,
     tol: float = DEFAULT_PERIPHERAL_TOL,
     set_tol: float = DEFAULT_SET_TOL,
 ) -> list[PeripheralEigenvalue]:
     """Unimodular eigenvalues of the forward map, with eigen-operators.
 
-    Reports geometric and algebraic multiplicities. ``semisimple`` is false
-    when they differ: a unimodular Jordan block when the algebraic one is
-    larger, and a kernel that counts eigenvalues the eigensolver puts off
-    the circle when the geometric one is. The classification layer treats
-    either as a failure. Results are sorted by phase angle starting at 1.
+    The eigenvalues within ``tol`` of the circle are clustered by
+    :func:`value_clusters` at ``set_tol``. The algebraic multiplicity of a
+    value is the size of its cluster, the geometric one the dimension of the
+    kernel of sigma - value at threshold ``set_tol``; both are computed in
+    real arithmetic (Hermitian coordinates), the kernel of a real value is
+    real. ``semisimple`` is false when the two differ: a unimodular Jordan
+    block when the algebraic one is larger, a kernel that counts eigenvalues
+    the eigensolver puts off the circle when the geometric one is, and a
+    kernel threshold that misses the value (geometric 0, with the
+    eigenvector as the representative operator). The classification layer
+    treats each as a failure. Results are sorted by phase angle starting at
+    1.
     """
-    sop = sigma_matrix(system)
-    dec = eig(sop.matrix)
+    form = _as_real_transfer(system)
+    n = form.n
+    dec = eig(form.matrix)
     on_circle = [complex(z) for z in dec.eigenvalues if abs(1.0 - abs(z)) <= tol]
     out = []
-    for value in distinct_values(on_circle, set_tol):
-        algebraic = sum(1 for z in on_circle if abs(z - value) <= set_tol)
-        space = kernel(sop.matrix - value * np.eye(system.n**2), set_tol, scale=1.0)
+    for value, algebraic in value_clusters(on_circle, set_tol):
+        space = kernel(form.shifted(value), set_tol, scale=1.0)
         geometric = space.shape[1]
         if geometric == 0:
-            # eigensolver found the value but the kernel threshold missed it;
-            # fall back to the best eigenvector
             idx = int(np.argmin(np.abs(dec.eigenvalues - value)))
             space = dec.eigenvectors[:, idx : idx + 1]
-            geometric = 1
-        op = unvec(space[:, 0], (system.n, system.n))
+        op = unvec(_from_hermitian(space[:, 0]), (n, n))
         tn = np.linalg.norm(op, "nuc")
         if tn > 0:
             op = op / tn
@@ -438,14 +580,14 @@ def peripheral_eigenunitary(
     )
     if inv_resid > max(tol, 1e-9):
         raise ValueError(f"state is not invariant: residual {inv_resid:.3e}")
-    fx = fixed_points(system)
+    form = real_transfer(system)
+    fx = fixed_points(form)
     if fx.dim != 1:
         raise ValueError("transfer map is not ergodic; eigenunitary is not unique")
-    sop = sigma_matrix(system)
-    space = kernel(sop.matrix - np.conj(t) * np.eye(system.n**2), tol, scale=1.0)
+    space = kernel(form.shifted(np.conj(t)), tol, scale=1.0)
     if space.shape[1] == 0:
         raise ValueError(f"t = {t} is not in the peripheral spectrum at tolerance {tol:.1e}")
-    u = unvec(space[:, 0], (system.n, system.n))
+    u = unvec(_from_hermitian(space[:, 0]), (system.n, system.n))
     gram = u.conj().T @ u
     scale = np.trace(gram).real / system.n
     if scale <= 0:
@@ -521,7 +663,8 @@ def mixed_fixed_points(
 
     The dimension equals that of the intertwiner space between the dilated
     representations of the two systems; in the W = V case it reduces to the
-    fixed-point space of the transfer map.
+    fixed-point space of the transfer map. For W != V the map does not
+    commute with the adjoint, so it is solved in vec coordinates.
     """
     if system_w.d != system_v.d:
         raise ValueError(f"generator counts differ: {system_w.d} vs {system_v.d}")

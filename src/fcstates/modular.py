@@ -115,12 +115,13 @@ def gns(system: PopescuSystem, state: DensityState, tol: float = 1e-10) -> Modul
 class DualSystem:
     """The d dual generators, both as GNS-space matrices and as parameters.
 
-    ``operators_gns[j]`` is the n^2 x n^2 matrix of the composed operator
-    J Delta^{-1/2} (left-mult V_j*) Delta^{1/2} J; ``parameters[j]`` is
-    W_j = rho^{1/2} V_j rho^{-1/2}, and operators_gns[j] acts as right
-    multiplication by W_j.
+    ``system`` is the system that was dualized. ``operators_gns[j]`` is the
+    n^2 x n^2 matrix of the composed operator J Delta^{-1/2} (left-mult V_j*)
+    Delta^{1/2} J; ``parameters[j]`` is W_j = rho^{1/2} V_j rho^{-1/2}, and
+    operators_gns[j] acts as right multiplication by W_j.
     """
 
+    system: PopescuSystem
     modular: ModularData
     operators_gns: tuple[np.ndarray, ...]
     parameters: tuple[np.ndarray, ...]
@@ -155,7 +156,7 @@ def dual_system(system: PopescuSystem, state: DensityState, tol: float = 1e-9) -
             )
         ops.append(composed)
         params.append(w)
-    return DualSystem(md, tuple(ops), tuple(params))
+    return DualSystem(system, md, tuple(ops), tuple(params))
 
 
 @dataclass(frozen=True)
@@ -182,10 +183,9 @@ class DualityReport:
         )
 
 
-def verify_duality(system: PopescuSystem, state: DensityState, tol: float = 1e-9) -> DualityReport:
-    """Compute all duality residuals; raises only on precondition failure."""
-    dual = dual_system(system, state, tol=tol)
-    md = dual.modular
+def verify_duality(dual: DualSystem) -> DualityReport:
+    """Compute all duality residuals of a dual system built by :func:`dual_system`."""
+    system, md = dual.system, dual.modular
     n = system.n
     eye2 = np.eye(n * n)
     completeness = float(
@@ -199,7 +199,7 @@ def verify_duality(system: PopescuSystem, state: DensityState, tol: float = 1e-9
         dd = md.conjugate_by_j(md.delta_half @ m.conj().T @ md.delta_minus_half)
         left_v = np.kron(np.eye(n), v)
         double_dual = max(double_dual, float(np.linalg.norm(dd - left_v, 2)))
-    rho = state.rho
+    rho = md.state.rho
     dual_invariance = float(
         np.linalg.norm(sum(w @ rho @ w.conj().T for w in dual.parameters) - rho, 2)
     )
@@ -242,19 +242,14 @@ class DualComparison:
     dual_peripheral: tuple[complex, ...]
 
 
-def compare_duals(
-    system: PopescuSystem,
-    state: DensityState,
-    tol: float = 1e-8,
-) -> DualComparison:
+def compare_duals(dual: DualSystem, tol: float = 1e-8) -> DualComparison:
     """Ergodicity and peripheral-spectrum agreement of the dual pair.
 
     Both peripheral spectra start at the value 1, whose geometric
     multiplicity is the dimension of the fixed space, so it decides
     ergodicity of each side without another kernel.
     """
-    dual = dual_system(system, state)
-    peri = peripheral_spectrum(system)
+    peri = peripheral_spectrum(dual.system)
     dperi = peripheral_spectrum(dual.parameter_system())
     values = tuple(p.value for p in peri)
     dvalues = tuple(p.value for p in dperi)

@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra substrate used by every other module.
+"""Dense linear-algebra substrate used by every other module.
 
 All routines are pure functions of their ndarray inputs and delegate the
 heavy lifting to LAPACK via numpy/scipy. What this module adds on top is
@@ -6,6 +6,11 @@ contract enforcement: residual bounds on eigenpairs, rank-revealing kernel
 thresholds, and tolerance-aware comparison of spectral sets (eigenvalue
 ordering is not canonical, so sets are compared by an optimal matching in
 the complex plane).
+
+User inputs are coerced to complex by :func:`as_matrix`. The solvers
+:func:`eig`, :func:`kernel` and :func:`orthonormal_columns` keep a real
+input real, so real matrices, such as superoperators written in a basis of
+Hermitian matrices, are factored in real arithmetic.
 """
 
 from __future__ import annotations
@@ -26,17 +31,27 @@ __all__ = [
     "orthonormal_columns",
     "spectral_sets_match",
     "distinct_values",
+    "value_clusters",
 ]
+
+
+def _checked(arr: np.ndarray, name: str) -> np.ndarray:
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains NaN or Inf entries")
+    return arr
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-d complex array and reject non-finite entries."""
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return arr
+    return _checked(np.asarray(a, dtype=complex), name)
+
+
+def _as_real_or_complex(a) -> np.ndarray:
+    """Like :func:`as_matrix`, but a real input stays real (float64)."""
+    arr = np.asarray(a)
+    return _checked(arr.astype(complex if np.iscomplexobj(arr) else float, copy=False), "matrix")
 
 
 @dataclass(frozen=True)
@@ -58,10 +73,12 @@ class EigenDecomposition:
 def eig(a, tol: float = 1e-10) -> EigenDecomposition:
     """Eigendecomposition with an enforced residual bound.
 
-    Raises NumericalHealthError if LAPACK fails to converge or the residual
-    of the returned eigenpairs exceeds ``tol * ||A||``.
+    A real input is solved in real arithmetic; its complex eigenvalues come
+    in exactly conjugate pairs. Raises NumericalHealthError if LAPACK fails
+    to converge or the residual of the returned eigenpairs exceeds
+    ``tol * ||A||``.
     """
-    a = as_matrix(a)
+    a = _as_real_or_complex(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     try:
@@ -90,8 +107,10 @@ def kernel(a, tol: float | None = None, scale: float | None = None) -> np.ndarra
     Callers solving an eigenspace problem A = M - lambda*I should pass the
     scale of M explicitly: when M is close to lambda*I, sigma_max(A) itself
     is at noise level and a threshold relative to it keeps nothing.
+
+    The basis is real when ``a`` is real.
     """
-    a = as_matrix(a)
+    a = _as_real_or_complex(a)
     if tol is not None and tol < 0:
         raise ValueError("tol must be nonnegative")
     # for tall matrices the reduced SVD already contains every right
@@ -148,8 +167,9 @@ def orthonormal_columns(a, tol: float = 1e-10, scale: float | None = None) -> np
     ``scale`` defaults to the largest singular value. Pass the natural scale
     of the problem when ``a`` may consist entirely of roundoff noise (e.g.
     residuals after projection), where a relative threshold keeps junk.
+    The basis is real when ``a`` is real.
     """
-    a = as_matrix(a)
+    a = _as_real_or_complex(a)
     if a.shape[1] == 0:
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
@@ -193,6 +213,17 @@ def distinct_values(values, tol: float = 1e-8) -> list[complex]:
     |v - w| <= tol, so the grouping does not depend on the input order. Each
     component is represented by its first member in input order.
     """
+    return [value for value, _ in value_clusters(values, tol)]
+
+
+def value_clusters(values, tol: float = 1e-8) -> list[tuple[complex, int]]:
+    """The components of :func:`distinct_values`, each with its size.
+
+    A pair (representative, count) per connected component of the relation
+    |v - w| <= tol, in the order of :func:`distinct_values`; the count is the
+    number of input values in the whole component, which may span more
+    than ``tol``.
+    """
     v = np.atleast_1d(np.asarray(values, dtype=complex))
     near = np.abs(v[:, None] - v[None, :]) <= tol
     # propagate the smallest index along the relation until every component
@@ -203,4 +234,5 @@ def distinct_values(values, tol: float = 1e-8) -> list[complex]:
         if np.array_equal(spread, label):
             break
         label = spread
-    return [complex(v[i]) for i in range(v.size) if label[i] == i]
+    sizes = np.bincount(label, minlength=v.size)
+    return [(complex(v[i]), int(sizes[i])) for i in range(v.size) if label[i] == i]

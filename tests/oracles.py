@@ -1,6 +1,10 @@
-"""Iterative reference constructions that the closed forms in fcstates replace.
+"""Reference constructions that the closed forms in fcstates replace.
 
 Tests compare the library against these independent routes:
+
+* the fixed space of the transfer map and the commutant of a set of
+  matrices as complex kernels in vec coordinates, where the library solves
+  real kernels in Hermitian coordinates;
 
 * the unital *-algebra generated by a set of matrices, by closing the span
   of {I} + generators + adjoints under multiplication;
@@ -10,9 +14,36 @@ Tests compare the library against these independent routes:
 
 import numpy as np
 
-from fcstates.cpmap import OperatorSubspace, unvec, vec
-from fcstates.numerics import orthonormal_columns
+from fcstates.cpmap import OperatorSubspace, sigma_matrix, unvec, vec
+from fcstates.numerics import kernel, orthonormal_columns
 from fcstates.popescu import PopescuSystem, v_word, words_up_to
+
+
+def vec_fixed_points(system: PopescuSystem, tol: float = 1e-8) -> OperatorSubspace:
+    """Kernel of sigma - I in vec coordinates (complex arithmetic)."""
+    m = sigma_matrix(system).matrix
+    null = kernel(m - np.eye(system.n**2), tol, scale=1.0)
+    return OperatorSubspace.from_vectors(null, (system.n, system.n))
+
+
+def vec_commutant_constraints(generators) -> np.ndarray:
+    """Stack of X -> XA - AX and X -> XA* - A*X in vec coordinates."""
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    eye = np.eye(gens[0].shape[0])
+    rows = []
+    for g in gens:
+        for a in (g, g.conj().T):
+            rows.append(np.kron(a.T, eye) - np.kron(eye, a))
+    return np.vstack(rows)
+
+
+def vec_commutant(generators, tol: float = 1e-8) -> OperatorSubspace:
+    """Commutant as the complex kernel of :func:`vec_commutant_constraints`."""
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    n = gens[0].shape[0]
+    gnorm = max(np.linalg.norm(g, 2) for g in gens)
+    null = kernel(vec_commutant_constraints(gens), tol, scale=max(1.0, float(gnorm)))
+    return OperatorSubspace.from_vectors(null, (n, n))
 
 
 def frontier_generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:

@@ -20,6 +20,7 @@ from fcstates import (
     compare_duals,
     cuntz_residuals,
     dilation_moments,
+    dual_system,
     expectation,
     fixed_points,
     invariant_state,
@@ -228,7 +229,8 @@ def test_criterion_6_commutant_lifting(suite25, swap2, rank_one2, averaging3):
 def test_criterion_7_duality_suite(faithful50):
     failures = []
     for idx, (sys_, state) in enumerate(faithful50):
-        rep = verify_duality(sys_, state)
+        dual = dual_system(sys_, state)
+        rep = verify_duality(dual)
         if rep.completeness > 1e-9:
             failures.append(f"seed {idx}: completeness {rep.completeness:.2e}")
         if rep.double_dual > 1e-8:
@@ -237,7 +239,7 @@ def test_criterion_7_duality_suite(faithful50):
             failures.append(f"seed {idx}: dual invariance {rep.dual_invariance:.2e}")
         if rep.vector_consistency > 1e-10:
             failures.append(f"seed {idx}: vector consistency {rep.vector_consistency:.2e}")
-        cmp_ = compare_duals(sys_, state, tol=1e-8)
+        cmp_ = compare_duals(dual, tol=1e-8)
         if not cmp_.ergodic_match:
             failures.append(f"seed {idx}: ergodicity flags disagree")
         if not cmp_.psp_match:

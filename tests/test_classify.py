@@ -167,6 +167,10 @@ def test_multiplicity_mismatch_at_the_tolerance_boundary_aborts():
     # eigenvalue on the circle: the verdict must fail, not read "not ergodic"
     with pytest.raises(NumericalHealthError, match="geometric 4, algebraic 1"):
         classify_chain(pauli_channel(3e-9))
+    # a kernel threshold below roundoff finds no fixed point, where eig puts
+    # the value 1 on the circle
+    with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
+        classify_chain(random_system(2, 4, 1), tol=1e-18)
     rep = classify_chain(pauli_channel(1e-6))
     assert rep.ergodic and rep.k == 1
 
@@ -174,20 +178,29 @@ def test_multiplicity_mismatch_at_the_tolerance_boundary_aborts():
 @pytest.mark.parametrize(
     "make, calls",
     [
-        (lambda: random_system(3, 5, 21), {"fixed_points": 1, "compress": 0, "invariant_state": 1}),
-        (lambda: nonfaithful(2, 3, 2, 22), {"fixed_points": 2, "compress": 1, "invariant_state": 2}),
+        (
+            lambda: random_system(3, 5, 21),
+            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1},
+        ),
+        (
+            lambda: nonfaithful(2, 3, 2, 22),
+            {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2},
+        ),
         (
             lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
-            {"fixed_points": 1, "compress": 0, "invariant_state": 1},
+            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1},
         ),
     ],
     ids=["random", "nonfaithful", "direct_sum"],
 )
 def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
+    # sigma_matrix is counted where cpmap calls it, the stages where classify
+    # does; the clustering probe builds its own sigma in chain and is not
+    # counted
     counts = dict.fromkeys(calls, 0)
 
-    def counted(name):
-        original = getattr(fcstates.classify, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -196,6 +209,7 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(fcstates.classify, name, counted(name))
+        module = fcstates.cpmap if name == "sigma_matrix" else fcstates.classify
+        monkeypatch.setattr(module, name, counted(module, name))
     classify_chain(make())
     assert counts == calls

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fcstates
+import fcstates.cli
+import fcstates.modular
 from fcstates.cli import (
     main,
     matrix_from_json,
@@ -141,8 +148,19 @@ def test_dilate(capsys, rank_one_path):
     assert doc["completeness_residual"] <= 1e-9
 
 
-def test_dual_swap(capsys, swap_path):
+def test_dual_swap(capsys, monkeypatch, swap_path):
+    # the residuals and the spectral comparison read one dual system
+    builds = []
+    original = fcstates.modular.dual_system
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    for module in (fcstates.cli, fcstates.modular):
+        monkeypatch.setattr(module, "dual_system", counted, raising=False)
     assert main(["dual", swap_path]) == 0
+    assert len(builds) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ergodic_match"] is True and doc["psp_match"] is True
     assert doc["double_dual"] <= 1e-9
@@ -191,3 +209,14 @@ def test_analyze_reports_residual_diagnostics(capsys, swap_path):
     doc = json.loads(capsys.readouterr().out)
     assert doc["residuals"]["validate"] <= 1e-12
     assert doc["residuals"]["state_invariance"] <= 1e-10
+
+
+def test_import_loads_no_scipy():
+    # importing scipy submodules adds a large share of a fresh process's
+    # start-up time; the package needs none of them
+    src = str(Path(fcstates.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, fcstates; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import fcstates.cpmap
 from fcstates import (
+    EigenDecomposition,
     NumericalHealthError,
     coinvariance_check,
     commutant,
@@ -15,17 +17,23 @@ from fcstates import (
     peripheral_spectrum,
     predual_matrix,
     random_system,
+    real_transfer,
     sigma_matrix,
     spectral_sets_match,
     unvec,
     vec,
 )
-from fcstates.cpmap import DensityState, OperatorSubspace
+from fcstates.cpmap import DensityState, OperatorSubspace, _commutant_constraints, real_form
 
 from scipy.linalg import block_diag
 
 from conftest import direct_sum, eij, random_psd, scalar
-from oracles import frontier_generated_algebra
+from oracles import (
+    frontier_generated_algebra,
+    vec_commutant,
+    vec_commutant_constraints,
+    vec_fixed_points,
+)
 
 
 # ----------------------------------------------------------------------
@@ -88,6 +96,49 @@ def test_predual_trace_preserving():
     rng = np.random.default_rng(4)
     rho = random_psd(rng, 4)
     assert abs(np.trace(pre.apply(rho)) - np.trace(rho)) <= 1e-10
+
+
+# ----------------------------------------------------------------------
+# Hermitian coordinates and the real forms
+# ----------------------------------------------------------------------
+
+def test_hermitian_basis_is_orthonormal_and_real_form_is_its_product():
+    n = 4
+    basis = OperatorSubspace.from_hermitian(np.eye(n * n), n)
+    assert np.allclose(basis.gram(), np.eye(n * n), atol=1e-14)
+    assert all(np.array_equal(b, b.conj().T) for b in basis.basis)
+    assert np.allclose(basis.hermitian_columns(), np.eye(n * n), rtol=0.0, atol=1e-15)
+    # the index gather equals the dense change of basis B* M B
+    b = basis.to_columns()
+    m = sigma_matrix(random_system(3, n, 5)).matrix
+    dense = b.conj().T @ m @ b
+    assert np.linalg.norm(dense.imag) <= 1e-14
+    assert np.linalg.norm(real_form(m) - dense.real) <= 1e-14
+    with pytest.raises(ValueError):
+        OperatorSubspace((1j * np.eye(n),), (n, n)).hermitian_columns()
+
+
+def test_real_forms_match_vec_oracles(known_system):
+    n, ops = known_system.n, known_system.operators
+    sig = sigma_matrix(known_system).matrix
+    sig_r = real_transfer(known_system).matrix
+    assert sig_r.dtype == np.float64
+    assert np.linalg.norm(real_form(predual_matrix(known_system).matrix) - sig_r.T) <= 1e-14
+
+    def svals(m):
+        return np.linalg.svd(m, compute_uv=False)
+
+    eye = np.eye(n * n)
+    assert np.max(np.abs(svals(sig_r - eye) - svals(sig - eye))) <= 1e-12
+    stack = _commutant_constraints(list(ops))
+    assert stack.dtype == np.float64
+    assert np.max(np.abs(svals(stack) - svals(vec_commutant_constraints(ops)))) <= 1e-12
+    assert spectral_sets_match(np.linalg.eigvals(sig_r), np.linalg.eigvals(sig), 1e-10)
+    fx, comm = fixed_points(known_system), commutant(ops)
+    assert fx.span_equals(vec_fixed_points(known_system))
+    assert comm.span_equals(vec_commutant(ops))
+    for b in fx.basis + comm.basis:
+        assert np.linalg.norm(b - b.conj().T) <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +340,35 @@ def test_peripheral_averaging(averaging3):
     assert len(peri) == 1
     assert abs(peri[0].value - 1.0) <= 1e-9
     assert peri[0].multiplicity == 2
+
+
+def test_peripheral_algebraic_multiplicity_counts_the_whole_cluster(monkeypatch):
+    # three fixed points; eig is made to place them 0.6e-8 apart along the
+    # circle, so at set_tol = 1e-8 they form one cluster whose ends are
+    # 1.2e-8 apart
+    sys_ = direct_sum(direct_sum(random_system(2, 2, 1), random_system(2, 2, 2)), random_system(2, 2, 3))
+    chained = np.exp(1j * np.array([0.0, 0.6e-8, 1.2e-8]))
+    exact_eig = fcstates.cpmap.eig
+
+    def chained_eig(a):
+        dec = exact_eig(a)
+        vals = dec.eigenvalues.astype(complex)
+        near = np.flatnonzero(np.abs(vals - 1.0) <= 1e-6)
+        assert near.size == 3
+        vals[near] = chained
+        return EigenDecomposition(vals, dec.eigenvectors, dec.residual)
+
+    monkeypatch.setattr(fcstates.cpmap, "eig", chained_eig)
+    (p,) = peripheral_spectrum(sys_, set_tol=1e-8)
+    assert (p.multiplicity, p.algebraic, p.semisimple) == (3, 3, True)
+
+
+def test_peripheral_kernel_miss_reports_geometric_zero():
+    # a kernel threshold below roundoff misses the value 1 that eig finds;
+    # the eigenvector still serves as the representative operator
+    (p,) = peripheral_spectrum(random_system(2, 4, 1), set_tol=1e-18)
+    assert (p.multiplicity, p.algebraic, p.semisimple) == (0, 1, False)
+    assert abs(np.linalg.norm(p.operator, "nuc") - 1.0) <= 1e-10
 
 
 def test_eigenunitary_swap(swap2):

@@ -103,14 +103,14 @@ def test_dual_parameter_isometry_random():
 
 def test_verify_duality_swap_collapses(swap2):
     state = invariant_state(swap2)
-    rep = verify_duality(swap2, state)
+    rep = verify_duality(dual_system(swap2, state))
     assert rep.max_residual() <= 1e-12
 
 
 def test_verify_duality_random():
     sys_, state = faithful_random(321)
     assert sys_ is not None
-    rep = verify_duality(sys_, state)
+    rep = verify_duality(dual_system(sys_, state))
     assert rep.completeness <= 1e-9
     assert rep.double_dual <= 1e-8
     assert rep.dual_invariance <= 1e-10
@@ -125,7 +125,7 @@ def test_verify_duality_random():
 def test_verify_duality_rejects_bad_state(swap2):
     bad = DensityState.from_matrix(np.diag([0.9, 0.1]))
     with pytest.raises(ValueError):
-        verify_duality(swap2, bad)
+        verify_duality(dual_system(swap2, bad))
 
 
 def test_double_dual_parameters_return():
@@ -143,7 +143,7 @@ def test_double_dual_parameters_return():
 
 def test_compare_duals_swap(swap2):
     state = invariant_state(swap2)
-    cmp_ = compare_duals(swap2, state)
+    cmp_ = compare_duals(dual_system(swap2, state))
     assert cmp_.ergodic_match and cmp_.psp_match
     assert spectral_sets_match(cmp_.peripheral, [1.0, -1.0], 1e-9)
     assert spectral_sets_match(cmp_.dual_peripheral, [1.0, -1.0], 1e-9)
@@ -151,7 +151,7 @@ def test_compare_duals_swap(swap2):
 
 def test_compare_duals_scalar(scalar_half):
     state = invariant_state(scalar_half)
-    cmp_ = compare_duals(scalar_half, state)
+    cmp_ = compare_duals(dual_system(scalar_half, state))
     assert cmp_.ergodic_match and cmp_.psp_match
     assert spectral_sets_match(cmp_.peripheral, [1.0], 1e-9)
 
@@ -160,7 +160,7 @@ def test_compare_duals_non_ergodic_dephasing():
     sys_ = diagonal_dephasing()
     state = invariant_state(sys_)
     assert fixed_points(sys_).dim > 1
-    cmp_ = compare_duals(sys_, state)
+    cmp_ = compare_duals(dual_system(sys_, state))
     assert cmp_.ergodic_match and cmp_.psp_match
 
 
@@ -171,6 +171,6 @@ def test_compare_duals_random_batch():
         if sys_ is None:
             continue
         found += 1
-        cmp_ = compare_duals(sys_, state)
+        cmp_ = compare_duals(dual_system(sys_, state))
         assert cmp_.ergodic_match and cmp_.psp_match
     assert found >= 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fcstates import eig, herm_inv_sqrt, herm_sqrt, kernel, sigma_matrix, spectral_sets_match
-from fcstates.numerics import distinct_values
+from fcstates.numerics import distinct_values, orthonormal_columns, value_clusters
 
 from conftest import eij
 
@@ -90,6 +90,23 @@ def test_kernel_residual_contract():
         assert np.allclose(gram, np.eye(null.shape[1]), atol=1e-12)
 
 
+def test_solvers_keep_a_real_input_real():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((7, 5))
+    a[:, 3] = a[:, 1]
+    null = kernel(a, 1e-10)
+    assert null.dtype == np.float64 and null.shape == (5, 1)
+    assert np.linalg.norm(a @ null) <= 1e-10 * np.linalg.norm(a, 2)
+    assert orthonormal_columns(a).dtype == np.float64
+    # a real matrix with complex eigenvalues: the residual gate holds, and
+    # real arithmetic returns the pairs exactly conjugate
+    m = rng.standard_normal((8, 8))
+    dec = eig(m)
+    assert dec.residual <= 1e-10
+    assert np.max(np.abs(dec.eigenvalues.imag)) > 1e-3
+    assert spectral_sets_match(dec.eigenvalues, dec.eigenvalues.conj(), 0.0)
+
+
 def test_kernel_wide_matrix():
     a = np.array([[1.0, 0.0, 0.0]])
     null = kernel(a)
@@ -144,4 +161,6 @@ def test_distinct_values_independent_of_order():
     # 0 and 1.2 are farther apart than tol but chained through 0.6
     counts = {len(distinct_values(p, 0.6)) for p in permutations([0.0, 0.6, 1.2])}
     assert counts == {1}
+    # the component counts every member, not only those within tol of the first
+    assert value_clusters([0.0, 0.6, 1.2, 5.0], 0.6) == [(0.0, 3), (5.0, 1)]
     assert distinct_values([1.0, -1.0, 1.0 + 1e-12]) == [1.0, -1.0]
