@@ -55,6 +55,16 @@ def _word_products(system: PopescuSystem, max_len: int) -> dict[Word, np.ndarray
     return prods
 
 
+def _unit_vector(omega, n: int) -> np.ndarray:
+    """Omega as a complex unit vector of length n; ValueError otherwise."""
+    omega = np.asarray(omega, dtype=complex).reshape(-1)
+    if omega.shape != (n,):
+        raise ValueError(f"Omega must be a vector of length {n}")
+    if abs(np.linalg.norm(omega) - 1.0) > 1e-8:
+        raise ValueError("Omega must be a unit vector")
+    return omega
+
+
 def _adjoint_stack(system: PopescuSystem, length: int) -> np.ndarray:
     """E_k = [V_J*]_{|J| = k}, stacked in the order of ``words_of_length``: (d^k n) x n.
 
@@ -127,20 +137,37 @@ class CuntzResiduals:
     completeness_residual: float  # ||(sum_i S_i S_i* - I)|restricted||
 
 
+def _adjoint_apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S* X as conj(S^T conj(X)): ``s.T`` is a view, so no adjoint copy of S is held."""
+    return (s.T @ x.conj()).conj()
+
+
 def cuntz_residuals(dil: TruncatedDilation) -> CuntzResiduals:
     """Isometry and completeness residuals on the image of sub-boundary vectors.
 
     At level 1 the restriction is to the embedded base space itself.
+
+    With w = ``level_subspace(L-1)`` (q x m, m = q/d) the residual matrices
+    are formed right to left, as S_i* (S_j w) - delta_ij w from the d images
+    S_j w, and as sum_i S_i (S_i* w) - w. Every product is a q x q operator
+    against a q x m block, (d + 3) q^3 multiply-adds in all where forming
+    S_i* S_j and sum_i S_i S_i* first costs (d^2 + d) q^3, and no q x q
+    product, identity or adjoint copy is held: the working set is the d
+    images and a few q x m temporaries.
     """
     w = dil.level_subspace(dil.level - 1)
-    q = dil.dim
+    images = [s @ w for s in dil.operators]  # S_j w
     iso = 0.0
     for i, si in enumerate(dil.operators):
-        for j, sj in enumerate(dil.operators):
-            delta = np.eye(q) if i == j else np.zeros((q, q))
-            iso = max(iso, float(np.linalg.norm((si.conj().T @ sj - delta) @ w, 2)))
-    comp_op = sum(s @ s.conj().T for s in dil.operators) - np.eye(q)
-    comp = float(np.linalg.norm(comp_op @ w, 2))
+        for j, sjw in enumerate(images):
+            r = _adjoint_apply(si, sjw)
+            if i == j:
+                r -= w
+            iso = max(iso, float(np.linalg.norm(r, 2)))
+    comp_w = -w
+    for s in dil.operators:
+        comp_w += s @ _adjoint_apply(s, w)
+    comp = float(np.linalg.norm(comp_w, 2))
     return CuntzResiduals(iso, comp)
 
 
@@ -181,11 +208,7 @@ def moments(system: PopescuSystem, source, max_len: int) -> MomentTable:
         b = np.einsum("ij,wjk->wik", source.rho, stack)
         c = b.reshape(len(words), -1) @ stack.reshape(len(words), -1).conj().T
     else:
-        omega = np.asarray(source, dtype=complex).reshape(-1)
-        if omega.shape != (system.n,):
-            raise ValueError(f"Omega must be a vector of length {system.n}")
-        if abs(np.linalg.norm(omega) - 1.0) > 1e-8:
-            raise ValueError("Omega must be a unit vector")
+        omega = _unit_vector(source, system.n)
         cols = np.stack([prods[w].conj().T @ omega for w in words], axis=1)  # V_I* Omega
         c = cols.conj().T @ cols
     return MomentTable(system.d, max_len, tuple(words), c)
@@ -197,23 +220,24 @@ class MomentChecks:
     recursion_residual: float
 
 
-def moment_checks(table: MomentTable, system: PopescuSystem, tol: float = 1e-10) -> MomentChecks:
+def moment_checks(table: MomentTable, system: PopescuSystem) -> MomentChecks:
     """Positivity and recursion diagnostics of a moment table.
 
     ``psd_min_eig`` is the smallest eigenvalue of the Hermitized C-Gram;
     ``recursion_residual`` is max over |I|, |J| < max_len of
     |sum_i C(Ii, Ji) - C(I, J)|.
+
+    In ``words_up_to`` order the word at index a has its children Ii at
+    d a + 1 + i, so the sums over i are read by one index gather of
+    (#short words)^2 d entries. ``system`` is not read; it stays for
+    callers that pass it positionally.
     """
     c = 0.5 * (table.values + table.values.conj().T)
     psd_min = float(np.linalg.eigvalsh(c)[0])
-    resid = 0.0
-    short = [w for w in table.words if len(w) < table.max_len]
-    for wi in short:
-        for wj in short:
-            s = sum(
-                table.value((*wi, i), (*wj, i)) for i in range(table.d)
-            )
-            resid = max(resid, abs(s - table.value(wi, wj)))
+    short = sum(table.d**m for m in range(table.max_len))
+    children = table.d * np.arange(short)[:, None] + 1 + np.arange(table.d)
+    sums = table.values[children[:, None, :], children[None, :, :]].sum(axis=2)
+    resid = np.max(np.abs(sums - table.values[:short, :short]), initial=0.0)
     return MomentChecks(psd_min, float(resid))
 
 
@@ -249,9 +273,7 @@ def moment_psd_with_D(
         raise ValueError(
             f"D is not fixed by the transfer map: residual {fixed_resid:.3e}"
         )
-    omega = np.asarray(omega, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(omega) - 1.0) > 1e-8:
-        raise ValueError("Omega must be a unit vector")
+    omega = _unit_vector(omega, system.n)
     words = words_up_to(system.d, max_len)
     prods = _word_products(system, max_len)
     cols = np.stack([prods[w].conj().T @ omega for w in words], axis=1)
@@ -271,20 +293,33 @@ def dilation_moments(dil: TruncatedDilation, omega, max_len: int | None = None) 
 
     Independent route to the same table as :func:`moments`; agreement is the
     executable form of the state/system/moment correspondence.
+
+    C(I, J) = <S_I* root, S_J* root>, and S_I* applies S_{i_1}* first, so the
+    vector of the word Il is S_l* applied to the vector of I. The vectors are
+    built one word length at a time: level k + 1 is d products of a q x q
+    operator with level k's q x d^k block, written into the columns that
+    ``words_up_to`` order gives the children (d a + 1 + l for the word at
+    index a). That is one q x q matrix-vector product per word other than the
+    empty one, run as d matrix-matrix products per level, where replaying
+    every word letter by letter costs sum_I |I| of them. The working set is
+    the q x W table of word vectors and the W x W Gram (W words).
     """
     max_len = dil.level if max_len is None else max_len
-    if max_len > dil.level:
-        raise ValueError("cannot read moments beyond the truncation level")
-    omega = np.asarray(omega, dtype=complex).reshape(-1)
-    root = dil.base_embedding @ omega
-    words = words_up_to(dil.system.d, max_len)
-    # C(I, J) = <S_I* root, S_J* root>, and S_I* applies S_{i_1}* first
-    adj = []
-    for w in words:
-        u = root
-        for letter in w:
-            u = dil.operators[letter].conj().T @ u
-        adj.append(u)
-    cols = np.stack(adj, axis=1)
+    if not 0 <= max_len <= dil.level:
+        raise ValueError(
+            f"max_len must lie in 0..{dil.level} (the truncation level), got {max_len}"
+        )
+    omega = _unit_vector(omega, dil.system.n)
+    d = dil.system.d
+    words = words_up_to(d, max_len)
+    cols = np.empty((dil.dim, len(words)), dtype=complex)
+    cols[:, 0] = dil.base_embedding @ omega
+    start, width = 0, 1  # columns of the words of the current length
+    for _ in range(max_len):
+        parent = cols[:, start : start + width]
+        child = start + width
+        for letter, s in enumerate(dil.operators):
+            cols[:, child + letter : child + d * width : d] = _adjoint_apply(s, parent)
+        start, width = child, d * width
     c = cols.conj().T @ cols
-    return MomentTable(dil.system.d, max_len, tuple(words), c)
+    return MomentTable(d, max_len, tuple(words), c)

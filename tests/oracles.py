@@ -9,13 +9,18 @@ Tests compare the library against these independent routes:
 * the unital *-algebra generated by a set of matrices, by closing the span
   of {I} + generators + adjoints under multiplication;
 * the truncated dilation, as the quotient of the formal word vectors
-  I (x) xi (|I| <= L) by the null space of the prefix-rule Gram matrix.
+  I (x) xi (|I| <= L) by the null space of the prefix-rule Gram matrix;
+* the checks on a dilation and its moment table, by the direct
+  constructions: Cuntz residuals from the q x q products S_i* S_j and
+  sum_i S_i S_i*, dilation moments from one mat-vec per letter of every
+  word, and the moment recursion from a double loop over word pairs.
 """
 
 import numpy as np
 
 from fcstates.cpmap import OperatorSubspace, sigma_matrix, unvec, vec
 from fcstates.numerics import kernel, orthonormal_columns
+from fcstates.dilation import MomentTable, TruncatedDilation
 from fcstates.popescu import PopescuSystem, v_word, words_up_to
 
 
@@ -106,3 +111,44 @@ def prefix_quotient_rank(system: PopescuSystem, level: int, tol: float = 1e-10) 
     gram = prefix_gram(system, level)
     vals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     return int(np.sum(vals > tol * vals[-1]))
+
+
+def product_cuntz_residuals(dil: TruncatedDilation) -> tuple[float, float]:
+    """Isometry and completeness residuals from the q x q operator products.
+
+    max_ij ||(S_i* S_j - delta_ij I) w|| and ||(sum_i S_i S_i* - I) w|| with
+    w = ``level_subspace(L-1)``.
+    """
+    w = dil.level_subspace(dil.level - 1)
+    q = dil.dim
+    iso = 0.0
+    for i, si in enumerate(dil.operators):
+        for j, sj in enumerate(dil.operators):
+            delta = np.eye(q) if i == j else np.zeros((q, q))
+            iso = max(iso, float(np.linalg.norm((si.conj().T @ sj - delta) @ w, 2)))
+    comp_op = sum(s @ s.conj().T for s in dil.operators) - np.eye(q)
+    return iso, float(np.linalg.norm(comp_op @ w, 2))
+
+
+def matvec_dilation_moments(dil: TruncatedDilation, omega, max_len: int) -> np.ndarray:
+    """C(I, J) = <S_I* root, S_J* root>, each S_I* root by |I| separate mat-vecs."""
+    root = dil.base_embedding @ np.asarray(omega, dtype=complex)
+    adj = []
+    for word in words_up_to(dil.system.d, max_len):
+        u = root
+        for letter in word:  # S_I* applies S_{i_1}* first
+            u = dil.operators[letter].conj().T @ u
+        adj.append(u)
+    cols = np.stack(adj, axis=1)
+    return cols.conj().T @ cols
+
+
+def loop_recursion_residual(table: MomentTable) -> float:
+    """max over |I|, |J| < max_len of |sum_i C(Ii, Ji) - C(I, J)|, word pair by word pair."""
+    resid = 0.0
+    short = [w for w in table.words if len(w) < table.max_len]
+    for wi in short:
+        for wj in short:
+            s = sum(table.value((*wi, i), (*wj, i)) for i in range(table.d))
+            resid = max(resid, abs(s - table.value(wi, wj)))
+    return float(resid)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,22 @@ from fcstates import (
     v_word,
     words_up_to,
 )
-from fcstates.dilation import MomentTable
+from fcstates.dilation import MomentTable, TruncatedDilation
+from fcstates.popescu import words_of_length
 
 from conftest import scalar
-from oracles import prefix_gram, prefix_quotient_rank
+from oracles import (
+    loop_recursion_residual,
+    matvec_dilation_moments,
+    prefix_gram,
+    prefix_quotient_rank,
+    product_cuntz_residuals,
+)
+
+
+def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    omega = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return omega / np.linalg.norm(omega)
 
 
 def test_build_scalar_quotient_classes():
@@ -96,6 +110,61 @@ def test_cuntz_residuals_level_one_boundary(swap2):
     assert res.completeness_residual <= 1e-10
 
 
+def test_cuntz_residuals_match_product_oracle(known_system):
+    for level in (1, 2, 3):
+        dil = build(known_system, level)
+        res = cuntz_residuals(dil)
+        iso, comp = product_cuntz_residuals(dil)
+        assert abs(res.isometry_residual - iso) <= 1e-12
+        assert abs(res.completeness_residual - comp) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cuntz_residuals_of_a_corrupted_dilation_match_product_oracle(d):
+    # S_0 -> 1.1 S_0 + noise breaks both relations by O(0.1), so agreement is
+    # not the trivial agreement of two roundoff-level numbers
+    rng = np.random.default_rng(d)
+    sys_ = random_system(d, 2, 70 + d)
+    for level in (1, 2, 3):
+        dil = build(sys_, level)
+        q = dil.dim
+        noise = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+        s0 = 1.1 * dil.operators[0] + 0.02 * noise / np.sqrt(q)
+        bad = TruncatedDilation(sys_, level, (s0, *dil.operators[1:]), dil.base_embedding)
+        res = cuntz_residuals(bad)
+        iso, comp = product_cuntz_residuals(bad)
+        assert min(iso, comp) >= 0.05
+        assert abs(res.isometry_residual - iso) <= 1e-12 * iso
+        assert abs(res.completeness_residual - comp) <= 1e-12 * comp
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc during ``call`` beyond what was live before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_dilation_checks_form_no_square_temporaries():
+    # at q = 512 one q x q complex array is 4 MB; the residuals and the moment
+    # table need a few q x (q/d) blocks, not a q x q product, identity or adjoint
+    dil = build(random_system(4, 2, 9), 4)
+    q = dil.dim
+    assert q == 512
+    bound = 3 * q * q * 16
+    assert _traced_peak(lambda: cuntz_residuals(dil)) < bound
+    omega = unit_vector(np.random.default_rng(9), 2)
+    assert _traced_peak(lambda: dilation_moments(dil, omega)) < bound
+
+
 def test_swap_completeness_on_level_two_image(swap2):
     dil = build(swap2, 3)
     w = dil.level_subspace(2)
@@ -147,6 +216,37 @@ def test_moment_checks_structural():
         assert checks.psd_min_eig >= -1e-10
 
 
+def test_words_up_to_places_children_after_their_parent():
+    # the child I + (i,) of the a-th word of length m sits at offset(m+1) + d a + i,
+    # i.e. at d x + 1 + i for the word at index x; dilation_moments writes its
+    # levels and moment_checks gathers the recursion by this rule
+    for d in (2, 3, 4):
+        words = words_up_to(d, 3)
+        for m in range(3):
+            offset_next = len(words_up_to(d, m))
+            for a, word in enumerate(words_of_length(d, m)):
+                parent = words.index(word)
+                for i in range(d):
+                    assert words[offset_next + d * a + i] == (*word, i)
+                    assert words[d * parent + 1 + i] == (*word, i)
+
+
+def test_moment_checks_match_loop_oracle(known_system):
+    table = moments(known_system, unit_vector(np.random.default_rng(5), known_system.n), 3)
+    checks = moment_checks(table, known_system)
+    assert checks.recursion_residual == pytest.approx(loop_recursion_residual(table), abs=1e-15)
+    # one corrupted entry per word length, on a pair with a common last letter
+    # so that the entry enters the recursion also as a child
+    for m in range(4):
+        wi, wj = (0,) * m, (1,) * (m - 1) + (0,) if m else ()
+        values = table.values.copy()
+        values[table.index(wi), table.index(wj)] += 0.1
+        corrupted = MomentTable(table.d, table.max_len, table.words, values)
+        resid = moment_checks(corrupted, known_system).recursion_residual
+        assert resid >= 0.05
+        assert resid == pytest.approx(loop_recursion_residual(corrupted), abs=1e-15)
+
+
 def test_moment_checks_detects_corruption(swap2):
     state = invariant_state(swap2)
     table = moments(swap2, state, 2)
@@ -187,6 +287,38 @@ def test_dilation_matches_moment_table():
         direct = moments(sys_, omega, 3)
         via_dilation = dilation_moments(dil, omega, 3)
         assert np.max(np.abs(direct.values - via_dilation.values)) <= 1e-10
+
+
+def test_dilation_moments_match_matvec_oracle(known_system):
+    omega = unit_vector(np.random.default_rng(4), known_system.n)
+    for level in (1, 2, 3):
+        dil = build(known_system, level)
+        for max_len in range(level + 1):
+            table = dilation_moments(dil, omega, max_len)
+            assert table.words == tuple(words_up_to(known_system.d, max_len))
+            oracle = matvec_dilation_moments(dil, omega, max_len)
+            assert np.max(np.abs(table.values - oracle)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "omega, message", [([2.0, 0.0, 0.0], "unit vector"), ([1.0, 0.0], "length 3")]
+)
+@pytest.mark.parametrize("route", ["moments", "dilation_moments", "moment_psd_with_D"])
+def test_moment_routes_reject_a_bad_omega(averaging3, route, omega, message):
+    calls = {
+        "moments": lambda: moments(averaging3, omega, 2),
+        "dilation_moments": lambda: dilation_moments(build(averaging3, 2), omega, 2),
+        "moment_psd_with_D": lambda: moment_psd_with_D(averaging3, omega, np.eye(3), 2),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[route]()
+
+
+def test_dilation_moments_rejects_bad_max_len(swap2):
+    dil = build(swap2, 2)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="max_len"):
+            dilation_moments(dil, np.array([1.0, 0.0]), bad)
 
 
 def test_dilation_moment_agreement_rank_one_length_four(rank_one2):
