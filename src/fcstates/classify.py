@@ -15,6 +15,17 @@ Three questions are answered about a system:
 
 Purity of the chain state is computed only when the hypotheses hold;
 otherwise the report says so explicitly instead of guessing.
+
+An X that commutes with every V_i and V_i* satisfies
+sigma(X) = X sum_i V_i V_i* = X, so the commutant M' lies in the fixed
+space of sigma. When the (compressed) map is ergodic its fixed space is
+C.1, hence M' = C.1, the generated algebra is M = M'' = M_n, and sigma
+restricted to M is sigma itself: the first two hypotheses hold as a
+theorem, and the chain verdicts are read from the peripheral spectrum
+already computed for k. The commutant, its commutant M'' and the
+restricted spectrum are computed only off that path, where they decide
+something (direct sums, ancillas), and M' is solved there inside the
+fixed space.
 """
 
 from __future__ import annotations
@@ -217,25 +228,38 @@ def classify_chain(
     """Full report: adds the two-sided chain verdicts to :func:`classify_od`.
 
     Pipeline: compute the invariant state; if it is not faithful, compress
-    to its support and continue there. Form the commutant M', the generated
-    algebra M = M'', and the fixed space; test the hypotheses (M a factor,
-    fixed space = M', state faithful). When they hold, the chain state is
-    pure iff the peripheral spectrum of the transfer map restricted to M is
-    {1}, and purity coincides with factoriality in this finite-dimensional
-    setting; a clustering probe cross-checks the verdict numerically.
+    to its support and continue there. Test the hypotheses (the generated
+    algebra M is a factor, the fixed space equals the commutant M', the
+    state is faithful). When they hold, the chain state is pure iff the
+    peripheral spectrum of the transfer map restricted to M is {1}, and
+    purity coincides with factoriality in this finite-dimensional setting;
+    a clustering probe cross-checks the verdict numerically.
+
+    M' lies in the fixed space, since sigma(X) = X sum_i V_i V_i* = X for
+    X in M'. So when the compressed map is ergodic, M' = C.1 and
+    M = M'' = M_n: the first two hypotheses hold as a theorem, and the
+    restricted spectrum is the peripheral spectrum of the compressed map,
+    already computed for k, so the chain state is pure iff k = 1. Otherwise
+    M' is solved inside the fixed space, M = M'' is its commutant, and the
+    spectrum of sigma restricted to M is computed.
     """
     base, (wform, wstate, fixed) = _classify_od(system, tol, tol_peripheral)
     notes = list(base.notes)
-    if not base.ergodic:
-        wform, wstate, fixed = _comparable_system(wform, wstate, fixed, notes, tol)
-    wsys = wform.system
-    comm = commutant(wsys.operators, tol)
-    algebra = commutant(comm.basis, tol)
-    hyp = ChainHypotheses(
-        m_is_factor=algebra.intersection_dim(comm, tol) == 1,
-        fixed_equals_m_prime=fixed.span_equals(comm, tol),
-        phi_faithful=wstate.faithful,
-    )
+    theorem = base.ergodic and base.compressed_ergodic
+    if theorem:
+        hyp = ChainHypotheses(
+            m_is_factor=True, fixed_equals_m_prime=True, phi_faithful=wstate.faithful
+        )
+    else:
+        if not base.ergodic:
+            wform, wstate, fixed = _comparable_system(wform, wstate, fixed, notes, tol)
+        comm = commutant(wform.system.operators, tol, within=fixed)
+        algebra = commutant(comm.basis, tol)
+        hyp = ChainHypotheses(
+            m_is_factor=algebra.intersection_dim(comm, tol) == 1,
+            fixed_equals_m_prime=comm.dim == fixed.dim,
+            phi_faithful=wstate.faithful,
+        )
     if not hyp.all_met():
         failing = [
             name
@@ -247,13 +271,11 @@ def classify_chain(
             if not ok
         ]
         notes.append(f"chain hypotheses failed: {', '.join(failing)}")
-        if not hyp.fixed_equals_m_prime and comm.dim < fixed.dim:
-            contained = all(fixed.contains(b, tol) for b in comm.basis)
-            if contained:
-                notes.append(
-                    "commutant is strictly smaller than the fixed space: system is a "
-                    "non-minimal presentation; consider compressing"
-                )
+        if not hyp.fixed_equals_m_prime:
+            notes.append(
+                "commutant is strictly smaller than the fixed space: system is a "
+                "non-minimal presentation; consider compressing"
+            )
         return ClassificationReport(
             validate_residual=base.validate_residual,
             ergodic=base.ergodic,
@@ -267,11 +289,13 @@ def classify_chain(
             chain_factor=None,
             notes=_dedupe(notes),
         )
-    peri_m = _restricted_peripheral(wform, algebra, tol, tol_peripheral)
+    peri_m = (
+        base.peripheral if theorem else _restricted_peripheral(wform, algebra, tol, tol_peripheral)
+    )
     chain_pure = spectral_sets_match(peri_m, [1.0], tol)
     chain_factor = chain_pure
     if clustering_check:
-        probe = _clustering_probe(wsys, wstate, chain_pure)
+        probe = _clustering_probe(wform.system, wstate, chain_pure)
         if probe is not None:
             notes.append(probe)
     return ClassificationReport(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 import numpy as np
@@ -178,7 +179,9 @@ class RealTransfer:
     real n^2 x n^2 matrix; the predual sigma_* is its transpose. Build it
     once per system with :func:`real_transfer` and pass it to the stages
     (:func:`fixed_points`, :func:`invariant_state`,
-    :func:`peripheral_spectrum`) in place of the system.
+    :func:`peripheral_spectrum`) in place of the system. Those stages read
+    the fixed spaces of sigma and sigma_* from one SVD of sigma - I, taken
+    on first use and held here (:meth:`fixed_kernels`).
     """
 
     system: PopescuSystem
@@ -192,6 +195,23 @@ class RealTransfer:
         """sigma - value * I, real when the value is."""
         value = complex(value)
         return self.matrix - (value if value.imag else value.real) * np.eye(self.n**2)
+
+    @cached_property
+    def _svd_at_one(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self.shifted(1.0))
+
+    def fixed_kernels(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Real orthonormal bases (columns) of the kernels of sigma - I and of
+        sigma_* - I = (sigma - I)^T: the fixed spaces of sigma and its predual.
+
+        A singular direction of sigma - I is kept when its singular value is
+        at most ``tol`` (the scale of sigma is 1). The right singular vectors
+        give the first basis and the left ones the second, from the same SVD,
+        so the two always have the same dimension.
+        """
+        u, s, vt = self._svd_at_one
+        rank = int(np.sum(s > tol))
+        return vt[rank:].T, u[:, rank:]
 
 
 def real_transfer(system: PopescuSystem) -> RealTransfer:
@@ -327,8 +347,7 @@ def fixed_points(
     Hermitian coordinates, so its elements are Hermitian.
     """
     form = _as_real_transfer(system)
-    null = kernel(form.shifted(1.0), tol, scale=1.0)
-    return OperatorSubspace.from_hermitian(null, form.n)
+    return OperatorSubspace.from_hermitian(form.fixed_kernels(tol)[0], form.n)
 
 
 def is_algebra(sub: OperatorSubspace, tol: float = DEFAULT_SUBSPACE_TOL) -> bool:
@@ -357,7 +376,11 @@ def _commutant_constraints(gens: list[np.ndarray]) -> np.ndarray:
     return real_form(ads).reshape(-1, n * n)
 
 
-def commutant(generators, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace:
+def commutant(
+    generators,
+    tol: float = DEFAULT_SUBSPACE_TOL,
+    within: OperatorSubspace | None = None,
+) -> OperatorSubspace:
     """Orthonormal basis of {X : XA = AX and XA* = A*X for all generators A}.
 
     X commutes with A and A* iff it commutes with the Hermitian matrices
@@ -368,6 +391,12 @@ def commutant(generators, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace
     Hermitian the second K is zero and is left out; the singular values
     stay the same. The basis is the real kernel, so its elements are
     Hermitian.
+
+    With ``within``, a subspace with a Hermitian basis F_1..F_f, the result
+    is the part of the commutant inside it: X = sum_j c_j F_j, and the
+    kernel is taken over the f coefficients c, so the constraint matrix has
+    f columns in place of n^2. The fixed space of the transfer map contains
+    the commutant of its operators, so it serves as ``within`` there.
     """
     gens = [as_matrix(g, "generator") for g in generators]
     if not gens:
@@ -377,7 +406,13 @@ def commutant(generators, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace
         if g.shape != (n, n):
             raise ValueError("generators must share a common square dimension")
     gnorm = max(np.linalg.norm(g, 2) for g in gens)
-    null = kernel(_commutant_constraints(gens), tol, scale=max(1.0, float(gnorm)))
+    constraints = _commutant_constraints(gens)
+    if within is not None:
+        basis = within.hermitian_columns()
+        constraints = constraints @ basis
+    null = kernel(constraints, tol, scale=max(1.0, float(gnorm)))
+    if within is not None:
+        null = basis @ null
     return OperatorSubspace.from_hermitian(null, n)
 
 
@@ -411,7 +446,8 @@ def invariant_state(
     ``unique`` is set on the output.
 
     R and F are real kernels in Hermitian coordinates, where sigma_* is the
-    transpose of sigma.
+    transpose of sigma: the left and right kernels of one SVD of sigma - I
+    (:meth:`RealTransfer.fixed_kernels`), so they have the same dimension.
     """
     form = _as_real_transfer(system)
     n = form.n
@@ -423,18 +459,12 @@ def invariant_state(
         if abs(tr) < 1e-14:
             raise ValueError("rho0 must have nonzero trace")
         rho0 = rho0 / tr
-    right = kernel(form.matrix.T - np.eye(n * n), DEFAULT_SUBSPACE_TOL, scale=1.0)
+    left, right = form.fixed_kernels(DEFAULT_SUBSPACE_TOL)
     unique = right.shape[1] == 1
     if unique:
         # the trace of a matrix is the sum of its diagonal coordinates
         v = right[:, 0] / np.sum(right[:n, 0])
     else:
-        left = kernel(form.shifted(1.0), DEFAULT_SUBSPACE_TOL, scale=1.0)
-        if left.shape != right.shape:
-            raise NumericalHealthError(
-                f"fixed spaces of the map ({left.shape[1]}) and its predual "
-                f"({right.shape[1]}) differ in dimension"
-            )
         r0 = _to_hermitian(vec(rho0))
         v = right @ np.linalg.solve(left.T @ right, left.T @ r0)
     rho = unvec(_from_hermitian(v), (n, n))
@@ -521,7 +551,10 @@ def peripheral_spectrum(
     value is the size of its cluster, the geometric one the dimension of the
     kernel of sigma - value at threshold ``set_tol``; both are computed in
     real arithmetic (Hermitian coordinates), the kernel of a real value is
-    real. ``semisimple`` is false when the two differ: a unimodular Jordan
+    real. The cluster within ``set_tol`` of 1, whose representative may be
+    1 + O(eps) i, reads its kernel from the SVD of sigma - I that the fixed
+    spaces share (:meth:`RealTransfer.fixed_kernels`). ``semisimple`` is
+    false when the two multiplicities differ: a unimodular Jordan
     block when the algebraic one is larger, a kernel that counts eigenvalues
     the eigensolver puts off the circle when the geometric one is, and a
     kernel threshold that misses the value (geometric 0, with the
@@ -535,7 +568,10 @@ def peripheral_spectrum(
     on_circle = [complex(z) for z in dec.eigenvalues if abs(1.0 - abs(z)) <= tol]
     out = []
     for value, algebraic in value_clusters(on_circle, set_tol):
-        space = kernel(form.shifted(value), set_tol, scale=1.0)
+        if abs(value - 1.0) <= set_tol:
+            space = form.fixed_kernels(set_tol)[0]
+        else:
+            space = kernel(form.shifted(value), set_tol, scale=1.0)
         geometric = space.shape[1]
         if geometric == 0:
             idx = int(np.argmin(np.abs(dec.eigenvalues - value)))

@@ -48,6 +48,8 @@ __all__ = [
 
 
 def _word_products(system: PopescuSystem, max_len: int) -> dict[Word, np.ndarray]:
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     prods: dict[Word, np.ndarray] = {(): np.eye(system.n, dtype=complex)}
     for word in words_up_to(system.d, max_len):
         if word not in prods:

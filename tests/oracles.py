@@ -5,6 +5,14 @@ Tests compare the library against these independent routes:
 * the fixed space of the transfer map and the commutant of a set of
   matrices as complex kernels in vec coordinates, where the library solves
   real kernels in Hermitian coordinates;
+* the invariant state as the Cesaro limit built from two separately
+  factored kernels in vec coordinates, where the library reads both from
+  one SVD of sigma - I;
+* the chain hypotheses and verdicts by the full commutant route (M' and
+  M'' as kernels over all of M_n, the factor test by principal angles,
+  M' against the fixed space by mutual projection, and the spectrum of
+  sigma restricted to M), where the library decides the ergodic case as a
+  theorem and solves M' inside the fixed space otherwise;
 
 * the unital *-algebra generated by a set of matrices, by closing the span
   of {I} + generators + adjoints under multiplication;
@@ -18,10 +26,19 @@ Tests compare the library against these independent routes:
 
 import numpy as np
 
-from fcstates.cpmap import OperatorSubspace, sigma_matrix, unvec, vec
-from fcstates.numerics import kernel, orthonormal_columns
+from fcstates.classify import HYPOTHESES_NOT_MET, ChainHypotheses
+from fcstates.cpmap import (
+    DensityState,
+    OperatorSubspace,
+    invariant_state,
+    predual_matrix,
+    sigma_matrix,
+    unvec,
+    vec,
+)
+from fcstates.numerics import distinct_values, kernel, orthonormal_columns, spectral_sets_match
 from fcstates.dilation import MomentTable, TruncatedDilation
-from fcstates.popescu import PopescuSystem, v_word, words_up_to
+from fcstates.popescu import PopescuSystem, compress, v_word, words_up_to
 
 
 def vec_fixed_points(system: PopescuSystem, tol: float = 1e-8) -> OperatorSubspace:
@@ -49,6 +66,54 @@ def vec_commutant(generators, tol: float = 1e-8) -> OperatorSubspace:
     gnorm = max(np.linalg.norm(g, 2) for g in gens)
     null = kernel(vec_commutant_constraints(gens), tol, scale=max(1.0, float(gnorm)))
     return OperatorSubspace.from_vectors(null, (n, n))
+
+
+def vec_invariant_state(system: PopescuSystem, tol: float = 1e-8) -> DensityState:
+    """Cesaro limit from I/n: R (F* R)^{-1} F* vec(I/n) in vec coordinates.
+
+    R is the kernel of sigma_* - I and F that of sigma - I, each from its
+    own SVD; sigma is the adjoint of sigma_* in the trace pairing, so F
+    holds the left eigenvectors of sigma_* at 1.
+    """
+    n = system.n
+    eye = np.eye(n * n)
+    right = kernel(predual_matrix(system).matrix - eye, tol, scale=1.0)
+    left = kernel(sigma_matrix(system).matrix - eye, tol, scale=1.0)
+    v = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ vec(np.eye(n) / n))
+    rho = unvec(v, (n, n))
+    rho = 0.5 * (rho + rho.conj().T)
+    return DensityState.from_matrix(rho / np.trace(rho).real)
+
+
+def commutant_chain_verdicts(
+    system: PopescuSystem, tol: float = 1e-8, tol_peripheral: float = 1e-9
+) -> tuple[ChainHypotheses, bool | str, bool | None]:
+    """(hypotheses, chain_pure, chain_factor) by the full commutant route.
+
+    The system is compressed to the support of its invariant state when
+    that state is not faithful. M' and M = M'' are complex kernels over all
+    of M_n; M is a factor when it meets M' in one dimension; the fixed
+    space equals M' when each projects onto the other; the chain state is
+    pure when the unimodular eigenvalues of sigma restricted to M are {1}.
+    """
+    state = invariant_state(system)
+    if not state.faithful:
+        system = compress(system, state.support)
+        state = invariant_state(system)
+    comm = vec_commutant(system.operators, tol)
+    algebra = vec_commutant(comm.basis, tol)
+    hyp = ChainHypotheses(
+        m_is_factor=algebra.intersection_dim(comm, tol) == 1,
+        fixed_equals_m_prime=vec_fixed_points(system, tol).span_equals(comm, tol),
+        phi_faithful=state.faithful,
+    )
+    if not hyp.all_met():
+        return hyp, HYPOTHESES_NOT_MET, None
+    q = algebra.to_columns()
+    vals = np.linalg.eigvals(q.conj().T @ sigma_matrix(system).matrix @ q)
+    peri = distinct_values([z for z in vals if abs(1.0 - abs(z)) <= tol_peripheral], tol)
+    pure = spectral_sets_match(peri, [1.0], tol)
+    return hyp, pure, pure
 
 
 def frontier_generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:

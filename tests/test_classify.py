@@ -14,7 +14,8 @@ from fcstates import (
 )
 from fcstates.classify import HYPOTHESES_NOT_MET
 
-from conftest import direct_sum, nonfaithful, pauli_channel
+from conftest import block_shift, direct_sum, nonfaithful, pauli_channel
+from oracles import commutant_chain_verdicts
 
 
 def test_classify_od_rank_one(rank_one2):
@@ -175,28 +176,63 @@ def test_multiplicity_mismatch_at_the_tolerance_boundary_aborts():
     assert rep.ergodic and rep.k == 1
 
 
+def _assert_chain_verdicts_match_oracle(system):
+    rep = classify_chain(system, clustering_check=False)
+    hyp, pure, factor = commutant_chain_verdicts(system)
+    assert rep.chain_hypotheses == hyp
+    assert rep.chain_pure == pure
+    assert rep.chain_factor == factor
+
+
+def test_chain_verdicts_match_commutant_oracle(known_system):
+    _assert_chain_verdicts_match_oracle(known_system)
+
+
+ORACLE_FAMILIES = {
+    "block_shift(3,2,3)": lambda: block_shift(3, 2, 3, 71),
+    "block_shift(4,3,2)": lambda: block_shift(4, 3, 2, 72),
+    "block_shift(6,2,2)": lambda: block_shift(6, 2, 2, 73),
+    "nonfaithful": lambda: nonfaithful(2, 3, 2, 22),
+    "pauli_channel(1e-6)": lambda: pauli_channel(1e-6),
+    **{
+        f"random n={n} d={d} seed={seed}": lambda d=d, n=n, seed=seed: random_system(d, n, seed)
+        for seed, n, d in ((800 + i, (4, 9, 16)[i % 3], 2 + (i // 3) % 3) for i in range(20))
+    },
+}
+
+
+@pytest.mark.parametrize("make", ORACLE_FAMILIES.values(), ids=ORACLE_FAMILIES.keys())
+def test_chain_verdicts_match_commutant_oracle_on_families(make):
+    _assert_chain_verdicts_match_oracle(make())
+
+
 @pytest.mark.parametrize(
     "make, calls",
     [
         (
             lambda: random_system(3, 5, 21),
-            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1},
+            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 0, "eig": 1, "kernel": 0, "svd_at_one": 1},
         ),
         (
             lambda: nonfaithful(2, 3, 2, 22),
-            {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2},
+            {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
+             "commutant": 0, "eig": 1, "kernel": 0, "svd_at_one": 2},
         ),
         (
             lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
-            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1},
+            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 2, "eig": 1, "kernel": 2, "svd_at_one": 1},
         ),
     ],
     ids=["random", "nonfaithful", "direct_sum"],
 )
 def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
-    # sigma_matrix is counted where cpmap calls it, the stages where classify
-    # does; the clustering probe builds its own sigma in chain and is not
-    # counted
+    # sigma_matrix, commutant, eig and kernel are counted where cpmap calls
+    # them, the other stages (and commutant and eig again) where classify does;
+    # the clustering probe builds its own sigma in chain and is not counted.
+    # svd_at_one counts the SVDs of sigma_r - I or its transpose, for every
+    # sigma_r that classify builds, by whatever route they are taken.
     counts = dict.fromkeys(calls, 0)
 
     def counted(module, name):
@@ -208,8 +244,30 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
 
         return wrapper
 
-    for name in calls:
-        module = fcstates.cpmap if name == "sigma_matrix" else fcstates.classify
-        monkeypatch.setattr(module, name, counted(module, name))
+    for name in ("fixed_points", "compress", "invariant_state", "commutant", "eig"):
+        monkeypatch.setattr(fcstates.classify, name, counted(fcstates.classify, name))
+    for name in ("sigma_matrix", "commutant", "eig", "kernel"):
+        monkeypatch.setattr(fcstates.cpmap, name, counted(fcstates.cpmap, name))
+    forms = []
+    transfer = fcstates.classify.real_transfer
+
+    def recorded_transfer(system):
+        forms.append(transfer(system))
+        return forms[-1]
+
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        a = np.asarray(a)
+        for form in forms:
+            shifted = form.shifted(1.0)
+            if a.shape == shifted.shape and (
+                np.array_equal(a, shifted) or np.array_equal(a, shifted.T)
+            ):
+                counts["svd_at_one"] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(fcstates.classify, "real_transfer", recorded_transfer)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     classify_chain(make())
     assert counts == calls

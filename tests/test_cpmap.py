@@ -12,6 +12,7 @@ from fcstates import (
     generated_algebra,
     invariant_state,
     is_algebra,
+    kernel,
     mixed_fixed_points,
     peripheral_eigenunitary,
     peripheral_spectrum,
@@ -33,6 +34,7 @@ from oracles import (
     vec_commutant,
     vec_commutant_constraints,
     vec_fixed_points,
+    vec_invariant_state,
 )
 
 
@@ -191,6 +193,46 @@ def test_fixed_algebra_iff_commutant():
         fx = fixed_points(sys_)
         if is_algebra(fx):
             assert fx.span_equals(commutant(sys_.operators), 1e-8)
+
+
+def test_commutant_within_the_fixed_space_is_the_commutant(known_system):
+    ops = known_system.operators
+    inside = commutant(ops, within=fixed_points(known_system))
+    assert inside.span_equals(commutant(ops))
+    for b in inside.basis:
+        assert np.linalg.norm(b - b.conj().T) <= 1e-12
+
+
+def test_commutant_within_a_subspace_is_the_intersection():
+    n = 3
+    diagonal = OperatorSubspace(tuple(eij(j, j, n) for j in range(n)), (n, n))
+    assert commutant([np.eye(n)], within=diagonal).span_equals(diagonal)
+    # a diagonal matrix with distinct entries commutes only with diagonals
+    shift = np.roll(np.eye(n), 1, axis=0)
+    assert commutant([np.diag([1.0, 2.0, 3.0])], within=diagonal).dim == n
+    assert commutant([shift], within=diagonal).span_equals(
+        OperatorSubspace((np.eye(n) / np.sqrt(n),), (n, n))
+    )
+
+
+def _projector(sub: OperatorSubspace) -> np.ndarray:
+    q = sub.to_columns()
+    return q @ q.conj().T
+
+
+def test_fixed_kernels_match_separate_kernels(known_system):
+    n = known_system.n
+    form = real_transfer(known_system)
+    fixed, predual_fixed = form.fixed_kernels(1e-8)
+    assert fixed.shape == predual_fixed.shape
+    separate = kernel(form.matrix.T - np.eye(n * n), 1e-8, scale=1.0)
+    assert separate.shape == predual_fixed.shape
+    gap = predual_fixed @ predual_fixed.T - separate @ separate.T
+    assert np.linalg.norm(gap, 2) <= 1e-12
+    oracle = _projector(vec_fixed_points(known_system))
+    assert np.linalg.norm(_projector(fixed_points(form)) - oracle, 2) <= 1e-12
+    state = invariant_state(form)
+    assert np.linalg.norm(state.rho - vec_invariant_state(known_system).rho, 2) <= 1e-12
 
 
 def test_generated_algebra_dimensions(swap2, rank_one2, scalar_half):

@@ -321,6 +321,17 @@ def test_dilation_moments_rejects_bad_max_len(swap2):
             dilation_moments(dil, np.array([1.0, 0.0]), bad)
 
 
+def test_moment_tables_reject_a_negative_max_len():
+    system = random_system(2, 3, 1)
+    omega = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="max_len"):
+        moments(system, omega, -1)
+    with pytest.raises(ValueError, match="max_len"):
+        moments(system, invariant_state(system), -1)
+    with pytest.raises(ValueError, match="max_len"):
+        moment_psd_with_D(system, omega, np.eye(3), -1)
+
+
 def test_dilation_moment_agreement_rank_one_length_four(rank_one2):
     omega = np.array([1.0, 0.0])
     dil = build(rank_one2, 4)

@@ -3,7 +3,15 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from fcstates import eig, herm_inv_sqrt, herm_sqrt, kernel, sigma_matrix, spectral_sets_match
+from fcstates import (
+    eig,
+    herm_inv_sqrt,
+    herm_sqrt,
+    kernel,
+    real_transfer,
+    sigma_matrix,
+    spectral_sets_match,
+)
 from fcstates.numerics import distinct_values, orthonormal_columns, value_clusters
 
 from conftest import eij
@@ -20,6 +28,28 @@ def test_eig_residual_holds_without_diagonalizability(rank_one2):
     for a in (np.array([[1.0, 1.0], [0.0, 1.0]]), sigma_matrix(rank_one2).matrix):
         dec = eig(a)
         assert dec.residual <= 1e-10
+
+
+def _assert_residual_bounds_spectral_ratio(a):
+    dec = eig(a)
+    r = a @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues[None, :]
+    assert dec.residual == pytest.approx(
+        np.linalg.norm(r) / np.linalg.norm(a, axis=0).max(), rel=1e-12
+    )
+    # ||R||_F >= ||R||_2 and the largest column norm is at most ||A||_2
+    assert dec.residual >= (1 - 1e-12) * np.linalg.norm(r, 2) / np.linalg.norm(a, 2)
+
+
+def test_eig_residual_bounds_the_spectral_norm_ratio():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 16, 40):
+        real = rng.standard_normal((n, n))
+        _assert_residual_bounds_spectral_ratio(real)
+        _assert_residual_bounds_spectral_ratio(real + 1j * rng.standard_normal((n, n)))
+
+
+def test_eig_residual_bounds_the_spectral_norm_ratio_on_transfer_maps(known_system):
+    _assert_residual_bounds_spectral_ratio(real_transfer(known_system).matrix)
 
 
 def test_eig_symmetric_flip():
