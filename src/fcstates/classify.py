@@ -26,6 +26,13 @@ already computed for k. The commutant, its commutant M'' and the
 restricted spectrum are computed only off that path, where they decide
 something (direct sums, ancillas), and M' is solved there inside the
 fixed space.
+
+Two outcomes cannot occur in exact arithmetic, so each aborts with
+:class:`NumericalHealthError` instead of flipping a verdict: the
+compression of an ergodic map to the support of its invariant state is
+ergodic, and a unital CP map with a faithful invariant state has
+Fix(sigma) = M', so a compressed map that is not ergodic, or a commutant
+smaller than the fixed space, means a kernel at its tolerance boundary.
 """
 
 from __future__ import annotations
@@ -163,9 +170,13 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
     cform, _, cfixed = working
     cperi = peripheral_spectrum(cform, tol_peripheral, tol)
     _check_semisimple(cperi, notes)
-    compressed_ergodic = cfixed.dim == 1
-    if not compressed_ergodic:
-        notes.append("ergodicity was lost under compression to the support")
+    if cfixed.dim != 1:
+        raise NumericalHealthError(
+            f"the map is ergodic but its compression to the support of the invariant "
+            f"state has a {cfixed.dim}-dimensional fixed space; compression keeps "
+            "ergodicity, so a fixed-point kernel is at the tolerance boundary; "
+            "classification is aborted"
+        )
     values = tuple(p.value for p in cperi)
     k = gauge_group_order(values, tol=tol, max_denominator=cform.n**2)
     report = ClassificationReport(
@@ -173,7 +184,7 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
         ergodic=True,
         od_state_pure=ergodic,
         invariant_state=state,
-        compressed_ergodic=compressed_ergodic,
+        compressed_ergodic=True,
         peripheral=values,
         k=k,
         notes=_dedupe(notes),
@@ -196,7 +207,7 @@ def classify_od(
     subgroup formed by the compressed peripheral spectrum; otherwise k is
     undefined and the peripheral set is informational. In both cases the
     geometric and algebraic multiplicities of every peripheral value must
-    agree.
+    agree, and an ergodic map must stay ergodic under compression.
     """
     return _classify_od(system, tol, tol_peripheral)[0]
 
@@ -240,24 +251,31 @@ def classify_chain(
     M = M'' = M_n: the first two hypotheses hold as a theorem, and the
     restricted spectrum is the peripheral spectrum of the compressed map,
     already computed for k, so the chain state is pure iff k = 1. Otherwise
+    the state of the compressed map is faithful, so its fixed space is M'
+    (a smaller commutant aborts as a kernel at the tolerance boundary);
     M' is solved inside the fixed space, M = M'' is its commutant, and the
     spectrum of sigma restricted to M is computed.
     """
     base, (wform, wstate, fixed) = _classify_od(system, tol, tol_peripheral)
     notes = list(base.notes)
-    theorem = base.ergodic and base.compressed_ergodic
-    if theorem:
+    if base.ergodic:
         hyp = ChainHypotheses(
             m_is_factor=True, fixed_equals_m_prime=True, phi_faithful=wstate.faithful
         )
     else:
-        if not base.ergodic:
-            wform, wstate, fixed = _comparable_system(wform, wstate, fixed, notes, tol)
+        wform, wstate, fixed = _comparable_system(wform, wstate, fixed, notes, tol)
         comm = commutant(wform.system.operators, tol, within=fixed)
+        if comm.dim != fixed.dim:
+            raise NumericalHealthError(
+                f"the commutant of the operators ({comm.dim}-dimensional) is smaller "
+                f"than the fixed space ({fixed.dim}-dimensional) although the state "
+                "is faithful, where the two are equal; a kernel is at the tolerance "
+                "boundary; classification is aborted"
+            )
         algebra = commutant(comm.basis, tol)
         hyp = ChainHypotheses(
             m_is_factor=algebra.intersection_dim(comm, tol) == 1,
-            fixed_equals_m_prime=comm.dim == fixed.dim,
+            fixed_equals_m_prime=True,
             phi_faithful=wstate.faithful,
         )
     if not hyp.all_met():
@@ -271,11 +289,6 @@ def classify_chain(
             if not ok
         ]
         notes.append(f"chain hypotheses failed: {', '.join(failing)}")
-        if not hyp.fixed_equals_m_prime:
-            notes.append(
-                "commutant is strictly smaller than the fixed space: system is a "
-                "non-minimal presentation; consider compressing"
-            )
         return ClassificationReport(
             validate_residual=base.validate_residual,
             ergodic=base.ergodic,
@@ -290,7 +303,9 @@ def classify_chain(
             notes=_dedupe(notes),
         )
     peri_m = (
-        base.peripheral if theorem else _restricted_peripheral(wform, algebra, tol, tol_peripheral)
+        base.peripheral
+        if base.ergodic
+        else _restricted_peripheral(wform, algebra, tol, tol_peripheral)
     )
     chain_pure = spectral_sets_match(peri_m, [1.0], tol)
     chain_factor = chain_pure

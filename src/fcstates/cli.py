@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .chain import LocalObservable, clustering_defect, expectation
 from .classify import ClassificationReport, classify_chain
-from .cpmap import invariant_state, mixed_fixed_points
+from .cpmap import invariant_state, mixed_fixed_points, real_transfer
 from .dilation import build, cuntz_residuals
 from .errors import NumericalHealthError, ValidationError
 from .modular import compare_duals, dual_system, verify_duality
@@ -252,14 +252,15 @@ def _cmd_dilate(args) -> int:
 
 def _cmd_dual(args) -> int:
     system, _ = load_system(args.path, args.tol_validate)
-    state = invariant_state(system)
+    form = real_transfer(system)
+    state = invariant_state(form)
     if not state.faithful:
         raise ValidationError(
             "invariant state is not faithful; compress to its support before dualizing"
         )
     dual = dual_system(system, state)
     rep = verify_duality(dual)
-    cmp_ = compare_duals(dual, tol=args.tol_spectral_set)
+    cmp_ = compare_duals(dual, tol=args.tol_spectral_set, form=form)
     print(
         json.dumps(
             {

@@ -365,15 +365,35 @@ def is_algebra(sub: OperatorSubspace, tol: float = DEFAULT_SUBSPACE_TOL) -> bool
     return True
 
 
+def _hermitian_parts(gens: list[np.ndarray]) -> list[np.ndarray]:
+    """(A + A*)/sqrt(2) for each generator A, and i(A - A*)/sqrt(2) for each
+    A that is not Hermitian."""
+    parts = [_HALF_SQRT2 * (g + g.conj().T) for g in gens]
+    return parts + [1j * _HALF_SQRT2 * (g - g.conj().T) for g in gens if np.any(g != g.conj().T)]
+
+
 def _commutant_constraints(gens: list[np.ndarray]) -> np.ndarray:
     """The stacked real matrices of X -> i[X, K] over the Hermitian parts K of
     the generators, in Hermitian coordinates."""
     n = gens[0].shape[0]
     eye = np.eye(n)
-    parts = [_HALF_SQRT2 * (g + g.conj().T) for g in gens]
-    parts += [1j * _HALF_SQRT2 * (g - g.conj().T) for g in gens if np.any(g != g.conj().T)]
-    ads = np.stack([1j * (np.kron(k.T, eye) - np.kron(eye, k)) for k in parts])
+    ads = np.stack([1j * (np.kron(k.T, eye) - np.kron(eye, k)) for k in _hermitian_parts(gens)])
     return real_form(ads).reshape(-1, n * n)
+
+
+def _commutant_constraints_within(
+    gens: list[np.ndarray], within: OperatorSubspace
+) -> np.ndarray:
+    """:func:`_commutant_constraints` times the Hermitian coordinates of the
+    Hermitian basis F_1..F_f of ``within``, from the images i[F_j, K]:
+    O(f n^3) per K, where the full stack costs O(n^6)."""
+    n = within.shape[0]
+    f = np.stack(within.basis)
+    blocks = []
+    for k in _hermitian_parts(gens):
+        images = 1j * (f @ k - k @ f)  # Hermitian, as F_j and K are
+        blocks.append(_to_hermitian(images.swapaxes(1, 2).reshape(-1, n * n).T).real)
+    return np.concatenate(blocks)
 
 
 def commutant(
@@ -395,8 +415,9 @@ def commutant(
     With ``within``, a subspace with a Hermitian basis F_1..F_f, the result
     is the part of the commutant inside it: X = sum_j c_j F_j, and the
     kernel is taken over the f coefficients c, so the constraint matrix has
-    f columns in place of n^2. The fixed space of the transfer map contains
-    the commutant of its operators, so it serves as ``within`` there.
+    f columns in place of n^2, built from the images i[F_j, K] without the
+    full stack. The fixed space of the transfer map contains the commutant
+    of its operators, so it serves as ``within`` there.
     """
     gens = [as_matrix(g, "generator") for g in generators]
     if not gens:
@@ -405,15 +426,14 @@ def commutant(
     for g in gens:
         if g.shape != (n, n):
             raise ValueError("generators must share a common square dimension")
-    gnorm = max(np.linalg.norm(g, 2) for g in gens)
-    constraints = _commutant_constraints(gens)
-    if within is not None:
-        basis = within.hermitian_columns()
-        constraints = constraints @ basis
-    null = kernel(constraints, tol, scale=max(1.0, float(gnorm)))
-    if within is not None:
-        null = basis @ null
-    return OperatorSubspace.from_hermitian(null, n)
+    scale = max(1.0, float(max(np.linalg.norm(g, 2) for g in gens)))
+    if within is None:
+        return OperatorSubspace.from_hermitian(
+            kernel(_commutant_constraints(gens), tol, scale=scale), n
+        )
+    basis = within.hermitian_columns()
+    null = kernel(_commutant_constraints_within(gens, within), tol, scale=scale)
+    return OperatorSubspace.from_hermitian(basis @ null, n)
 
 
 def generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:

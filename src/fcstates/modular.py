@@ -2,21 +2,27 @@
 
 The GNS space of a faithful state phi(X) = trace(rho X) is materialized
 concretely as the n x n matrices with the trace inner product, with cyclic
-vector Phi = rho^{1/2}. In this model every abstract object is a checkable
-matrix identity:
+vector Phi = rho^{1/2}. In this model every abstract object is a map on
+n x n matrices:
 
-    Delta(X)       = rho X rho^{-1}        (modular operator),
-    J(X)           = X*                    (modular conjugation),
+    Delta^{1/2}(X)  = rho^{1/2} X rho^{-1/2}   (Delta X = rho X rho^{-1}),
+    J(X)            = X*                        (modular conjugation),
     S = J Delta^{1/2}:  X Phi -> X* Phi.
 
-The dual generators are built operator-by-operator as the composition
-J Delta^{-1/2} (left-mult V_j*) Delta^{1/2} J on the GNS space. The
-composition collapses to right multiplication by W_j = rho^{1/2} V_j
-rho^{-1/2}; the collapse is asserted numerically as a cross-check rather
-than assumed. Conjugate-linear maps are handled by explicit coordinate
-conjugation (J = conjugation followed by the vec-transposition permutation),
-so overall-linear compositions like the dual generators become ordinary
-matrices.
+:class:`ModularData` holds rho^{1/2} and rho^{-1/2} and applies these maps to
+a matrix or to a stack of matrices (the last two axes), so no n^2 x n^2
+operator is ever formed.
+
+The dual generators are the compositions J Delta^{-1/2} (left-mult V_j*)
+Delta^{1/2} J. Each collapses to right multiplication by
+W_j = rho^{1/2} V_j rho^{-1/2}. The collapse is checked rather than assumed:
+the composition is applied step by step to the n^2 matrix units E_ab and
+compared with E_ab W_j. The images of the units are the columns of the
+composed operator in vec coordinates, so the Frobenius norm of the
+difference over the units is the Hilbert-Schmidt norm of the operator
+difference, at least its operator norm, at O(n^5) cost. The commutation of
+the dual generators with left multiplications is measured the same way, from
+the same images.
 
 sum_j W_j* W_j = I is equivalent to invariance sum_j V_j* rho V_j = rho, and
 sum_j W_j rho W_j* = rho to the defining relation; dualizing twice returns
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmap import DensityState, peripheral_spectrum
+from .cpmap import DensityState, RealTransfer, peripheral_spectrum
 from .errors import NumericalHealthError
 from .numerics import eig  # noqa: F401  (bound here for perfbench's span tracer)
 from .numerics import herm_inv_sqrt, herm_sqrt, spectral_sets_match
@@ -47,36 +53,32 @@ __all__ = [
 ]
 
 
-def _transpose_permutation(n: int) -> np.ndarray:
-    """Permutation K with K vec(A) = vec(A^T)."""
-    k = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            k[j + i * n, i + j * n] = 1.0
-    return k
-
-
 @dataclass(frozen=True)
 class ModularData:
-    """Modular objects of a faithful state in the Hilbert-Schmidt model."""
+    """Modular objects of a faithful state in the Hilbert-Schmidt model.
+
+    The maps act on a matrix or on a stack of matrices (last two axes).
+    """
 
     state: DensityState
     phi_vector: np.ndarray  # Phi = rho^{1/2}, the cyclic and separating vector
-    delta_half: np.ndarray  # n^2 x n^2 matrix of X -> rho^{1/2} X rho^{-1/2}
-    delta_minus_half: np.ndarray
-    transpose_perm: np.ndarray  # K with K vec(A) = vec(A^T)
+    phi_inverse: np.ndarray  # rho^{-1/2}
 
     @property
     def n(self) -> int:
         return self.state.n
 
-    def apply_j(self, v: np.ndarray) -> np.ndarray:
-        """The conjugate-linear map vec(A) -> vec(A*)."""
-        return self.transpose_perm @ np.conj(v)
+    def apply_delta_half(self, x: np.ndarray) -> np.ndarray:
+        """Delta^{1/2} X = rho^{1/2} X rho^{-1/2}."""
+        return self.phi_vector @ x @ self.phi_inverse
 
-    def conjugate_by_j(self, m: np.ndarray) -> np.ndarray:
-        """Matrix of the (linear) composition J m J."""
-        return self.transpose_perm @ np.conj(m) @ self.transpose_perm
+    def apply_delta_minus_half(self, x: np.ndarray) -> np.ndarray:
+        """Delta^{-1/2} X = rho^{-1/2} X rho^{1/2}."""
+        return self.phi_inverse @ x @ self.phi_vector
+
+    def apply_j(self, x: np.ndarray) -> np.ndarray:
+        """The conjugate-linear map J X = X*."""
+        return np.conj(np.swapaxes(x, -1, -2))
 
 
 def gns(system: PopescuSystem, state: DensityState, tol: float = 1e-10) -> ModularData:
@@ -93,14 +95,7 @@ def gns(system: PopescuSystem, state: DensityState, tol: float = 1e-10) -> Modul
     if inv_resid > max(tol, 1e-9):
         raise ValueError(f"state is not invariant: residual {inv_resid:.3e}")
     rs = herm_sqrt(state.rho)
-    rsi = herm_inv_sqrt(state.rho, tol)
-    md = ModularData(
-        state=state,
-        phi_vector=rs,
-        delta_half=np.kron(rsi.T, rs),
-        delta_minus_half=np.kron(rs.T, rsi),
-        transpose_perm=_transpose_permutation(system.n),
-    )
+    md = ModularData(state=state, phi_vector=rs, phi_inverse=herm_inv_sqrt(state.rho, tol))
     # the defining property of the cyclic vector, on a deterministic probe
     rng = np.random.default_rng(7)
     x = rng.standard_normal((system.n,) * 2) + 1j * rng.standard_normal((system.n,) * 2)
@@ -111,20 +106,29 @@ def gns(system: PopescuSystem, state: DensityState, tol: float = 1e-10) -> Modul
     return md
 
 
+def _matrix_units(n: int) -> np.ndarray:
+    """The n^2 matrix units as a stack (n^2, n, n) in vec order: entry a + b n is E_ab."""
+    return np.eye(n * n).reshape(n * n, n, n).swapaxes(1, 2)
+
+
 @dataclass(frozen=True)
 class DualSystem:
-    """The d dual generators, both as GNS-space matrices and as parameters.
+    """The d dual generators, as images of the matrix units and as parameters.
 
-    ``system`` is the system that was dualized. ``operators_gns[j]`` is the
-    n^2 x n^2 matrix of the composed operator J Delta^{-1/2} (left-mult V_j*)
-    Delta^{1/2} J; ``parameters[j]`` is W_j = rho^{1/2} V_j rho^{-1/2}, and
-    operators_gns[j] acts as right multiplication by W_j.
+    ``system`` is the system that was dualized. ``unit_images[j][a + b n]``
+    is the composed operator J Delta^{-1/2} (left-mult V_j*) Delta^{1/2} J
+    applied to the matrix unit E_ab, a stack (n^2, n, n): the columns of
+    its matrix in vec coordinates. ``parameters[j]`` is
+    W_j = rho^{1/2} V_j rho^{-1/2}; the composed operator acts as right
+    multiplication by W_j, and ``collapse`` is the largest Frobenius norm
+    over the units of the difference.
     """
 
     system: PopescuSystem
     modular: ModularData
-    operators_gns: tuple[np.ndarray, ...]
+    unit_images: tuple[np.ndarray, ...]
     parameters: tuple[np.ndarray, ...]
+    collapse: float
 
     def parameter_system(self) -> PopescuSystem:
         """The dual transfer map as a system: Y -> sum_j W_j* Y W_j.
@@ -139,24 +143,28 @@ class DualSystem:
 
 
 def dual_system(system: PopescuSystem, state: DensityState, tol: float = 1e-9) -> DualSystem:
-    """Construct the dual generators and verify the right-multiplication form."""
+    """Construct the dual generators and verify the right-multiplication form.
+
+    Each composition is applied to the n^2 matrix units one factor at a
+    time, and its images must match E_ab W_j within ``tol`` (relative to
+    ||W_j||) in Frobenius norm over the units.
+    """
     md = gns(system, state, tol=min(tol, 1e-10))
-    rs, rsi = md.phi_vector, herm_inv_sqrt(state.rho, 1e-10)
-    eye = np.eye(system.n)
-    ops, params = [], []
+    units = _matrix_units(system.n)
+    inner = md.apply_delta_half(md.apply_j(units))  # the steps before V_j* enters
+    images, params, collapse = [], [], 0.0
     for v in system.operators:
-        left_adj = np.kron(eye, v.conj().T)  # vec(V_j* X) = (I kron V_j*) vec X
-        composed = md.conjugate_by_j(md.delta_minus_half @ left_adj @ md.delta_half)
-        w = rs @ v @ rsi
-        right_w = np.kron(w.T, eye)  # vec(X W_j) = (W_j^T kron I) vec X
-        dev = np.linalg.norm(composed - right_w, 2)
+        composed = md.apply_j(md.apply_delta_minus_half(v.conj().T @ inner))
+        w = md.phi_vector @ v @ md.phi_inverse
+        dev = float(np.linalg.norm(composed - units @ w))
         if dev > max(tol, 1e-9) * max(1.0, np.linalg.norm(w, 2)):
             raise NumericalHealthError(
                 f"dual generator does not reduce to right multiplication: residual {dev:.3e}"
             )
-        ops.append(composed)
+        images.append(composed)
         params.append(w)
-    return DualSystem(system, md, tuple(ops), tuple(params))
+        collapse = max(collapse, dev)
+    return DualSystem(system, md, tuple(images), tuple(params), collapse)
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,7 @@ class DualityReport:
     double_dual: float  # max_j ||dual(dual(V_j)) - left-mult V_j||
     dual_invariance: float  # ||phi~ o sigma~ - phi~|| as ||sum W rho W* - rho||
     vector_consistency: float  # max_j ||Vt_j* Phi - V_j* Phi||
-    commutation: float  # max_ij ||[Vt_i, left-mult V_j]||
+    commutation: float  # max_ij ||[Vt_i, left-mult V_j]||, Frobenius over the matrix units
     parameter_isometry: float  # ||sum_j W_j* W_j - I||
     predual_invariance: float  # ||sum_j V_j* rho V_j - rho||
 
@@ -183,46 +191,62 @@ class DualityReport:
         )
 
 
+def _left_commutator(images: np.ndarray, v: np.ndarray) -> float:
+    """Frobenius norm over the matrix units of C(V X) - V C(X), for the map C
+    whose images of the units are given (stacked as in :func:`_matrix_units`).
+
+    V E_ab = sum_c V_ca E_cb, so C(V E_ab) is read from the images of the
+    units E_cb, at O(n^5) cost.
+    """
+    n = v.shape[0]
+    # [b, a] holds C(E_ab), flattened; V^T contracts the index a
+    of_left = np.matmul(v.T, images.reshape(n, n, n * n)).reshape(images.shape)
+    return float(np.linalg.norm(of_left - v @ images))
+
+
 def verify_duality(dual: DualSystem) -> DualityReport:
-    """Compute all duality residuals of a dual system built by :func:`dual_system`."""
+    """Compute all duality residuals of a dual system built by :func:`dual_system`.
+
+    Every residual is an n x n matrix norm, except ``commutation``:
+
+    * sum_j R_{W_j} R_{W_j}* is right multiplication by sum_j W_j* W_j, and
+      the norm of B^T kron I is that of B, so ``completeness`` is the
+      spectral norm of sum_j W_j* W_j - I;
+    * the modular data of the commutant is (J, Delta^{-1}), so the dual of
+      R_{W_j} is left multiplication by rho^{-1/2} W_j rho^{1/2}, and
+      ``double_dual`` compares that with V_j in spectral norm;
+    * ``commutation`` is the Frobenius norm over the matrix units of the
+      commutator of each composed dual generator with left multiplication
+      by each V_j, read from the unit images that :func:`dual_system`
+      checked.
+    """
     system, md = dual.system, dual.modular
     n = system.n
-    eye2 = np.eye(n * n)
-    completeness = float(
-        np.linalg.norm(
-            sum(m @ m.conj().T for m in dual.operators_gns) - eye2, 2
-        )
+    rho, rs, rsi = md.state.rho, md.phi_vector, md.phi_inverse
+    parameter_isometry = float(
+        np.linalg.norm(sum(w.conj().T @ w for w in dual.parameters) - np.eye(n), 2)
     )
-    double_dual = 0.0
-    for v, m in zip(system.operators, dual.operators_gns):
-        # modular data of the commutant is (J, Delta^{-1})
-        dd = md.conjugate_by_j(md.delta_half @ m.conj().T @ md.delta_minus_half)
-        left_v = np.kron(np.eye(n), v)
-        double_dual = max(double_dual, float(np.linalg.norm(dd - left_v, 2)))
-    rho = md.state.rho
+    double_dual = max(
+        float(np.linalg.norm(rsi @ w @ rs - v, 2))
+        for v, w in zip(system.operators, dual.parameters)
+    )
     dual_invariance = float(
         np.linalg.norm(sum(w @ rho @ w.conj().T for w in dual.parameters) - rho, 2)
     )
-    rs = md.phi_vector
     vector_consistency = max(
         float(np.linalg.norm(rs @ w.conj().T - v.conj().T @ rs))
         for v, w in zip(system.operators, dual.parameters)
     )
-    commutation = 0.0
-    for m in dual.operators_gns:
-        for v in system.operators:
-            left_v = np.kron(np.eye(n), v)
-            commutation = max(
-                commutation, float(np.linalg.norm(m @ left_v - left_v @ m, 2))
-            )
-    parameter_isometry = float(
-        np.linalg.norm(sum(w.conj().T @ w for w in dual.parameters) - np.eye(n), 2)
+    commutation = max(
+        _left_commutator(images, v)
+        for images in dual.unit_images
+        for v in system.operators
     )
     predual_invariance = float(
         np.linalg.norm(sum(v.conj().T @ rho @ v for v in system.operators) - rho, 2)
     )
     return DualityReport(
-        completeness=completeness,
+        completeness=parameter_isometry,
         double_dual=double_dual,
         dual_invariance=dual_invariance,
         vector_consistency=vector_consistency,
@@ -242,14 +266,20 @@ class DualComparison:
     dual_peripheral: tuple[complex, ...]
 
 
-def compare_duals(dual: DualSystem, tol: float = 1e-8) -> DualComparison:
+def compare_duals(
+    dual: DualSystem, tol: float = 1e-8, form: RealTransfer | None = None
+) -> DualComparison:
     """Ergodicity and peripheral-spectrum agreement of the dual pair.
 
     Both peripheral spectra start at the value 1, whose geometric
     multiplicity is the dimension of the fixed space, so it decides
-    ergodicity of each side without another kernel.
+    ergodicity of each side without another kernel. ``form`` is the
+    transfer map of the dualized system when the caller already holds it
+    (with its factored sigma - I); it is built otherwise.
     """
-    peri = peripheral_spectrum(dual.system)
+    if form is not None and form.system is not dual.system:
+        raise ValueError("form is not the transfer map of the dualized system")
+    peri = peripheral_spectrum(dual.system if form is None else form)
     dperi = peripheral_spectrum(dual.parameter_system())
     values = tuple(p.value for p in peri)
     dvalues = tuple(p.value for p in dperi)

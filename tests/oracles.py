@@ -21,7 +21,12 @@ Tests compare the library against these independent routes:
 * the checks on a dilation and its moment table, by the direct
   constructions: Cuntz residuals from the q x q products S_i* S_j and
   sum_i S_i S_i*, dilation moments from one mat-vec per letter of every
-  word, and the moment recursion from a double loop over word pairs.
+  word, and the moment recursion from a double loop over word pairs;
+* the modular layer in vec coordinates, where the library applies
+  Delta^{1/2} and J as n x n maps: Delta^{+-1/2} as Kronecker products, J
+  as conjugation plus the vec-transposition permutation, the dual
+  generators as composed n^2 x n^2 matrices and the duality residuals as
+  spectral norms of n^2 x n^2 differences.
 """
 
 import numpy as np
@@ -36,7 +41,14 @@ from fcstates.cpmap import (
     unvec,
     vec,
 )
-from fcstates.numerics import distinct_values, kernel, orthonormal_columns, spectral_sets_match
+from fcstates.numerics import (
+    distinct_values,
+    herm_inv_sqrt,
+    herm_sqrt,
+    kernel,
+    orthonormal_columns,
+    spectral_sets_match,
+)
 from fcstates.dilation import MomentTable, TruncatedDilation
 from fcstates.popescu import PopescuSystem, compress, v_word, words_up_to
 
@@ -217,3 +229,63 @@ def loop_recursion_residual(table: MomentTable) -> float:
             s = sum(table.value((*wi, i), (*wj, i)) for i in range(table.d))
             resid = max(resid, abs(s - table.value(wi, wj)))
     return float(resid)
+
+
+def transpose_permutation(n: int) -> np.ndarray:
+    """Permutation K with K vec(A) = vec(A^T)."""
+    k = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            k[j + i * n, i + j * n] = 1.0
+    return k
+
+
+def kron_modular(state: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Delta^{1/2}, Delta^{-1/2}, K) as n^2 x n^2 matrices in vec coordinates.
+
+    Delta^{1/2} vec(X) = vec(rho^{1/2} X rho^{-1/2}) = (rho^{-1/2 T} kron rho^{1/2}) vec X,
+    and J vec(A) = K conj(vec A) = vec(A*).
+    """
+    rs, rsi = herm_sqrt(state.rho), herm_inv_sqrt(state.rho, 1e-10)
+    return np.kron(rsi.T, rs), np.kron(rs.T, rsi), transpose_permutation(state.n)
+
+
+def kron_dual_generators(system: PopescuSystem, state: DensityState) -> list[np.ndarray]:
+    """The n^2 x n^2 matrices of J Delta^{-1/2} (I kron V_j*) Delta^{1/2} J."""
+    dh, dmh, k = kron_modular(state)
+    eye = np.eye(system.n)
+    return [
+        k @ np.conj(dmh @ np.kron(eye, v.conj().T) @ dh) @ k for v in system.operators
+    ]
+
+
+def kron_duality_residuals(system: PopescuSystem, state: DensityState) -> dict[str, float]:
+    """Every duality residual by the Kronecker route, in spectral norm.
+
+    ``collapse`` is max_j ||composed_j - (W_j^T kron I)||; the other keys
+    are the fields of :class:`fcstates.modular.DualityReport`.
+    """
+    n = system.n
+    dh, dmh, k = kron_modular(state)
+    rho, rs, rsi = state.rho, herm_sqrt(state.rho), herm_inv_sqrt(state.rho, 1e-10)
+    eye, eye2 = np.eye(n), np.eye(n * n)
+    ops = kron_dual_generators(system, state)
+    params = [rs @ v @ rsi for v in system.operators]
+    left = [np.kron(eye, v) for v in system.operators]
+    norm2 = lambda m: float(np.linalg.norm(m, 2))  # noqa: E731
+    return {
+        "collapse": max(norm2(m - np.kron(w.T, eye)) for m, w in zip(ops, params)),
+        "completeness": norm2(sum(m @ m.conj().T for m in ops) - eye2),
+        # the modular data of the commutant is (J, Delta^{-1})
+        "double_dual": max(
+            norm2(k @ np.conj(dh @ m.conj().T @ dmh) @ k - lv) for m, lv in zip(ops, left)
+        ),
+        "dual_invariance": norm2(sum(w @ rho @ w.conj().T for w in params) - rho),
+        "vector_consistency": max(
+            float(np.linalg.norm(rs @ w.conj().T - v.conj().T @ rs))
+            for v, w in zip(system.operators, params)
+        ),
+        "commutation": max(norm2(m @ lv - lv @ m) for m in ops for lv in left),
+        "parameter_isometry": norm2(sum(w.conj().T @ w for w in params) - eye),
+        "predual_invariance": norm2(sum(v.conj().T @ rho @ v for v in system.operators) - rho),
+    }

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from fcstates import (
     spectral_sets_match,
 )
 from fcstates.classify import HYPOTHESES_NOT_MET
+from fcstates.cli import main, system_to_json
 
 from conftest import block_shift, direct_sum, nonfaithful, pauli_channel
 from oracles import commutant_chain_verdicts
@@ -174,6 +177,62 @@ def test_multiplicity_mismatch_at_the_tolerance_boundary_aborts():
         classify_chain(random_system(2, 4, 1), tol=1e-18)
     rep = classify_chain(pauli_channel(1e-6))
     assert rep.ergodic and rep.k == 1
+
+
+def _compressed_kernel_at_the_boundary(system):
+    # the compressed map's fixed-point kernel is taken at a threshold just
+    # above its second singular value, as when that value sits at tol
+    original = fcstates.classify.fixed_points
+
+    def at_boundary(form, tol):
+        if form.n < system.n:
+            tol = 2.0 * np.linalg.svd(form.shifted(1.0), compute_uv=False)[-2]
+        return original(form, tol)
+
+    return "fixed_points", at_boundary
+
+
+def _commutant_kernel_at_the_boundary(system):
+    # M' is solved inside the fixed space at a threshold below roundoff
+    original = fcstates.classify.commutant
+
+    def at_boundary(generators, tol, within=None):
+        return original(generators, 1e-30 if within is not None else tol, within)
+
+    return "commutant", at_boundary
+
+
+@pytest.mark.parametrize(
+    "make, boundary, message",
+    [
+        (
+            lambda: nonfaithful(2, 3, 2, 22),
+            _compressed_kernel_at_the_boundary,
+            "compression keeps ergodicity",
+        ),
+        (
+            lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
+            _commutant_kernel_at_the_boundary,
+            "smaller than the fixed space",
+        ),
+    ],
+    ids=["lost_ergodicity", "commutant_below_fixed_space"],
+)
+def test_unreachable_chain_outcomes_abort(monkeypatch, tmp_path, capsys, make, boundary, message):
+    # an ergodic map stays ergodic under compression, and Fix(sigma) = M'
+    # under a faithful state: either outcome is a kernel at the tolerance
+    # boundary, so classification aborts, and analyze exits 3
+    system = make()
+    rep = classify_chain(system)
+    assert rep.chain_hypotheses.fixed_equals_m_prime
+    monkeypatch.setattr(fcstates.classify, *boundary(system))
+    with pytest.raises(NumericalHealthError, match=message):
+        classify_chain(system)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    assert main(["analyze", str(path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert message in doc["notes"][0]
 
 
 def _assert_chain_verdicts_match_oracle(system):

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import fcstates
 import fcstates.cli
+import fcstates.cpmap
 import fcstates.modular
 from fcstates.cli import (
     main,
@@ -17,6 +19,7 @@ from fcstates.cli import (
     parse_system,
     system_to_json,
 )
+from fcstates.cpmap import RealTransfer
 
 from conftest import eij, pauli_channel
 
@@ -149,8 +152,10 @@ def test_dilate(capsys, rank_one_path):
 
 
 def test_dual_swap(capsys, monkeypatch, swap_path):
-    # the residuals and the spectral comparison read one dual system
-    builds = []
+    # the residuals and the spectral comparison read one dual system, and
+    # the invariant state and the spectral comparison one transfer map of
+    # the system, with one factorization of sigma - I
+    builds, loaded, forms, factored = [], [], [], []
     original = fcstates.modular.dual_system
 
     def counted(*args, **kwargs):
@@ -159,8 +164,36 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
 
     for module in (fcstates.cli, fcstates.modular):
         monkeypatch.setattr(module, "dual_system", counted, raising=False)
+    load = fcstates.cli.load_system
+
+    def loading(*args, **kwargs):
+        out = load(*args, **kwargs)
+        loaded.append(out[0])
+        return out
+
+    monkeypatch.setattr(fcstates.cli, "load_system", loading)
+    build = fcstates.cpmap.real_transfer
+
+    def building(system):
+        forms.append(system)
+        return build(system)
+
+    for module in (fcstates.cli, fcstates.cpmap):
+        monkeypatch.setattr(module, "real_transfer", building, raising=False)
+    svd_at_one = RealTransfer._svd_at_one.func
+
+    def factoring(form):
+        factored.append(form.system)
+        return svd_at_one(form)
+
+    prop = functools.cached_property(factoring)
+    prop.__set_name__(RealTransfer, "_svd_at_one")
+    monkeypatch.setattr(RealTransfer, "_svd_at_one", prop)
     assert main(["dual", swap_path]) == 0
     assert len(builds) == 1
+    (system,) = loaded
+    assert sum(s is system for s in forms) == 1
+    assert sum(s is system for s in factored) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ergodic_match"] is True and doc["psp_match"] is True
     assert doc["double_dual"] <= 1e-9

@@ -24,7 +24,13 @@ from fcstates import (
     unvec,
     vec,
 )
-from fcstates.cpmap import DensityState, OperatorSubspace, _commutant_constraints, real_form
+from fcstates.cpmap import (
+    DensityState,
+    OperatorSubspace,
+    _commutant_constraints,
+    _commutant_constraints_within,
+    real_form,
+)
 
 from scipy.linalg import block_diag
 
@@ -201,6 +207,17 @@ def test_commutant_within_the_fixed_space_is_the_commutant(known_system):
     assert inside.span_equals(commutant(ops))
     for b in inside.basis:
         assert np.linalg.norm(b - b.conj().T) <= 1e-12
+
+
+def test_commutant_constraints_within_are_the_full_stack_on_the_basis(known_system):
+    ops, n = list(known_system.operators), known_system.n
+    rng = np.random.default_rng(5)
+    spread = np.linalg.qr(rng.standard_normal((n * n, min(4, n * n))))[0]
+    full = _commutant_constraints(ops)
+    for within in (fixed_points(known_system), OperatorSubspace.from_hermitian(spread, n)):
+        direct = _commutant_constraints_within(ops, within)
+        assert direct.dtype == np.float64
+        assert np.linalg.norm(direct - full @ within.hermitian_columns()) <= 1e-12
 
 
 def test_commutant_within_a_subspace_is_the_intersection():

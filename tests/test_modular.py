@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,13 @@ from fcstates import (
     gns,
     invariant_state,
     random_system,
+    real_transfer,
     spectral_sets_match,
-    unvec,
-    vec,
     verify_duality,
 )
 
 from conftest import eij
+from oracles import kron_dual_generators, kron_duality_residuals
 
 
 def diagonal_dephasing() -> PopescuSystem:
@@ -32,11 +34,18 @@ def faithful_random(seed: int, d: int = 2, n: int = 3):
     return (sys_, state) if state.faithful else (None, None)
 
 
+def matrix_units(n: int) -> np.ndarray:
+    return np.stack([eij(a, b, n) for b in range(n) for a in range(n)])
+
+
 def test_gns_swap_tracial(swap2):
     state = invariant_state(swap2)
     md = gns(swap2, state)
     assert np.allclose(md.phi_vector, np.eye(2) / np.sqrt(2), atol=1e-12)
-    assert np.linalg.norm(md.delta_half - np.eye(4), 2) <= 1e-12
+    # Delta^{1/2} is the identity; the Frobenius norm over the matrix units
+    # bounds the operator norm from above
+    units = matrix_units(2)
+    assert np.linalg.norm(md.apply_delta_half(units) - units) <= 1e-12
 
 
 def test_gns_delta_action_on_offdiagonal():
@@ -44,8 +53,7 @@ def test_gns_delta_action_on_offdiagonal():
     p = 0.3
     state = DensityState.from_matrix(np.diag([p, 1 - p]))
     md = gns(sys_, state)
-    delta = md.delta_half @ md.delta_half
-    out = unvec(delta @ vec(eij(0, 1, 2)), (2, 2))
+    out = md.apply_delta_half(md.apply_delta_half(eij(0, 1, 2)))
     assert abs(out[0, 1] - p / (1 - p)) <= 1e-12
     assert abs(out[0, 0]) + abs(out[1, 0]) + abs(out[1, 1]) <= 1e-12
 
@@ -56,16 +64,16 @@ def test_gns_tomita_identities():
     md = gns(sys_, state)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    v = vec(x)
     # J^2 = 1
-    assert np.linalg.norm(md.apply_j(md.apply_j(v)) - v) <= 1e-12
-    # J Delta J = Delta^{-1}
-    delta = md.delta_half @ md.delta_half
-    delta_inv = md.delta_minus_half @ md.delta_minus_half
-    assert np.linalg.norm(md.conjugate_by_j(delta) - delta_inv, 2) <= 1e-10
+    assert np.linalg.norm(md.apply_j(md.apply_j(x)) - x) <= 1e-12
+    # J Delta J = Delta^{-1}, on every matrix unit
+    units = matrix_units(3)
+    j_delta_j = md.apply_j(md.apply_delta_half(md.apply_delta_half(md.apply_j(units))))
+    delta_inv = md.apply_delta_minus_half(md.apply_delta_minus_half(units))
+    assert np.linalg.norm(j_delta_j - delta_inv) <= 1e-10
     # S(X Phi) = X* Phi with S = J Delta^{1/2}
-    s_of = md.apply_j(md.delta_half @ vec(x @ md.phi_vector))
-    assert np.linalg.norm(s_of - vec(x.conj().T @ md.phi_vector)) <= 1e-10
+    s_of = md.apply_j(md.apply_delta_half(x @ md.phi_vector))
+    assert np.linalg.norm(s_of - x.conj().T @ md.phi_vector) <= 1e-10
 
 
 def test_gns_rejects_non_faithful(rank_one2):
@@ -174,3 +182,86 @@ def test_compare_duals_random_batch():
         cmp_ = compare_duals(dual_system(sys_, state))
         assert cmp_.ergodic_match and cmp_.psp_match
     assert found >= 5
+
+
+def test_compare_duals_reads_the_given_transfer_map(swap2):
+    sys_, state = faithful_random(700)
+    assert sys_ is not None
+    form = real_transfer(sys_)
+    dual = dual_system(sys_, invariant_state(form))
+    assert compare_duals(dual, form=form) == compare_duals(dual)
+    with pytest.raises(ValueError, match="dualized system"):
+        compare_duals(dual, form=real_transfer(swap2))
+
+
+def ill_conditioned(n: int, d: int = 2, seed: int = 0) -> tuple[PopescuSystem, DensityState]:
+    """Diagonal phases conjugated by a random unitary Q, with the invariant
+    state Q diag(geomspace(1e-7, 1, n)) Q* (normalized): cond(rho) = 1e7."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    ops = [
+        q @ np.diag(np.exp(2j * np.pi * rng.uniform(size=n))) @ q.conj().T / np.sqrt(d)
+        for _ in range(d)
+    ]
+    lam = np.geomspace(1e-7, 1.0, n)
+    rho = q @ np.diag(lam / lam.sum()) @ q.conj().T
+    return PopescuSystem.from_operators(ops), DensityState.from_matrix(rho)
+
+
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_ill_conditioned_state_keeps_every_residual_small(n):
+    # the Kronecker route loses up to cond(rho) * eps in the double dual;
+    # the n x n closed forms keep every residual at roundoff
+    sys_, state = ill_conditioned(n)
+    assert state.faithful
+    assert np.linalg.cond(state.rho) >= 1e6
+    dual = dual_system(sys_, state)
+    assert dual.collapse <= 1e-9
+    assert verify_duality(dual).max_residual() <= 1e-9
+
+
+def _assert_matches_kron_oracle(system):
+    state = invariant_state(system)
+    if not state.faithful:
+        with pytest.raises(ValueError, match="faithful"):
+            dual_system(system, state)
+        return
+    dual = dual_system(system, state)
+    got = {**asdict(verify_duality(dual)), "collapse": dual.collapse}
+    oracle = kron_duality_residuals(system, state)
+    assert got.keys() == oracle.keys()
+    for key, want in oracle.items():
+        assert abs(got[key] - want) <= 1e-12 or max(got[key], want) < 1e-12, key
+    # the Frobenius norms over the matrix units bound the spectral norms
+    assert dual.collapse >= oracle["collapse"]
+    assert got["commutation"] >= oracle["commutation"]
+    # the unit images are the columns of the composed n^2 x n^2 operator
+    n = system.n
+    for images, composed in zip(dual.unit_images, kron_dual_generators(system, state)):
+        columns = images.swapaxes(1, 2).reshape(n * n, n * n).T
+        assert np.linalg.norm(columns - composed, 2) <= 1e-12
+
+
+def test_duality_residuals_match_kron_oracle(known_system):
+    _assert_matches_kron_oracle(known_system)
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(n, 900 + i) for i, n in enumerate((4, 6, 8, 8, 10, 12, 12, 14, 16, 16))]
+)
+def test_duality_residuals_match_kron_oracle_on_random_systems(n, seed):
+    sys_ = random_system(2, n, seed)
+    assert invariant_state(sys_).faithful
+    _assert_matches_kron_oracle(sys_)
+
+
+def test_dual_layer_makes_no_kron_call(monkeypatch):
+    sys_ = random_system(2, 6, 31)
+    state = invariant_state(sys_)
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    rep = verify_duality(dual_system(sys_, state))
+    assert rep.max_residual() <= 1e-10
