@@ -178,7 +178,9 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
             "classification is aborted"
         )
     values = tuple(p.value for p in cperi)
-    k = gauge_group_order(values, tol=tol, max_denominator=cform.n**2)
+    # the state is faithful and the map ergodic, so the k spectral projections
+    # of the eigenunitary are nonzero and k <= n
+    k = gauge_group_order(values, tol=tol, max_denominator=cform.n)
     report = ClassificationReport(
         validate_residual=residual,
         ergodic=True,

@@ -84,20 +84,42 @@ class TruncatedDilation:
     """The level-L piece (C^d)^{(x) L} (x) C^n of the minimal dilation.
 
     Coordinates are e_K (x) eta over words K of length L in lexicographic
-    order. ``operators`` are the compressed shifts
-    S_i = e_i (x) I_{d^{L-1}} (x) [V_1 ... V_d], which send e_K (x) eta with
-    K = K'k to e_{iK'} (x) V_k eta; ``base_embedding`` is the isometry
-    E_L = [V_J*]_{|J| = L}, the image of the empty-word vectors.
+    order. The compressed shifts S_i = e_i (x) I_{d^{L-1}} (x) ``row``, with
+    ``row`` = [V_1 ... V_d] (n x dn), send e_K (x) eta with K = K'k to
+    e_{iK'} (x) V_k eta; they are held in this factored form and applied by
+    :meth:`apply` and :meth:`apply_adjoint`, never as q x q arrays.
+    ``base_embedding`` is the isometry E_L = [V_J*]_{|J| = L}, the image of
+    the empty-word vectors.
     """
 
     system: PopescuSystem
     level: int
-    operators: tuple[np.ndarray, ...]
+    row: np.ndarray
     base_embedding: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.base_embedding.shape[0]
+
+    def apply(self, i: int, x: np.ndarray) -> np.ndarray:
+        """S_i X for a q x k block X, at q n k multiply-adds.
+
+        X is read as (d^{L-1}, dn, k) over (K', (k, eta)); ``row`` maps each
+        (k, eta) column block to C^n, and the result fills slot i of the first
+        letter, the other d - 1 slots being zero.
+        """
+        d, n = self.system.d, self.system.n
+        cols = x.shape[1]
+        out = np.zeros((d, self.dim // (d * n), n, cols), dtype=complex)
+        out[i] = self.row @ x.reshape(-1, d * n, cols)
+        return out.reshape(self.dim, cols)
+
+    def apply_adjoint(self, i: int, x: np.ndarray) -> np.ndarray:
+        """S_i* X for a q x k block X: slot i of the first letter, times row*."""
+        d, n = self.system.d, self.system.n
+        cols = x.shape[1]
+        slot = x.reshape(d, -1, n, cols)[i]
+        return (self.row.conj().T @ slot).reshape(self.dim, cols)
 
     def level_subspace(self, max_len: int) -> np.ndarray:
         """Orthonormal basis (columns) of the image of vectors of length <= max_len.
@@ -116,17 +138,14 @@ def build(system: PopescuSystem, level: int) -> TruncatedDilation:
     """Construct the truncated dilation at the given word-length level.
 
     The dimension is d^level * n for every system; see the module docstring.
+    Only ``row`` (n x dn) and the q x n embedding are stored.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    d = system.d
-    row = np.hstack(system.operators)  # [V_1 ... V_d]: e_k (x) eta -> V_k eta
-    middle = np.kron(np.eye(d ** (level - 1)), row)
-    ops = tuple(np.kron(np.eye(d)[:, i : i + 1], middle) for i in range(d))
     return TruncatedDilation(
         system=system,
         level=level,
-        operators=ops,
+        row=np.hstack(system.operators),  # [V_1 ... V_d]: e_k (x) eta -> V_k eta
         base_embedding=_adjoint_stack(system, level),
     )
 
@@ -139,36 +158,30 @@ class CuntzResiduals:
     completeness_residual: float  # ||(sum_i S_i S_i* - I)|restricted||
 
 
-def _adjoint_apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S* X as conj(S^T conj(X)): ``s.T`` is a view, so no adjoint copy of S is held."""
-    return (s.T @ x.conj()).conj()
-
-
 def cuntz_residuals(dil: TruncatedDilation) -> CuntzResiduals:
     """Isometry and completeness residuals on the image of sub-boundary vectors.
 
     At level 1 the restriction is to the embedded base space itself.
 
     With w = ``level_subspace(L-1)`` (q x m, m = q/d) the residual matrices
-    are formed right to left, as S_i* (S_j w) - delta_ij w from the d images
-    S_j w, and as sum_i S_i (S_i* w) - w. Every product is a q x q operator
-    against a q x m block, (d + 3) q^3 multiply-adds in all where forming
-    S_i* S_j and sum_i S_i S_i* first costs (d^2 + d) q^3, and no q x q
-    product, identity or adjoint copy is held: the working set is the d
-    images and a few q x m temporaries.
+    are S_i* (S_i w) - w and sum_i S_i (S_i* w) - w, formed by
+    :meth:`TruncatedDilation.apply` and :meth:`TruncatedDilation.apply_adjoint`
+    at q n m multiply-adds per application, 4d of them in all, followed by
+    d + 1 spectral norms of q x m matrices. No q x q array is formed.
+
+    The blocks S_i* S_j w with i != j are exactly zero, not merely small:
+    S_j writes only slot j of the first letter and S_i* reads only slot i,
+    so they are read as 0.0 without forming them. The d diagonal residuals
+    all equal I (x) (row* row - I) applied to w, but each goes through slot i
+    of both methods, so a slot that either method gets wrong shows.
     """
     w = dil.level_subspace(dil.level - 1)
-    images = [s @ w for s in dil.operators]  # S_j w
     iso = 0.0
-    for i, si in enumerate(dil.operators):
-        for j, sjw in enumerate(images):
-            r = _adjoint_apply(si, sjw)
-            if i == j:
-                r -= w
-            iso = max(iso, float(np.linalg.norm(r, 2)))
     comp_w = -w
-    for s in dil.operators:
-        comp_w += s @ _adjoint_apply(s, w)
+    for i in range(dil.system.d):
+        r = dil.apply_adjoint(i, dil.apply(i, w)) - w
+        iso = max(iso, float(np.linalg.norm(r, 2)))
+        comp_w += dil.apply(i, dil.apply_adjoint(i, w))
     comp = float(np.linalg.norm(comp_w, 2))
     return CuntzResiduals(iso, comp)
 
@@ -298,13 +311,14 @@ def dilation_moments(dil: TruncatedDilation, omega, max_len: int | None = None) 
 
     C(I, J) = <S_I* root, S_J* root>, and S_I* applies S_{i_1}* first, so the
     vector of the word Il is S_l* applied to the vector of I. The vectors are
-    built one word length at a time: level k + 1 is d products of a q x q
-    operator with level k's q x d^k block, written into the columns that
-    ``words_up_to`` order gives the children (d a + 1 + l for the word at
-    index a). That is one q x q matrix-vector product per word other than the
-    empty one, run as d matrix-matrix products per level, where replaying
-    every word letter by letter costs sum_I |I| of them. The working set is
-    the q x W table of word vectors and the W x W Gram (W words).
+    built one word length at a time: level k + 1 is d applications of
+    :meth:`TruncatedDilation.apply_adjoint` to level k's q x d^k block,
+    written into the columns that ``words_up_to`` order gives the children
+    (d a + 1 + l for the word at index a). Each application costs q n per
+    column, so every word other than the empty one costs q n multiply-adds,
+    where replaying every word letter by letter costs sum_I |I| such steps.
+    The working set is the q x W table of word vectors and the W x W Gram
+    (W words); the Gram, q W^2, is the largest cost.
     """
     max_len = dil.level if max_len is None else max_len
     if not 0 <= max_len <= dil.level:
@@ -320,8 +334,8 @@ def dilation_moments(dil: TruncatedDilation, omega, max_len: int | None = None) 
     for _ in range(max_len):
         parent = cols[:, start : start + width]
         child = start + width
-        for letter, s in enumerate(dil.operators):
-            cols[:, child + letter : child + d * width : d] = _adjoint_apply(s, parent)
+        for letter in range(d):
+            cols[:, child + letter : child + d * width : d] = dil.apply_adjoint(letter, parent)
         start, width = child, d * width
     c = cols.conj().T @ cols
     return MomentTable(d, max_len, tuple(words), c)

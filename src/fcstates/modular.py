@@ -171,12 +171,15 @@ def dual_system(system: PopescuSystem, state: DensityState, tol: float = 1e-9) -
 class DualityReport:
     """Residuals of the structural identities of the dual system."""
 
-    completeness: float  # ||sum_j Vt_j Vt_j* - I|| on the GNS space
+    # ||sum_j Vt_j Vt_j* - I|| on the GNS space; sum_j R_{W_j} R_{W_j}* is
+    # R_{sum_j W_j* W_j}, so this is one identity with parameter_isometry and
+    # the two fields always hold the same number
+    completeness: float
     double_dual: float  # max_j ||dual(dual(V_j)) - left-mult V_j||
     dual_invariance: float  # ||phi~ o sigma~ - phi~|| as ||sum W rho W* - rho||
     vector_consistency: float  # max_j ||Vt_j* Phi - V_j* Phi||
     commutation: float  # max_ij ||[Vt_i, left-mult V_j]||, Frobenius over the matrix units
-    parameter_isometry: float  # ||sum_j W_j* W_j - I||
+    parameter_isometry: float  # ||sum_j W_j* W_j - I||, equal to completeness
     predual_invariance: float  # ||sum_j V_j* rho V_j - rho||
 
     def max_residual(self) -> float:

@@ -19,9 +19,11 @@ Tests compare the library against these independent routes:
 * the truncated dilation, as the quotient of the formal word vectors
   I (x) xi (|I| <= L) by the null space of the prefix-rule Gram matrix;
 * the checks on a dilation and its moment table, by the direct
-  constructions: Cuntz residuals from the q x q products S_i* S_j and
-  sum_i S_i S_i*, dilation moments from one mat-vec per letter of every
-  word, and the moment recursion from a double loop over word pairs;
+  constructions: the shifts S_i = e_i (x) (I (x) [V_1 ... V_d]) as dense
+  q x q Kronecker products, Cuntz residuals from the q x q products
+  S_i* S_j and sum_i S_i S_i*, dilation moments from one dense mat-vec per
+  letter of every word, and the moment recursion from a double loop over
+  word pairs;
 * the modular layer in vec coordinates, where the library applies
   Delta^{1/2} and J as n x n maps: Delta^{+-1/2} as Kronecker products, J
   as conjugation plus the vec-transposition permutation, the dual
@@ -190,31 +192,40 @@ def prefix_quotient_rank(system: PopescuSystem, level: int, tol: float = 1e-10) 
     return int(np.sum(vals > tol * vals[-1]))
 
 
+def dense_shifts(dil: TruncatedDilation) -> tuple[np.ndarray, ...]:
+    """The compressed shifts S_i = e_i (x) (I_{d^{L-1}} (x) row) as dense q x q arrays."""
+    d = dil.system.d
+    middle = np.kron(np.eye(d ** (dil.level - 1)), dil.row)
+    return tuple(np.kron(np.eye(d)[:, i : i + 1], middle) for i in range(d))
+
+
 def product_cuntz_residuals(dil: TruncatedDilation) -> tuple[float, float]:
     """Isometry and completeness residuals from the q x q operator products.
 
     max_ij ||(S_i* S_j - delta_ij I) w|| and ||(sum_i S_i S_i* - I) w|| with
-    w = ``level_subspace(L-1)``.
+    w = ``level_subspace(L-1)``, over every pair (i, j).
     """
     w = dil.level_subspace(dil.level - 1)
     q = dil.dim
+    shifts = dense_shifts(dil)
     iso = 0.0
-    for i, si in enumerate(dil.operators):
-        for j, sj in enumerate(dil.operators):
+    for i, si in enumerate(shifts):
+        for j, sj in enumerate(shifts):
             delta = np.eye(q) if i == j else np.zeros((q, q))
             iso = max(iso, float(np.linalg.norm((si.conj().T @ sj - delta) @ w, 2)))
-    comp_op = sum(s @ s.conj().T for s in dil.operators) - np.eye(q)
+    comp_op = sum(s @ s.conj().T for s in shifts) - np.eye(q)
     return iso, float(np.linalg.norm(comp_op @ w, 2))
 
 
 def matvec_dilation_moments(dil: TruncatedDilation, omega, max_len: int) -> np.ndarray:
     """C(I, J) = <S_I* root, S_J* root>, each S_I* root by |I| separate mat-vecs."""
     root = dil.base_embedding @ np.asarray(omega, dtype=complex)
+    shifts = dense_shifts(dil)
     adj = []
     for word in words_up_to(dil.system.d, max_len):
         u = root
         for letter in word:  # S_I* applies S_{i_1}* first
-            u = dil.operators[letter].conj().T @ u
+            u = shifts[letter].conj().T @ u
         adj.append(u)
     cols = np.stack(adj, axis=1)
     return cols.conj().T @ cols

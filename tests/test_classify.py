@@ -130,6 +130,13 @@ def test_report_is_deterministic(swap2):
     assert np.array_equal(a.invariant_state.rho, b.invariant_state.rho)
 
 
+@pytest.mark.parametrize("k, d, m", [(3, 2, 3), (4, 3, 2), (6, 2, 2)])
+def test_block_shift_gauge_order_under_the_cap_at_n(k, d, m):
+    # the phase snap is capped at n = k m, which still reaches every k <= n
+    rep = classify_od(block_shift(k, d, m, 70 + k))
+    assert rep.k == k
+
+
 def test_k_equals_peripheral_cardinality(swap2, rank_one2):
     for sys_ in (swap2, rank_one2, random_system(2, 3, 77)):
         rep = classify_od(sys_)

@@ -487,6 +487,12 @@ def test_gauge_group_order_rejects_irrational():
         gauge_group_order([1.0, np.exp(1j * np.pi * np.sqrt(2))], max_denominator=4)
 
 
+def test_gauge_group_order_rejects_an_order_above_the_cap():
+    third = np.exp(2j * np.pi / 3)
+    with pytest.raises(NumericalHealthError):
+        gauge_group_order([1.0, third, third**2], max_denominator=2)
+
+
 def test_gauge_group_order_rejects_non_group():
     third = np.exp(2j * np.pi / 3)
     with pytest.raises(NumericalHealthError):

@@ -20,6 +20,7 @@ from fcstates.popescu import words_of_length
 
 from conftest import scalar
 from oracles import (
+    dense_shifts,
     loop_recursion_residual,
     matvec_dilation_moments,
     prefix_gram,
@@ -121,16 +122,17 @@ def test_cuntz_residuals_match_product_oracle(known_system):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_cuntz_residuals_of_a_corrupted_dilation_match_product_oracle(d):
-    # S_0 -> 1.1 S_0 + noise breaks both relations by O(0.1), so agreement is
-    # not the trivial agreement of two roundoff-level numbers
+    # row -> 1.1 row + noise breaks both relations by O(0.1), so agreement is
+    # not the trivial agreement of two roundoff-level numbers; the oracle
+    # reads the same corrupted row through its dense shifts
     rng = np.random.default_rng(d)
     sys_ = random_system(d, 2, 70 + d)
     for level in (1, 2, 3):
         dil = build(sys_, level)
-        q = dil.dim
-        noise = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
-        s0 = 1.1 * dil.operators[0] + 0.02 * noise / np.sqrt(q)
-        bad = TruncatedDilation(sys_, level, (s0, *dil.operators[1:]), dil.base_embedding)
+        shape = dil.row.shape
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        row = 1.1 * dil.row + 0.02 * noise / np.sqrt(shape[1])
+        bad = TruncatedDilation(sys_, level, row, dil.base_embedding)
         res = cuntz_residuals(bad)
         iso, comp = product_cuntz_residuals(bad)
         assert min(iso, comp) >= 0.05
@@ -165,10 +167,21 @@ def test_dilation_checks_form_no_square_temporaries():
     assert _traced_peak(lambda: dilation_moments(dil, omega)) < bound
 
 
+def test_build_holds_no_square_array():
+    # the dilation keeps row = [V_1 ... V_d] (n x dn) and the q x n embedding;
+    # building it never allocates a q x q complex array (4 MB at q = 512)
+    system = random_system(4, 2, 9)
+    dil = build(system, 4)
+    q, n = dil.dim, system.n
+    assert q == 512
+    assert dil.row.nbytes + dil.base_embedding.nbytes < 4 * q * n * 16
+    assert _traced_peak(lambda: build(system, 4)) < q * q * 16
+
+
 def test_swap_completeness_on_level_two_image(swap2):
     dil = build(swap2, 3)
     w = dil.level_subspace(2)
-    total = sum(s @ s.conj().T for s in dil.operators) - np.eye(dil.dim)
+    total = sum(s @ s.conj().T for s in dense_shifts(dil)) - np.eye(dil.dim)
     assert np.linalg.norm(total @ w, 2) <= 1e-10
 
 
@@ -176,7 +189,7 @@ def test_adjoint_compression_reproduces_system():
     sys_ = random_system(2, 4, 44)
     dil = build(sys_, 3)
     emb = dil.base_embedding
-    for s, v in zip(dil.operators, sys_.operators):
+    for s, v in zip(dense_shifts(dil), sys_.operators):
         assert np.linalg.norm(emb.conj().T @ s.conj().T @ emb - v.conj().T, 2) <= 1e-10
 
 

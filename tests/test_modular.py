@@ -246,6 +246,18 @@ def test_duality_residuals_match_kron_oracle(known_system):
     _assert_matches_kron_oracle(known_system)
 
 
+def test_completeness_is_parameter_isometry(known_system):
+    # sum_j R_{W_j} R_{W_j}* = R_{sum_j W_j* W_j}: one identity, one number;
+    # the Kronecker route measures the two sides separately
+    state = invariant_state(known_system)
+    if not state.faithful:
+        return
+    rep = verify_duality(dual_system(known_system, state))
+    assert rep.completeness == rep.parameter_isometry
+    oracle = kron_duality_residuals(known_system, state)
+    assert abs(oracle["completeness"] - oracle["parameter_isometry"]) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "n, seed", [(n, 900 + i) for i, n in enumerate((4, 6, 8, 8, 10, 12, 12, 14, 16, 16))]
 )
