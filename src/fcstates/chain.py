@@ -153,8 +153,11 @@ def clustering_defect(
 
     For n < width(x) the supports overlap and the product observable is
     built site by site (operator product on the shared sites); from
-    n = width(x) on, the transfer matrix is iterated once per step.
+    n = width(x) on, the transfer matrix is iterated once per step. A
+    negative ``n_max`` leaves no defect to decide on and is rejected.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     _check_invariant(system, state, tol=1e-8)
     d = system.d
     wx, wy = x.width, y.width
@@ -186,6 +189,6 @@ def clustering_defect(
             w = sig @ w
     # the decay verdict looks at the tail only; n = 0 overlaps are excluded
     # whenever anything later is available
-    tail = min(10, max(1, len(defects) - 1)) if len(defects) > 1 else 1
-    decayed = bool(max(defects[-tail:]) < tol) if defects else True
+    tail = min(10, max(1, len(defects) - 1))
+    decayed = bool(max(defects[-tail:]) < tol)
     return ClusteringReport(tuple(defects), decayed, tol)

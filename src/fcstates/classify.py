@@ -46,6 +46,7 @@ from .cpmap import (
     DensityState,
     OperatorSubspace,
     RealTransfer,
+    check_semisimple,
     commutant,
     fixed_points,
     gauge_group_order,
@@ -120,21 +121,6 @@ def _comparable_system(
     return cform, invariant_state(cform), fixed_points(cform, tol)
 
 
-def _check_semisimple(peripherals, notes: list[str]) -> None:
-    bad = [
-        f"{p.value:.6f} (geometric {p.multiplicity}, algebraic {p.algebraic})"
-        for p in peripherals
-        if not p.semisimple
-    ]
-    if bad:
-        raise NumericalHealthError(
-            f"geometric and algebraic multiplicities differ at unimodular eigenvalue(s) "
-            f"{', '.join(bad)}: a Jordan block, which the hypotheses exclude, or a "
-            "kernel and a spectrum that disagree at the tolerance boundary; "
-            "classification is aborted"
-        )
-
-
 def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
     """:func:`classify_od`, also returning the transfer map, state and fixed
     space it ended on: compressed to the support of the state when the map
@@ -153,7 +139,7 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
         )
     if not ergodic:
         peripherals = peripheral_spectrum(form, tol_peripheral, tol)
-        _check_semisimple(peripherals, notes)
+        check_semisimple(peripherals)
         notes.append("transfer map is not ergodic; k undefined, peripheral set informational")
         report = ClassificationReport(
             validate_residual=residual,
@@ -169,7 +155,7 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
     working = _comparable_system(form, state, fixed, notes, tol)
     cform, _, cfixed = working
     cperi = peripheral_spectrum(cform, tol_peripheral, tol)
-    _check_semisimple(cperi, notes)
+    check_semisimple(cperi)
     if cfixed.dim != 1:
         raise NumericalHealthError(
             f"the map is ergodic but its compression to the support of the invariant "

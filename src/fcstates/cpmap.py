@@ -62,6 +62,7 @@ __all__ = [
     "invariant_state",
     "coinvariance_check",
     "peripheral_spectrum",
+    "check_semisimple",
     "peripheral_eigenunitary",
     "gauge_group_order",
     "mixed_fixed_points",
@@ -611,6 +612,28 @@ def peripheral_spectrum(
         )
     out.sort(key=lambda p: (abs(np.angle(p.value)), np.angle(p.value)))
     return out
+
+
+def check_semisimple(peripherals: list[PeripheralEigenvalue]) -> None:
+    """Raise unless every peripheral value has equal geometric and algebraic
+    multiplicities (see :func:`peripheral_spectrum`).
+
+    A unital CP map has no Jordan block on the unit circle, so a mismatch is
+    a kernel and a spectrum that disagree at the tolerance boundary; a
+    kernel that misses the value 1 would otherwise read as multiplicity 0.
+    """
+    bad = [
+        f"{p.value:.6f} (geometric {p.multiplicity}, algebraic {p.algebraic})"
+        for p in peripherals
+        if not p.semisimple
+    ]
+    if bad:
+        raise NumericalHealthError(
+            f"geometric and algebraic multiplicities differ at unimodular eigenvalue(s) "
+            f"{', '.join(bad)}: a Jordan block, which the hypotheses exclude, or a "
+            "kernel and a spectrum that disagree at the tolerance boundary; "
+            "the verdict is aborted"
+        )
 
 
 def peripheral_eigenunitary(

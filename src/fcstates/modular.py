@@ -27,6 +27,19 @@ the same images.
 sum_j W_j* W_j = I is equivalent to invariance sum_j V_j* rho V_j = rho, and
 sum_j W_j rho W_j* = rho to the defining relation; dualizing twice returns
 left multiplication by the original generators.
+
+The dual map tau(Y) = sum_j W_j* Y W_j is similar to the predual of the
+system: with Gamma(Y) = rho^{1/2} Y rho^{1/2},
+
+    tau = Gamma^{-1} sigma_* Gamma,     tau^dagger = Gamma sigma Gamma^{-1},
+
+where tau^dagger(Z) = sum_j W_j Z W_j* is the adjoint of tau in the trace
+pairing. sigma_* is the transpose of sigma in Hermitian coordinates, and a
+matrix and its transpose have the same spectrum and the same kernel
+dimensions, so the dual has the peripheral values and multiplicities of the
+system. :func:`compare_duals` reads them from the system's spectrum alone
+and checks the similarity on every eigenpair it uses: (lambda, X) with
+sigma(X) = lambda X moves to (lambda, Gamma(X)) for tau^dagger.
 """
 
 from __future__ import annotations
@@ -35,7 +48,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmap import DensityState, RealTransfer, peripheral_spectrum
+from .cpmap import (
+    DEFAULT_SET_TOL,
+    DensityState,
+    RealTransfer,
+    check_semisimple,
+    fixed_points,
+    peripheral_spectrum,
+    real_transfer,
+)
 from .errors import NumericalHealthError
 from .numerics import eig  # noqa: F401  (bound here for perfbench's span tracer)
 from .numerics import herm_inv_sqrt, herm_sqrt, spectral_sets_match
@@ -261,34 +282,77 @@ def verify_duality(dual: DualSystem) -> DualityReport:
 
 @dataclass(frozen=True)
 class DualComparison:
-    """Spectral agreement between a system and its dual."""
+    """Spectral agreement between a system and its dual.
+
+    ``dual_peripheral[i]`` is the dual value that ``peripheral[i]`` moves to:
+    its conjugate, an eigenvalue of tau because lambda is one of its
+    trace-pairing adjoint tau^dagger. ``similarity`` is the largest relative
+    residual ||tau^dagger(Z) - lambda Z||_F / ||Z||_F over the moved
+    eigenpairs (see :func:`compare_duals`).
+    """
 
     ergodic_match: bool
     psp_match: bool
     peripheral: tuple[complex, ...]
     dual_peripheral: tuple[complex, ...]
+    similarity: float
 
 
 def compare_duals(
     dual: DualSystem, tol: float = 1e-8, form: RealTransfer | None = None
 ) -> DualComparison:
-    """Ergodicity and peripheral-spectrum agreement of the dual pair.
+    """Ergodicity and peripheral-spectrum agreement of the dual pair, from
+    one eigendecomposition: that of the system's transfer map.
 
-    Both peripheral spectra start at the value 1, whose geometric
-    multiplicity is the dimension of the fixed space, so it decides
-    ergodicity of each side without another kernel. ``form`` is the
-    transfer map of the dualized system when the caller already holds it
-    (with its factored sigma - I); it is built otherwise.
+    The dual map tau is Gamma^{-1} sigma_* Gamma with
+    Gamma(Y) = rho^{1/2} Y rho^{1/2} (see the module docstring), so its
+    peripheral values and multiplicities are those of sigma. The similarity
+    is checked, not assumed: the representative operator X of every
+    peripheral value lambda, and every element of the fixed space (value 1),
+    is moved to Z = rho^{1/2} X rho^{1/2}, and each must satisfy
+
+        ||sum_j W_j Z W_j* - lambda Z||_F <= max(tol, 1e-9) ||Z||_F,
+
+    at O(d n^3) per pair; sum_j W_j Z W_j* is tau^dagger. So every system
+    value is a dual value (conjugated), and the fixed space moves into the
+    dual's with its dimension, since Gamma is invertible. The reverse
+    inclusion, that the dual has no further peripheral value, rests on
+    W_j = rho^{1/2} V_j rho^{-1/2}, which :func:`verify_duality` measures as
+    ``double_dual``.
+
+    Both sides read their multiplicities from the system's kernels, so a
+    geometric multiplicity that differs from the algebraic one (a kernel at
+    its tolerance boundary, such as a kernel that misses the value 1)
+    raises :class:`NumericalHealthError` rather than reading as a match, as
+    does a moved pair above the threshold. ``form`` is the transfer map of
+    the dualized system when the caller already holds it (with its
+    factored sigma - I); it is built otherwise.
     """
-    if form is not None and form.system is not dual.system:
+    if form is None:
+        form = real_transfer(dual.system)
+    elif form.system is not dual.system:
         raise ValueError("form is not the transfer map of the dualized system")
-    peri = peripheral_spectrum(dual.system if form is None else form)
-    dperi = peripheral_spectrum(dual.parameter_system())
+    peri = peripheral_spectrum(form)
+    check_semisimple(peri)
+    fixed = fixed_points(form, DEFAULT_SET_TOL).basis
     values = tuple(p.value for p in peri)
-    dvalues = tuple(p.value for p in dperi)
+    lam = np.array(values + (1.0,) * len(fixed))[:, None, None]
+    rs = dual.modular.phi_vector
+    z = rs @ np.stack([p.operator for p in peri] + list(fixed)) @ rs
+    moved = sum(w @ z @ w.conj().T for w in dual.parameters)
+    similarity = float(
+        np.max(np.linalg.norm(moved - lam * z, axis=(1, 2)) / np.linalg.norm(z, axis=(1, 2)))
+    )
+    if similarity > max(tol, 1e-9):
+        raise NumericalHealthError(
+            f"the system's eigenpairs do not move to the dual under rho^(1/2) . rho^(1/2): "
+            f"relative residual {similarity:.3e}"
+        )
+    dvalues = tuple(complex(np.conj(v)) for v in values)
     return DualComparison(
-        ergodic_match=(peri[0].multiplicity == 1) == (dperi[0].multiplicity == 1),
+        ergodic_match=(peri[0].multiplicity == 1) == (len(fixed) == 1),
         psp_match=spectral_sets_match(values, dvalues, tol),
         peripheral=values,
         dual_peripheral=dvalues,
+        similarity=similarity,
     )

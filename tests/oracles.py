@@ -28,7 +28,11 @@ Tests compare the library against these independent routes:
   Delta^{1/2} and J as n x n maps: Delta^{+-1/2} as Kronecker products, J
   as conjugation plus the vec-transposition permutation, the dual
   generators as composed n^2 x n^2 matrices and the duality residuals as
-  spectral norms of n^2 x n^2 differences.
+  spectral norms of n^2 x n^2 differences;
+* the spectral comparison of a system with its dual by two eigensolves,
+  one of sigma and one of the dual parameter system's transfer map, where
+  the library reads the dual's peripheral spectrum from the system's
+  through the similarity tau = Gamma^{-1} sigma_* Gamma.
 """
 
 import numpy as np
@@ -38,6 +42,7 @@ from fcstates.cpmap import (
     DensityState,
     OperatorSubspace,
     invariant_state,
+    peripheral_spectrum,
     predual_matrix,
     sigma_matrix,
     unvec,
@@ -52,6 +57,7 @@ from fcstates.numerics import (
     spectral_sets_match,
 )
 from fcstates.dilation import MomentTable, TruncatedDilation
+from fcstates.modular import DualSystem
 from fcstates.popescu import PopescuSystem, compress, v_word, words_up_to
 
 
@@ -299,4 +305,20 @@ def kron_duality_residuals(system: PopescuSystem, state: DensityState) -> dict[s
         "commutation": max(norm2(m @ lv - lv @ m) for m in ops for lv in left),
         "parameter_isometry": norm2(sum(w.conj().T @ w for w in params) - eye),
         "predual_invariance": norm2(sum(v.conj().T @ rho @ v for v in system.operators) - rho),
+    }
+
+
+def two_eig_compare_duals(dual: DualSystem, tol: float = 1e-8) -> dict:
+    """Ergodicity and peripheral-spectrum agreement of the dual pair from
+    two eigensolves: the system's transfer map and that of the dual
+    parameter system (W_1*, ..., W_d*), each with its own kernels."""
+    peri = peripheral_spectrum(dual.system)
+    dperi = peripheral_spectrum(dual.parameter_system())
+    values = tuple(p.value for p in peri)
+    dvalues = tuple(p.value for p in dperi)
+    return {
+        "ergodic_match": (peri[0].multiplicity == 1) == (dperi[0].multiplicity == 1),
+        "psp_match": spectral_sets_match(values, dvalues, tol),
+        "peripheral": values,
+        "dual_peripheral": dvalues,
     }

@@ -180,6 +180,17 @@ def test_clustering_overlap_values(swap2):
     assert abs(rep.defects[0] - 0.25) <= 1e-12
 
 
+def test_clustering_rejects_negative_n_max():
+    # n_max = -1 would leave no defect, and an empty tail would read as decayed
+    sys_ = random_system(2, 3, 1)
+    state = invariant_state(sys_)
+    x = obs(eij(0, 0, 2))
+    with pytest.raises(ValueError, match="n_max"):
+        clustering_defect(sys_, state, x, x, n_max=-1)
+    rep = clustering_defect(sys_, state, x, x, n_max=0)
+    assert len(rep.defects) == 1 and rep.n_max == 0
+
+
 def test_clustering_multisite_observables():
     sys_ = random_system(2, 3, 13)
     state = invariant_state(sys_)

@@ -146,11 +146,11 @@ def test_k_equals_peripheral_cardinality(swap2, rank_one2):
 
 def test_unimodular_jordan_block_aborts():
     from fcstates import NumericalHealthError, PeripheralEigenvalue
-    from fcstates.classify import _check_semisimple
+    from fcstates.cpmap import check_semisimple
 
     fake = [PeripheralEigenvalue(1.0 + 0j, 1, np.eye(2), semisimple=False)]
     with pytest.raises(NumericalHealthError, match="Jordan"):
-        _check_semisimple(fake, [])
+        check_semisimple(fake)
 
 
 def cyclic_system(m: int) -> PopescuSystem:

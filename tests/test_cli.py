@@ -10,8 +10,10 @@ import pytest
 
 import fcstates
 import fcstates.cli
+import fcstates.classify
 import fcstates.cpmap
 import fcstates.modular
+import fcstates.numerics
 from fcstates.cli import (
     main,
     matrix_from_json,
@@ -20,6 +22,7 @@ from fcstates.cli import (
     system_to_json,
 )
 from fcstates.cpmap import RealTransfer
+from fcstates.modular import DualSystem
 
 from conftest import eij, pauli_channel
 
@@ -142,6 +145,12 @@ def test_cluster_swap_constant(capsys, swap_path):
     assert all(abs(v - 0.25) <= 1e-10 for v in doc["defects"][1:])
 
 
+def test_cluster_rejects_negative_n_max(capsys, swap_path):
+    spec = json.dumps({"start_site": 1, "factors": [matrix_to_json(eij(0, 0, 2))]})
+    assert main(["cluster", swap_path, spec, spec, "--n-max", "-1"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_dilate(capsys, rank_one_path):
     assert main(["dilate", rank_one_path, "--level", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -154,8 +163,10 @@ def test_dilate(capsys, rank_one_path):
 def test_dual_swap(capsys, monkeypatch, swap_path):
     # the residuals and the spectral comparison read one dual system, and
     # the invariant state and the spectral comparison one transfer map of
-    # the system, with one factorization of sigma - I
-    builds, loaded, forms, factored = [], [], [], []
+    # the system, with one factorization of sigma - I and one eigensolve:
+    # the dual's peripheral spectrum is read from the system's, so the dual
+    # parameter system is never built
+    builds, loaded, forms, factored, solved = [], [], [], [], []
     original = fcstates.modular.dual_system
 
     def counted(*args, **kwargs):
@@ -189,11 +200,25 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
     prop = functools.cached_property(factoring)
     prop.__set_name__(RealTransfer, "_svd_at_one")
     monkeypatch.setattr(RealTransfer, "_svd_at_one", prop)
+    eig = fcstates.numerics.eig
+
+    def solving(*args, **kwargs):
+        solved.append(args[0].shape)
+        return eig(*args, **kwargs)
+
+    for module in (fcstates, fcstates.numerics, fcstates.cpmap, fcstates.classify, fcstates.modular):
+        monkeypatch.setattr(module, "eig", solving)
+
+    def never(self):
+        raise AssertionError("the dual parameter system was built")
+
+    monkeypatch.setattr(DualSystem, "parameter_system", never)
     assert main(["dual", swap_path]) == 0
     assert len(builds) == 1
     (system,) = loaded
     assert sum(s is system for s in forms) == 1
     assert sum(s is system for s in factored) == 1
+    assert solved == [(4, 4)]
     doc = json.loads(capsys.readouterr().out)
     assert doc["ergodic_match"] is True and doc["psp_match"] is True
     assert doc["double_dual"] <= 1e-9

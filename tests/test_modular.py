@@ -1,10 +1,13 @@
-from dataclasses import asdict
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import fcstates.modular
 from fcstates import (
     DensityState,
+    NumericalHealthError,
     PopescuSystem,
     compare_duals,
     dual_system,
@@ -17,8 +20,10 @@ from fcstates import (
     verify_duality,
 )
 
-from conftest import eij
-from oracles import kron_dual_generators, kron_duality_residuals
+from fcstates.cli import main, system_to_json
+
+from conftest import block_shift, eij
+from oracles import kron_dual_generators, kron_duality_residuals, two_eig_compare_duals
 
 
 def diagonal_dephasing() -> PopescuSystem:
@@ -277,3 +282,78 @@ def test_dual_layer_makes_no_kron_call(monkeypatch):
     monkeypatch.setattr(np, "kron", no_kron)
     rep = verify_duality(dual_system(sys_, state))
     assert rep.max_residual() <= 1e-10
+
+
+def _assert_matches_two_eig_oracle(system, state=None):
+    state = invariant_state(system) if state is None else state
+    if not state.faithful:
+        return
+    dual = dual_system(system, state)
+    got = compare_duals(dual)
+    oracle = two_eig_compare_duals(dual)
+    assert got.psp_match == oracle["psp_match"]
+    assert got.ergodic_match == oracle["ergodic_match"]
+    assert spectral_sets_match(got.peripheral, oracle["peripheral"], 1e-8)
+    assert spectral_sets_match(got.dual_peripheral, oracle["dual_peripheral"], 1e-8)
+    # every moved eigenpair is an eigenpair of the dual's adjoint to roundoff
+    assert got.similarity <= 1e-12
+
+
+def test_compare_duals_matches_two_eig_oracle(known_system):
+    _assert_matches_two_eig_oracle(known_system)
+
+
+DUAL_FAMILIES = {
+    "block_shift(3,2,3)": lambda: (block_shift(3, 2, 3, 71), None),
+    "block_shift(4,3,2)": lambda: (block_shift(4, 3, 2, 72), None),
+    "block_shift(6,2,2)": lambda: (block_shift(6, 2, 2, 73), None),
+    **{f"ill_conditioned({n})": lambda n=n: ill_conditioned(n) for n in (2, 8, 16)},
+    **{
+        f"random n={n} d={d} seed={seed}": lambda d=d, n=n, seed=seed: (
+            random_system(d, n, seed),
+            None,
+        )
+        for seed, n, d in ((1900 + i, 2 + (7 * i) % 15, 2 + i % 2) for i in range(20))
+    },
+}
+
+
+@pytest.mark.parametrize("make", DUAL_FAMILIES.values(), ids=DUAL_FAMILIES.keys())
+def test_compare_duals_matches_two_eig_oracle_on_families(make):
+    system, state = make()
+    assert (state or invariant_state(system)).faithful
+    _assert_matches_two_eig_oracle(system, state)
+
+
+def test_compare_duals_rejects_a_corrupted_dual_parameter():
+    # scaling W_0 breaks tau = Gamma^{-1} sigma_* Gamma; the moved eigenpairs
+    # leave the dual's eigenspaces at the size of the corruption
+    sys_, state = faithful_random(700)
+    dual = dual_system(sys_, state)
+    assert compare_duals(dual).similarity <= 1e-12
+    bad = replace(dual, parameters=(1.001 * dual.parameters[0], *dual.parameters[1:]))
+    with pytest.raises(NumericalHealthError, match="do not move to the dual"):
+        compare_duals(bad)
+
+
+def test_compare_duals_multiplicity_mismatch_aborts(monkeypatch, tmp_path, capsys):
+    # the kernel of sigma - I taken at a threshold just below its smallest
+    # singular value finds no fixed point, where eig puts the value 1 on the
+    # circle; both sides would read multiplicity 0 and match
+    system = random_system(2, 4, 1)
+    state = invariant_state(system)
+    dual = dual_system(system, state)
+    assert compare_duals(dual).ergodic_match
+    original = fcstates.modular.peripheral_spectrum
+
+    def at_boundary(form):
+        smallest = np.linalg.svd(form.shifted(1.0), compute_uv=False)[-1]
+        return original(form, set_tol=0.5 * smallest)
+
+    monkeypatch.setattr(fcstates.modular, "peripheral_spectrum", at_boundary)
+    with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
+        compare_duals(dual)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    assert main(["dual", str(path)]) == 3
+    assert "geometric 0, algebraic 1" in capsys.readouterr().err
