@@ -10,7 +10,7 @@ truncated dilations with their moment tables, and the modular dual system
 with full duality verification.
 """
 
-from .chain import ClusteringReport, LocalObservable, clustering_defect, e_map, expectation, two_point
+from .chain import ClusteringReport, LocalObservable, clustering_defect, expectation, two_point
 from .classify import ChainHypotheses, ClassificationReport, classify_chain, classify_od
 from .cpmap import (
     CoinvarianceCheck,
@@ -29,7 +29,6 @@ from .cpmap import (
     mixed_fixed_points,
     peripheral_eigenunitary,
     peripheral_spectrum,
-    predual_matrix,
     real_transfer,
     sigma_matrix,
     unvec,
@@ -69,7 +68,6 @@ __all__ = [
     "CoinvarianceCheck",
     "PeripheralEigenvalue",
     "sigma_matrix",
-    "predual_matrix",
     "real_transfer",
     "fixed_points",
     "is_algebra",
@@ -89,7 +87,6 @@ __all__ = [
     "classify_chain",
     "LocalObservable",
     "ClusteringReport",
-    "e_map",
     "expectation",
     "two_point",
     "clustering_defect",

@@ -10,6 +10,14 @@ and the expectation formula
 
     omega(A_1 x A_2 x ... x A_m) = phi(E_{A_1}(E_{A_2}(... E_{A_m}(I)))).
 
+With U_i* = sum_j A_ij V_j*, E_A(B) = sum_i V_i B U_i*, and its adjoint in
+the pairing trace(R B) is R -> sum_i U_i* R V_i: both act on n x n matrices
+at O(d n^3 + d^2 n^2) per site. The factors of x fold rho into a row matrix
+R_x, those of y fold I into B_y, and omega(x shift^{width(x) + s}(y)) =
+trace(R_x sigma^s(B_y)), with sigma stepped by the system's real transfer
+matrix (:meth:`RealTransfer.pairings`), which :func:`two_point` and
+:func:`clustering_defect` accept in place of the system.
+
 Observables at arbitrary (including negative) sites are handled purely by
 translation invariance; non-consecutive sites must be padded with explicit
 identity factors by the caller.
@@ -21,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmap import DensityState, sigma_matrix, unvec, vec
+from .cpmap import DensityState, RealTransfer, _as_real_transfer, invariance_residual
 from .numerics import as_matrix
 from .popescu import PopescuSystem
 
 __all__ = [
     "LocalObservable",
     "ClusteringReport",
-    "e_map",
     "expectation",
     "two_point",
     "clustering_defect",
@@ -61,35 +68,34 @@ class LocalObservable:
         return len(self.factors)
 
 
-def e_map(system: PopescuSystem, a) -> np.ndarray:
-    """Matrix form of B -> sum_{ij} A_ij V_i B V_j* on column-stacked B.
-
-    For A = I this is exactly the forward transfer matrix.
-    """
-    a = as_matrix(a, "site observable")
-    if a.shape != (system.d, system.d):
-        raise ValueError(f"site observable must be {system.d}x{system.d}, got {a.shape}")
-    n2 = system.n**2
-    out = np.zeros((n2, n2), dtype=complex)
-    for i, vi in enumerate(system.operators):
-        for j, vj in enumerate(system.operators):
-            if a[i, j] != 0:
-                out += a[i, j] * np.kron(vj.conj(), vi)
-    return out
-
-
-def _check_invariant(system: PopescuSystem, state: DensityState, tol: float) -> None:
-    resid = np.linalg.norm(
-        sum(v.conj().T @ state.rho @ v for v in system.operators) - state.rho, 2
-    )
+def _check_inputs(system: PopescuSystem, state: DensityState, tol: float, *observables) -> None:
+    """Every factor must be d x d and the state invariant under the predual."""
+    for obs in observables:
+        shape = obs.factors[0].shape
+        if shape != (system.d, system.d):
+            raise ValueError(f"site observable must be {system.d}x{system.d}, got {shape}")
+    resid = invariance_residual(system, state.rho)
     if resid > tol:
         raise ValueError(f"state is not invariant: ||sigma_*(rho) - rho|| = {resid:.3e}")
 
 
-def _apply_factors(system: PopescuSystem, factors, w: np.ndarray) -> np.ndarray:
+def _column(system: PopescuSystem, factors) -> np.ndarray:
+    """E_{A_1}(E_{A_2}(... E_{A_m}(I))) as an n x n matrix."""
+    ops = np.stack(system.operators)
+    b = np.eye(system.n, dtype=complex)
     for a in reversed(factors):
-        w = e_map(system, a) @ w
-    return w
+        b = (ops @ b @ np.tensordot(a, ops.conj().swapaxes(1, 2), axes=1)).sum(0)
+    return b
+
+
+def _row(system: PopescuSystem, rho: np.ndarray, factors) -> np.ndarray:
+    """The R with trace(R B) = phi(E_{A_1}(... E_{A_m}(B))) for every B; the
+    expectation of the factors is trace(R), E_A pairing with B = I."""
+    ops = np.stack(system.operators)
+    r = rho
+    for a in factors:
+        r = (np.tensordot(a, ops.conj().swapaxes(1, 2), axes=1) @ r @ ops).sum(0)
+    return r
 
 
 def expectation(
@@ -100,16 +106,15 @@ def expectation(
 ) -> complex:
     """Expectation of a local observable in the translation-invariant state.
 
-    By translation invariance the start site is irrelevant; the factors are
-    folded through the compression maps from the right and paired with rho.
+    By translation invariance the start site is irrelevant; the factors fold
+    rho into the row matrix R, and the value is trace(R).
     """
-    _check_invariant(system, state, tol)
-    w = _apply_factors(system, obs.factors, vec(np.eye(system.n)))
-    return complex(np.trace(state.rho @ unvec(w, (system.n, system.n))))
+    _check_inputs(system, state, tol, obs)
+    return complex(np.trace(_row(system, state.rho, obs.factors)))
 
 
 def two_point(
-    system: PopescuSystem,
+    system: PopescuSystem | RealTransfer,
     state: DensityState,
     x: LocalObservable,
     y: LocalObservable,
@@ -119,13 +124,11 @@ def two_point(
     """omega(x * shift^{gap + width(x)}(y)): x, then ``gap`` empty sites, then y."""
     if gap < 0:
         raise ValueError("gap must be nonnegative")
-    _check_invariant(system, state, tol)
-    sig = sigma_matrix(system).matrix
-    w = _apply_factors(system, y.factors, vec(np.eye(system.n)))
-    for _ in range(gap):
-        w = sig @ w
-    w = _apply_factors(system, x.factors, w)
-    return complex(np.trace(state.rho @ unvec(w, (system.n, system.n))))
+    form = _as_real_transfer(system)
+    system = form.system
+    _check_inputs(system, state, tol, x, y)
+    row = _row(system, state.rho, x.factors)
+    return complex(form.pairings(row, _column(system, y.factors), gap)[-1])
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ class ClusteringReport:
 
 
 def clustering_defect(
-    system: PopescuSystem,
+    system: PopescuSystem | RealTransfer,
     state: DensityState,
     x: LocalObservable,
     y: LocalObservable,
@@ -153,42 +156,35 @@ def clustering_defect(
 
     For n < width(x) the supports overlap and the product observable is
     built site by site (operator product on the shared sites); from
-    n = width(x) on, the transfer matrix is iterated once per step. A
+    n = width(x) on, the values are the pairings of R_x with the sigma
+    orbit of B_y, as in :func:`two_point`. The state is checked once. A
     negative ``n_max`` leaves no defect to decide on and is rejected.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    _check_invariant(system, state, tol=1e-8)
-    d = system.d
+    form = _as_real_transfer(system)
+    system = form.system
+    _check_inputs(system, state, 1e-8, x, y)
+    rho = state.rho
     wx, wy = x.width, y.width
-    target = complex(
-        expectation(system, state, x) * expectation(system, state, y)
-    )
-    defects: list[float] = []
-    eye_d = np.eye(d)
+    row = _row(system, rho, x.factors)
+    target = np.trace(row) * np.trace(_row(system, rho, y.factors))
+    values = []
+    eye_d = np.eye(system.d)
     for n in range(min(wx, n_max + 1)):
         # product of x and the n-shifted y on sites 1..max(wx, n+wy)
-        width = max(wx, n + wy)
         factors = []
-        for s in range(width):
+        for s in range(max(wx, n + wy)):
             f = x.factors[s] if s < wx else eye_d
             if 0 <= s - n < wy:
                 f = f @ y.factors[s - n]
             factors.append(f)
-        val = expectation(system, state, LocalObservable(1, tuple(factors)))
-        defects.append(abs(val - target))
+        values.append(np.trace(_row(system, rho, factors)))
     if n_max >= wx:
-        sig = sigma_matrix(system).matrix
-        w = _apply_factors(system, y.factors, vec(np.eye(system.n)))
-        # row functional B -> phi(E_{x_1}(...E_{x_wx}(B)))
-        row = vec(state.rho.T)
-        for a in x.factors:
-            row = row @ e_map(system, a)
-        for _ in range(n_max - wx + 1):
-            defects.append(abs(complex(row @ w) - target))
-            w = sig @ w
+        values.extend(form.pairings(row, _column(system, y.factors), n_max - wx))
+    defects = np.abs(np.array(values) - target)
     # the decay verdict looks at the tail only; n = 0 overlaps are excluded
     # whenever anything later is available
     tail = min(10, max(1, len(defects) - 1))
     decayed = bool(max(defects[-tail:]) < tol)
-    return ClusteringReport(tuple(defects), decayed, tol)
+    return ClusteringReport(tuple(float(v) for v in defects), decayed, tol)

@@ -298,7 +298,7 @@ def classify_chain(
     chain_pure = spectral_sets_match(peri_m, [1.0], tol)
     chain_factor = chain_pure
     if clustering_check:
-        probe = _clustering_probe(wform.system, wstate, chain_pure)
+        probe = _clustering_probe(wform, wstate, chain_pure)
         if probe is not None:
             notes.append(probe)
     return ClassificationReport(
@@ -316,15 +316,16 @@ def classify_chain(
     )
 
 
-def _clustering_probe(system: PopescuSystem, state: DensityState, chain_pure: bool) -> str | None:
+def _clustering_probe(form: RealTransfer, state: DensityState, chain_pure: bool) -> str | None:
     """Numerical cross-check of purity against two-point clustering.
 
     Pure direction: a deterministic pseudo-random matrix-unit pair must
     cluster. Non-pure direction: some matrix-unit pair must keep a
-    persistent defect. Returns a diagnostic string on contradiction.
+    persistent defect. Returns a diagnostic string on contradiction. The
+    defects step sigma with the transfer matrix the verdicts were read from.
     """
-    d = system.d
-    n_max = min(50 * system.n**2, 400)
+    d = form.system.d
+    n_max = min(50 * form.n**2, 400)
     units = [
         (i, j) for i in range(d) for j in range(d)
     ]
@@ -338,7 +339,7 @@ def _clustering_probe(system: PopescuSystem, state: DensityState, chain_pure: bo
         rng = np.random.default_rng(1234)
         i, j = units[rng.integers(len(units))]
         k, l = units[rng.integers(len(units))]
-        rep = clustering_defect(system, state, unit_obs(i, j), unit_obs(k, l), n_max)
+        rep = clustering_defect(form, state, unit_obs(i, j), unit_obs(k, l), n_max)
         if not rep.decayed:
             return (
                 f"purity verdict not corroborated by two-point decay within "
@@ -347,7 +348,7 @@ def _clustering_probe(system: PopescuSystem, state: DensityState, chain_pure: bo
         return None
     for i, j in units:
         for k, l in units:
-            rep = clustering_defect(system, state, unit_obs(i, j), unit_obs(k, l), n_max)
+            rep = clustering_defect(form, state, unit_obs(i, j), unit_obs(k, l), n_max)
             if not rep.decayed:
                 return None
     return "non-purity verdict but every matrix-unit two-point function clusters"

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .chain import LocalObservable, clustering_defect, expectation
 from .classify import ClassificationReport, classify_chain
-from .cpmap import invariant_state, mixed_fixed_points, real_transfer
+from .cpmap import invariance_residual, invariant_state, mixed_fixed_points, real_transfer
 from .dilation import build, cuntz_residuals
 from .errors import NumericalHealthError, ValidationError
 from .modular import compare_duals, dual_system, verify_duality
@@ -133,12 +133,6 @@ def report_to_json(report: ClassificationReport, system: PopescuSystem, raw: byt
         for z in report.peripheral
     ]
     hyp = report.chain_hypotheses
-    rho = report.invariant_state.rho
-    state_residual = float(
-        np.linalg.norm(
-            sum(v.conj().T @ rho @ v for v in system.operators) - rho, 2
-        )
-    )
     return {
         "tool": "fcstates",
         "version": __version__,
@@ -146,7 +140,7 @@ def report_to_json(report: ClassificationReport, system: PopescuSystem, raw: byt
         "validate_residual": report.validate_residual,
         "residuals": {
             "validate": report.validate_residual,
-            "state_invariance": state_residual,
+            "state_invariance": invariance_residual(system, report.invariant_state.rho),
         },
         "ergodic": report.ergodic,
         "od_state_pure": report.od_state_pure,
@@ -217,10 +211,11 @@ def _cmd_chain_eval(args) -> int:
 
 def _cmd_cluster(args) -> int:
     system, _ = load_system(args.path, args.tol_validate)
-    state = invariant_state(system)
+    form = real_transfer(system)
+    state = invariant_state(form)
     x = parse_observable(args.x)
     y = parse_observable(args.y)
-    rep = clustering_defect(system, state, x, y, n_max=args.n_max, tol=args.decay_tol)
+    rep = clustering_defect(form, state, x, y, n_max=args.n_max, tol=args.decay_tol)
     print(
         json.dumps(
             {

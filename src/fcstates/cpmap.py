@@ -2,16 +2,16 @@
 
 The completely positive unital map sigma(X) = sum_i V_i X V_i* and its
 trace-preserving predual sigma_*(rho) = sum_i V_i* rho V_i are materialized
-as n^2 x n^2 matrices in two coordinate systems.
+as one n^2 x n^2 matrix, built in vec coordinates and gathered into
+Hermitian coordinates.
 
 *vec coordinates* act on column-stacked n x n matrices. The convention is
 
     vec(A X B) = (B^T kron A) vec(X)     (column stacking),
 
-so the forward matrix is sum_i conj(V_i) kron V_i and the predual matrix is
-sum_i V_i^T kron V_i^dagger (:func:`sigma_matrix`, :func:`predual_matrix`).
-The two are adjoint to each other in the trace pairing, and this is
-verified by tests rather than assumed.
+so the forward matrix is sum_i conj(V_i) kron V_i (:func:`sigma_matrix`).
+Where sigma or sigma_* meets a single matrix (a co-invariance test, the
+invariance residual of a state) it is applied directly, at O(d n^3).
 
 *Hermitian coordinates* expand a matrix in the trace-orthonormal basis of
 Hermitian matrices
@@ -26,7 +26,9 @@ computes B* M B by an index gather, each basis vector having at most two
 nonzero vec entries. The real matrix of sigma is :class:`RealTransfer`; that
 of sigma_* is its transpose. Fixed points, the invariant state, the
 peripheral spectrum and commutants are computed there in real arithmetic,
-and the subspaces they return have Hermitian bases.
+and the subspaces they return have Hermitian bases. A complex matrix is
+stepped there as two real columns, its Hermitian and anti-Hermitian parts
+(:meth:`RealTransfer.pairings`).
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "CoinvarianceCheck",
     "PeripheralEigenvalue",
     "sigma_matrix",
-    "predual_matrix",
     "real_transfer",
     "fixed_points",
     "is_algebra",
@@ -61,6 +62,7 @@ __all__ = [
     "generated_algebra",
     "invariant_state",
     "coinvariance_check",
+    "invariance_residual",
     "peripheral_spectrum",
     "check_semisimple",
     "peripheral_eigenunitary",
@@ -143,7 +145,6 @@ class Superoperator:
     """An n^2 x n^2 matrix acting on column-stacked n x n matrices."""
 
     matrix: np.ndarray
-    kind: str  # "forward" or "predual"
     n: int
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -153,22 +154,10 @@ class Superoperator:
 def sigma_matrix(system: PopescuSystem) -> Superoperator:
     """Forward transfer map X -> sum_i V_i X V_i* in matrix form (unital)."""
     m = sum(np.kron(v.conj(), v) for v in system.operators)
-    sop = Superoperator(m, "forward", system.n)
+    sop = Superoperator(m, system.n)
     i_vec = vec(np.eye(system.n))
     if np.linalg.norm(m @ i_vec - i_vec) > 1e-10 * system.n:
         raise NumericalHealthError("forward superoperator is not unital; invalid system?")
-    return sop
-
-
-def predual_matrix(system: PopescuSystem) -> Superoperator:
-    """Predual map rho -> sum_i V_i* rho V_i in matrix form (trace preserving)."""
-    m = sum(np.kron(v.T, v.conj().T) for v in system.operators)
-    sop = Superoperator(m, "predual", system.n)
-    # trace preservation: trace(rho) = <vec(I), vec(rho)>, so vec(I) must be
-    # a left fixed vector of the matrix.
-    i_vec = vec(np.eye(system.n))
-    if np.linalg.norm(m.conj().T @ i_vec - i_vec) > 1e-10 * system.n:
-        raise NumericalHealthError("predual superoperator is not trace-preserving")
     return sop
 
 
@@ -213,6 +202,24 @@ class RealTransfer:
         u, s, vt = self._svd_at_one
         rank = int(np.sum(s > tol))
         return vt[rank:].T, u[:, rank:]
+
+    def pairings(self, r: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
+        """trace(R sigma^s(B)) for s = 0..steps, for n x n matrices R and B.
+
+        B has Hermitian coordinates h + i k, h and k real (those of its
+        Hermitian and anti-Hermitian parts); sigma commutes with the
+        adjoint, so both are stepped as real vectors, O(n^4) per step.
+        trace(R H_a) is the a-th Hermitian coordinate of R, p + i q, so each
+        value is (p.h - q.k) + i (q.h + p.k), contracted in real arithmetic.
+        """
+        c = _to_hermitian(vec(b))
+        orbit = np.empty((steps + 1, 2, c.size))
+        orbit[0] = c.real, c.imag
+        for s in range(steps):
+            np.matmul(orbit[s], self.matrix.T, out=orbit[s + 1])
+        c = _to_hermitian(vec(r))
+        g = orbit @ np.stack([c.real, c.imag], axis=1)
+        return g[:, 0, 0] - g[:, 1, 1] + 1j * (g[:, 0, 1] + g[:, 1, 0])
 
 
 def real_transfer(system: PopescuSystem) -> RealTransfer:
@@ -522,7 +529,7 @@ def coinvariance_check(system: PopescuSystem, p, tol: float = DEFAULT_SUBSPACE_T
     p = as_matrix(p, "projection")
     if np.linalg.norm(p - p.conj().T, 2) > tol or np.linalg.norm(p @ p - p, 2) > tol:
         raise ValueError("p is not a projection within tolerance")
-    sig_p = sigma_matrix(system).apply(p)
+    sig_p = sum(v @ p @ v.conj().T for v in system.operators)
     comp = np.eye(system.n) - p
     # sigma(p) is PSD, so sigma(p) <= lambda p for some lambda iff its
     # support lies inside range(p), i.e. (1-p) sigma(p) (1-p) = 0.
@@ -538,6 +545,13 @@ def coinvariance_check(system: PopescuSystem, p, tol: float = DEFAULT_SUBSPACE_T
             "projection is too close to the tolerance boundary"
         )
     return CoinvarianceCheck(cond1, cond2, cond3)
+
+
+def invariance_residual(system: PopescuSystem, rho: np.ndarray) -> float:
+    """||sigma_*(rho) - rho|| in spectral norm; callers set the threshold."""
+    return float(
+        np.linalg.norm(sum(v.conj().T @ rho @ v for v in system.operators) - rho, 2)
+    )
 
 
 @dataclass(frozen=True)
@@ -654,9 +668,7 @@ def peripheral_eigenunitary(
         raise ValueError(f"t = {t} is not unimodular")
     if not state.faithful:
         raise ValueError("eigenunitary extraction requires a faithful invariant state")
-    inv_resid = np.linalg.norm(
-        sum(v.conj().T @ state.rho @ v for v in system.operators) - state.rho, 2
-    )
+    inv_resid = invariance_residual(system, state.rho)
     if inv_resid > max(tol, 1e-9):
         raise ValueError(f"state is not invariant: residual {inv_resid:.3e}")
     form = real_transfer(system)

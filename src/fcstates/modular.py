@@ -54,6 +54,7 @@ from .cpmap import (
     RealTransfer,
     check_semisimple,
     fixed_points,
+    invariance_residual,
     peripheral_spectrum,
     real_transfer,
 )
@@ -110,9 +111,7 @@ def gns(system: PopescuSystem, state: DensityState, tol: float = 1e-10) -> Modul
             f"state is not faithful (min eigenvalue {vals[0]:.3e}); "
             "compress the system to the support first"
         )
-    inv_resid = np.linalg.norm(
-        sum(v.conj().T @ state.rho @ v for v in system.operators) - state.rho, 2
-    )
+    inv_resid = invariance_residual(system, state.rho)
     if inv_resid > max(tol, 1e-9):
         raise ValueError(f"state is not invariant: residual {inv_resid:.3e}")
     rs = herm_sqrt(state.rho)
@@ -266,9 +265,6 @@ def verify_duality(dual: DualSystem) -> DualityReport:
         for images in dual.unit_images
         for v in system.operators
     )
-    predual_invariance = float(
-        np.linalg.norm(sum(v.conj().T @ rho @ v for v in system.operators) - rho, 2)
-    )
     return DualityReport(
         completeness=parameter_isometry,
         double_dual=double_dual,
@@ -276,7 +272,7 @@ def verify_duality(dual: DualSystem) -> DualityReport:
         vector_consistency=vector_consistency,
         commutation=commutation,
         parameter_isometry=parameter_isometry,
-        predual_invariance=predual_invariance,
+        predual_invariance=invariance_residual(system, rho),
     )
 
 

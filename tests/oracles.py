@@ -2,6 +2,11 @@
 
 Tests compare the library against these independent routes:
 
+* the predual map and the chain's compression maps
+  E_A(B) = sum_ij A_ij V_i B V_j* as dense n^2 x n^2 Kronecker sums in vec
+  coordinates, where the library applies E_A and its adjoint to n x n
+  matrices through Kraus operators and steps sigma in Hermitian
+  coordinates;
 * the fixed space of the transfer map and the commutant of a set of
   matrices as complex kernels in vec coordinates, where the library solves
   real kernels in Hermitian coordinates;
@@ -41,14 +46,16 @@ from fcstates.classify import HYPOTHESES_NOT_MET, ChainHypotheses
 from fcstates.cpmap import (
     DensityState,
     OperatorSubspace,
+    Superoperator,
     invariant_state,
     peripheral_spectrum,
-    predual_matrix,
     sigma_matrix,
     unvec,
     vec,
 )
+from fcstates.errors import NumericalHealthError
 from fcstates.numerics import (
+    as_matrix,
     distinct_values,
     herm_inv_sqrt,
     herm_sqrt,
@@ -59,6 +66,53 @@ from fcstates.numerics import (
 from fcstates.dilation import MomentTable, TruncatedDilation
 from fcstates.modular import DualSystem
 from fcstates.popescu import PopescuSystem, compress, v_word, words_up_to
+
+
+def predual_matrix(system: PopescuSystem) -> Superoperator:
+    """Predual map rho -> sum_i V_i* rho V_i in matrix form (trace preserving)."""
+    m = sum(np.kron(v.T, v.conj().T) for v in system.operators)
+    # trace preservation: trace(rho) = <vec(I), vec(rho)>, so vec(I) must be
+    # a left fixed vector of the matrix.
+    i_vec = vec(np.eye(system.n))
+    if np.linalg.norm(m.conj().T @ i_vec - i_vec) > 1e-10 * system.n:
+        raise NumericalHealthError("predual superoperator is not trace-preserving")
+    return Superoperator(m, system.n)
+
+
+def e_map(system: PopescuSystem, a) -> np.ndarray:
+    """Matrix form of B -> sum_{ij} A_ij V_i B V_j* on column-stacked B.
+
+    For A = I this is exactly the forward transfer matrix.
+    """
+    a = as_matrix(a, "site observable")
+    if a.shape != (system.d, system.d):
+        raise ValueError(f"site observable must be {system.d}x{system.d}, got {a.shape}")
+    n2 = system.n**2
+    out = np.zeros((n2, n2), dtype=complex)
+    for i, vi in enumerate(system.operators):
+        for j, vj in enumerate(system.operators):
+            if a[i, j] != 0:
+                out += a[i, j] * np.kron(vj.conj(), vi)
+    return out
+
+
+def dense_expectation(system: PopescuSystem, rho: np.ndarray, factors) -> complex:
+    """phi(E_{A_1}(... E_{A_m}(I))), each E_A applied as its e_map matrix."""
+    n = system.n
+    w = vec(np.eye(n))
+    for a in reversed(factors):
+        w = e_map(system, a) @ w
+    return complex(np.trace(rho @ unvec(w, (n, n))))
+
+
+def padded_product(x, y, shift: int, d: int) -> list[np.ndarray]:
+    """The factors of x times y shifted by ``shift`` sites, on sites
+    1..max(width(x), shift + width(y)), with identities where neither acts."""
+    eye = np.eye(d)
+    return [
+        (x[s] if s < len(x) else eye) @ (y[s - shift] if 0 <= s - shift < len(y) else eye)
+        for s in range(max(len(x), shift + len(y)))
+    ]
 
 
 def vec_fixed_points(system: PopescuSystem, tol: float = 1e-8) -> OperatorSubspace:

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcstates import (
     LocalObservable,
     clustering_defect,
     compress,
-    e_map,
     expectation,
     invariant_state,
     random_system,
+    real_transfer,
     sigma_matrix,
     two_point,
     v_word,
@@ -16,6 +17,7 @@ from fcstates import (
 )
 
 from conftest import eij
+from oracles import dense_expectation, e_map, padded_product
 
 
 def obs(*factors, start=1):
@@ -48,9 +50,61 @@ def test_e_map_swap_example(swap2):
     assert np.allclose(out, eij(0, 0, 2))
 
 
-def test_e_map_rejects_bad_shape(swap2):
-    with pytest.raises(ValueError):
-        e_map(swap2, np.eye(3))
+def test_chain_rejects_bad_factor_shape(swap2):
+    state = invariant_state(swap2)
+    good, bad = obs(np.eye(2)), obs(np.eye(3))
+    for call in (
+        lambda: expectation(swap2, state, bad),
+        lambda: two_point(swap2, state, good, bad, gap=1),
+        lambda: two_point(swap2, state, bad, good, gap=1),
+        lambda: clustering_defect(swap2, state, good, bad, n_max=3),
+        lambda: clustering_defect(swap2, state, bad, good, n_max=3),
+    ):
+        with pytest.raises(ValueError, match="site observable must be 2x2"):
+            call()
+
+
+def _assert_chain_matches_dense_oracle(system, state, x, y, gap):
+    rho, d = state.rho, system.d
+    ex = dense_expectation(system, rho, x.factors)
+    ey = dense_expectation(system, rho, y.factors)
+    assert abs(expectation(system, state, x) - ex) <= 1e-12
+    assert abs(expectation(system, state, y) - ey) <= 1e-12
+    shifted = dense_expectation(system, rho, padded_product(x.factors, y.factors, x.width + gap, d))
+    assert abs(two_point(system, state, x, y, gap) - shifted) <= 1e-12
+    n_max = x.width + gap
+    rep = clustering_defect(real_transfer(system), state, x, y, n_max=n_max)
+    oracle = [
+        abs(dense_expectation(system, rho, padded_product(x.factors, y.factors, n, d)) - ex * ey)
+        for n in range(n_max + 1)
+    ]
+    assert len(rep.defects) == n_max + 1
+    assert max(abs(a - b) for a, b in zip(rep.defects, oracle)) <= 1e-12
+
+
+def test_chain_matches_dense_oracle(known_system):
+    state = invariant_state(known_system)
+    rng = np.random.default_rng(known_system.n)
+    d = known_system.d
+    fac = lambda: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    _assert_chain_matches_dense_oracle(known_system, state, obs(fac(), fac()), obs(fac()), 3)
+
+
+def test_chain_layer_makes_no_kron_call(monkeypatch):
+    sys_ = random_system(2, 5, 41)
+    form = real_transfer(sys_)
+    state = invariant_state(form)
+    x, y = obs(eij(0, 1, 2), np.eye(2)), obs(eij(1, 1, 2))
+    expected = two_point(form, state, x, y, gap=4)
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    ex, ey = expectation(sys_, state, x), expectation(sys_, state, y)
+    assert two_point(form, state, x, y, gap=4) == expected
+    rep = clustering_defect(form, state, x, y, n_max=20)
+    assert abs(rep.defects[6] - abs(expected - ex * ey)) <= 1e-14
 
 
 def test_expectation_swap_pairs(swap2):
@@ -266,3 +320,30 @@ def test_swap_two_point_matches_product_mixture(swap2):
         window = x + (eye,) * gap + y
         oracle = swap_product_mixture_oracle(window, 0)
         assert abs(val - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+# Systems over d in {2, 3} and n in 1..6, observables of width 1..3 with
+# complex factors, and gaps 0..5; derandomized, so the suite stays
+# deterministic.
+@st.composite
+def chain_cases(draw):
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+
+    def observable(width):
+        return LocalObservable(
+            1, tuple(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(width))
+        )
+
+    x = observable(draw(st.integers(1, 3)))
+    y = observable(draw(st.integers(1, 3)))
+    return random_system(d, n, seed), x, y, draw(st.integers(0, 5))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(chain_cases())
+def test_chain_layer_matches_dense_oracle(case):
+    system, x, y, gap = case
+    _assert_chain_matches_dense_oracle(system, invariant_state(system), x, y, gap)

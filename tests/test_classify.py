@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import fcstates.chain
 import fcstates.classify
 from fcstates import (
     NumericalHealthError,
@@ -278,25 +279,26 @@ def test_chain_verdicts_match_commutant_oracle_on_families(make):
         (
             lambda: random_system(3, 5, 21),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 0, "eig": 1, "kernel": 0, "svd_at_one": 1},
+             "commutant": 0, "eig": 1, "kernel": 0, "svd_at_one": 1, "clustering_defect": 1},
         ),
         (
             lambda: nonfaithful(2, 3, 2, 22),
             {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
-             "commutant": 0, "eig": 1, "kernel": 0, "svd_at_one": 2},
+             "commutant": 0, "eig": 1, "kernel": 0, "svd_at_one": 2, "clustering_defect": 1},
         ),
         (
             lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 2, "eig": 1, "kernel": 2, "svd_at_one": 1},
+             "commutant": 2, "eig": 1, "kernel": 2, "svd_at_one": 1, "clustering_defect": 0},
         ),
     ],
     ids=["random", "nonfaithful", "direct_sum"],
 )
 def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # sigma_matrix, commutant, eig and kernel are counted where cpmap calls
-    # them, the other stages (and commutant and eig again) where classify does;
-    # the clustering probe builds its own sigma in chain and is not counted.
+    # them, the other stages (and commutant and eig again) where classify does,
+    # sigma_matrix also where chain would; clustering_defect counts the probe
+    # (the direct sum fails the factor hypothesis, so no probe runs there).
     # svd_at_one counts the SVDs of sigma_r - I or its transpose, for every
     # sigma_r that classify builds, by whatever route they are taken.
     counts = dict.fromkeys(calls, 0)
@@ -310,10 +312,11 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
 
         return wrapper
 
-    for name in ("fixed_points", "compress", "invariant_state", "commutant", "eig"):
+    for name in ("fixed_points", "compress", "invariant_state", "commutant", "eig", "clustering_defect"):
         monkeypatch.setattr(fcstates.classify, name, counted(fcstates.classify, name))
     for name in ("sigma_matrix", "commutant", "eig", "kernel"):
         monkeypatch.setattr(fcstates.cpmap, name, counted(fcstates.cpmap, name))
+    monkeypatch.setattr(fcstates.chain, "sigma_matrix", fcstates.cpmap.sigma_matrix, raising=False)
     forms = []
     transfer = fcstates.classify.real_transfer
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fcstates
+import fcstates.chain
 import fcstates.cli
 import fcstates.classify
 import fcstates.cpmap
@@ -143,6 +144,37 @@ def test_cluster_swap_constant(capsys, swap_path):
     doc = json.loads(capsys.readouterr().out)
     assert doc["decayed"] is False
     assert all(abs(v - 0.25) <= 1e-10 for v in doc["defects"][1:])
+
+
+def test_cluster_builds_one_transfer_matrix(capsys, monkeypatch, swap_path):
+    # the invariant state and the clustering defects step one real transfer
+    # matrix, and sigma is built nowhere else
+    forms, sigmas = [], []
+    build = fcstates.cpmap.real_transfer
+    sigma = fcstates.cpmap.sigma_matrix
+
+    def building(system):
+        forms.append(system)
+        return build(system)
+
+    def counting(system):
+        sigmas.append(len(forms))
+        return sigma(system)
+
+    for module in (fcstates.cli, fcstates.cpmap, fcstates.chain):
+        monkeypatch.setattr(module, "real_transfer", building, raising=False)
+        monkeypatch.setattr(module, "sigma_matrix", counting, raising=False)
+    spec = json.dumps({"start_site": 1, "factors": [matrix_to_json(eij(0, 0, 2))]})
+    assert main(["cluster", swap_path, spec, spec, "--n-max", "12"]) == 0
+    assert len(forms) == 1
+    assert sigmas == [1]
+    assert json.loads(capsys.readouterr().out)["decayed"] is False
+
+
+def test_chain_eval_rejects_bad_factor_shape(capsys, swap_path):
+    spec = json.dumps({"start_site": 1, "factors": [matrix_to_json(np.eye(3))]})
+    assert main(["chain-eval", swap_path, spec]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cluster_rejects_negative_n_max(capsys, swap_path):

@@ -16,7 +16,6 @@ from fcstates import (
     mixed_fixed_points,
     peripheral_eigenunitary,
     peripheral_spectrum,
-    predual_matrix,
     random_system,
     real_transfer,
     sigma_matrix,
@@ -37,6 +36,7 @@ from scipy.linalg import block_diag
 from conftest import direct_sum, eij, random_psd, scalar
 from oracles import (
     frontier_generated_algebra,
+    predual_matrix,
     vec_commutant,
     vec_commutant_constraints,
     vec_fixed_points,
