@@ -170,8 +170,12 @@ class RealTransfer:
     once per system with :func:`real_transfer` and pass it to the stages
     (:func:`fixed_points`, :func:`invariant_state`,
     :func:`peripheral_spectrum`) in place of the system. Those stages read
-    the fixed spaces of sigma and sigma_* from one SVD of sigma - I, taken
-    on first use and held here (:meth:`fixed_kernels`).
+    the fixed spaces of sigma and sigma_* from :meth:`fixed_kernels`, and
+    each factorization it takes is held here: the singular values of
+    sigma - I, which give the dimension f of both spaces; when f = 1 (an
+    ergodic map), one LU solve of the bordered matrix sigma^T - I + e e^T,
+    e the coordinates of I/sqrt(n), which is nonsingular exactly when
+    f = 1; for any other f, one full SVD of sigma - I.
     """
 
     system: PopescuSystem
@@ -187,20 +191,56 @@ class RealTransfer:
         return self.matrix - (value if value.imag else value.real) * np.eye(self.n**2)
 
     @cached_property
+    def _singular_values_at_one(self) -> np.ndarray:
+        return np.linalg.svd(self.shifted(1.0), compute_uv=False)
+
+    @cached_property
     def _svd_at_one(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.linalg.svd(self.shifted(1.0))
+
+    @cached_property
+    def _ergodic_kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        # e is the Hermitian coordinate vector of I/sqrt(n); e e^T touches only
+        # the diagonal coordinates, the leading n x n block
+        n = self.n
+        e = np.zeros(n * n)
+        e[:n] = 1.0 / np.sqrt(n)
+        bordered = self.shifted(1.0).T
+        bordered[:n, :n] += 1.0 / n
+        h = np.linalg.solve(bordered, e)
+        return e[:, None], (h / np.linalg.norm(h))[:, None]
 
     def fixed_kernels(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Real orthonormal bases (columns) of the kernels of sigma - I and of
         sigma_* - I = (sigma - I)^T: the fixed spaces of sigma and its predual.
 
         A singular direction of sigma - I is kept when its singular value is
-        at most ``tol`` (the scale of sigma is 1). The right singular vectors
-        give the first basis and the left ones the second, from the same SVD,
-        so the two always have the same dimension.
+        at most ``tol`` (the scale of sigma is 1); the rank is read from the
+        singular values alone, so the two kernels always have the same
+        dimension f. When f = 1 both have a closed form and no singular
+        vector is computed. sigma is unital, so the fixed space of sigma is
+        spanned by e, the Hermitian coordinates of I/sqrt(n). That of the
+        predual is spanned by the solution h of the bordered system
+
+            (sigma^T - I + e e^T) h = e.
+
+        e is a left null vector of sigma^T - I (sigma_* preserves the trace),
+        so e^T applied to the system gives e^T h = 1 and then
+        (sigma^T - I) h = 0. The bordered matrix is nonsingular exactly when
+        f = 1: a null vector x has e^T x = 0 by the same step and lies in the
+        kernel of sigma^T - I. For f = 1 that kernel is spanned by an invariant
+        state, whose trace e^T x is not 0, so x = 0; for f > 1 the kernel
+        meets the hyperplane e^T x = 0. The LU solve is backward stable, so
+        ||sigma_* h - h|| stays at the roundoff level of ||h|| however close
+        the second-smallest singular value lies to ``tol``. For any other f
+        the right singular vectors of one full SVD give the first basis and
+        the left ones the second.
         """
-        u, s, vt = self._svd_at_one
+        s = self._singular_values_at_one
         rank = int(np.sum(s > tol))
+        if rank == s.size - 1:
+            return self._ergodic_kernels
+        u, _, vt = self._svd_at_one
         return vt[rank:].T, u[:, rank:]
 
     def pairings(self, r: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
@@ -474,8 +514,13 @@ def invariant_state(
     ``unique`` is set on the output.
 
     R and F are real kernels in Hermitian coordinates, where sigma_* is the
-    transpose of sigma: the left and right kernels of one SVD of sigma - I
-    (:meth:`RealTransfer.fixed_kernels`), so they have the same dimension.
+    transpose of sigma (:meth:`RealTransfer.fixed_kernels`), of the same
+    dimension, read from the singular values of sigma - I. When it is 1, R
+    is spanned by the solution h of (sigma^T - I + e e^T) h = e, with e the
+    coordinates of I/sqrt(n): e^T h = 1 and sigma_* h = h, and the bordered
+    matrix is nonsingular exactly because the fixed space of the predual is
+    one-dimensional and its state has nonzero trace. Otherwise R and F are
+    the left and right kernels of one full SVD of sigma - I.
     """
     form = _as_real_transfer(system)
     n = form.n
@@ -587,12 +632,12 @@ def peripheral_spectrum(
     kernel of sigma - value at threshold ``set_tol``; both are computed in
     real arithmetic (Hermitian coordinates), the kernel of a real value is
     real. The cluster within ``set_tol`` of 1, whose representative may be
-    1 + O(eps) i, reads its kernel from the SVD of sigma - I that the fixed
-    spaces share (:meth:`RealTransfer.fixed_kernels`). ``semisimple`` is
-    false when the two multiplicities differ: a unimodular Jordan
-    block when the algebraic one is larger, a kernel that counts eigenvalues
-    the eigensolver puts off the circle when the geometric one is, and a
-    kernel threshold that misses the value (geometric 0, with the
+    1 + O(eps) i, reads its kernel from the factorization of sigma - I that
+    the fixed spaces share (:meth:`RealTransfer.fixed_kernels`).
+    ``semisimple`` is false when the two multiplicities differ: a unimodular
+    Jordan block when the algebraic one is larger, a kernel that counts
+    eigenvalues the eigensolver puts off the circle when the geometric one
+    is, and a kernel threshold that misses the value (geometric 0, with the
     eigenvector as the representative operator). The classification layer
     treats each as a failure. Results are sorted by phase angle starting at
     1.

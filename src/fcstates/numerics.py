@@ -89,7 +89,10 @@ def eig(a, tol: float = 1e-10) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NumericalHealthError(f"eigensolver did not converge: {exc}") from exc
     norm_a = np.linalg.norm(a, axis=0).max(initial=0.0)
-    resid = np.linalg.norm(a @ vecs - vecs * vals[None, :])
+    # a real A is applied to the real and imaginary parts of V by two real
+    # products, not promoted to complex
+    image = a @ vecs if np.iscomplexobj(a) else a @ vecs.real + 1j * (a @ vecs.imag)
+    resid = np.linalg.norm(image - vecs * vals[None, :])
     residual = float(resid / norm_a) if norm_a > 0 else float(resid)
     if residual > tol:
         raise NumericalHealthError(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import fcstates.cpmap
 from fcstates import PopescuSystem, random_system
 
 
@@ -51,6 +52,32 @@ def scalar(alpha: complex, beta: complex) -> PopescuSystem:
 @pytest.fixture(scope="session")
 def scalar_half() -> PopescuSystem:
     return scalar(1 / np.sqrt(2), 1 / np.sqrt(2))
+
+
+def record_transfer_svds(monkeypatch, *modules) -> list[bool]:
+    """Record ``compute_uv`` of every SVD of sigma_r - I or its transpose,
+    for every real transfer matrix that the given modules build."""
+    forms, flags = [], []
+    build, svd = fcstates.cpmap.real_transfer, np.linalg.svd
+
+    def building(system):
+        forms.append(build(system))
+        return forms[-1]
+
+    def recording(a, *args, **kwargs):
+        a = np.asarray(a)
+        for form in forms:
+            shifted = form.shifted(1.0)
+            if a.shape == shifted.shape and (
+                np.array_equal(a, shifted) or np.array_equal(a, shifted.T)
+            ):
+                flags.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "real_transfer", building, raising=False)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return flags
 
 
 def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -12,7 +12,12 @@ Tests compare the library against these independent routes:
   real kernels in Hermitian coordinates;
 * the invariant state as the Cesaro limit built from two separately
   factored kernels in vec coordinates, where the library reads both from
-  one SVD of sigma - I;
+  one factorization of sigma - I;
+* the fixed spaces of sigma and sigma_* as the right and left singular
+  vectors of one full SVD of sigma - I in Hermitian coordinates, and the
+  unique invariant state as the one left singular vector, where the library
+  takes the closed form span(I) and one solve of a bordered matrix when the
+  fixed space is one-dimensional;
 * the chain hypotheses and verdicts by the full commutant route (M' and
   M'' as kernels over all of M_n, the factor test by principal angles,
   M' against the fixed space by mutual projection, and the spectrum of
@@ -46,6 +51,7 @@ from fcstates.classify import HYPOTHESES_NOT_MET, ChainHypotheses
 from fcstates.cpmap import (
     DensityState,
     OperatorSubspace,
+    RealTransfer,
     Superoperator,
     invariant_state,
     peripheral_spectrum,
@@ -155,6 +161,25 @@ def vec_invariant_state(system: PopescuSystem, tol: float = 1e-8) -> DensityStat
     left = kernel(sigma_matrix(system).matrix - eye, tol, scale=1.0)
     v = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ vec(np.eye(n) / n))
     rho = unvec(v, (n, n))
+    rho = 0.5 * (rho + rho.conj().T)
+    return DensityState.from_matrix(rho / np.trace(rho).real)
+
+
+def svd_fixed_kernels(form: RealTransfer, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Bases of the kernels of sigma - I and sigma^T - I from the right and
+    left singular vectors of one full SVD of sigma - I, at any dimension."""
+    u, s, vt = np.linalg.svd(form.shifted(1.0))
+    rank = int(np.sum(s > tol))
+    return vt[rank:].T, u[:, rank:]
+
+
+def svd_invariant_state(form: RealTransfer, tol: float = 1e-8) -> DensityState:
+    """The unique invariant state: the one left singular vector of sigma - I
+    at 1, scaled to unit trace."""
+    _, predual_fixed = svd_fixed_kernels(form, tol)
+    if predual_fixed.shape[1] != 1:
+        raise ValueError("the fixed space of the predual is not one-dimensional")
+    rho = OperatorSubspace.from_hermitian(predual_fixed, form.n).basis[0]
     rho = 0.5 * (rho + rho.conj().T)
     return DensityState.from_matrix(rho / np.trace(rho).real)
 

@@ -25,7 +25,7 @@ from fcstates.cli import (
 from fcstates.cpmap import RealTransfer
 from fcstates.modular import DualSystem
 
-from conftest import eij, pauli_channel
+from conftest import eij, pauli_channel, record_transfer_svds
 
 
 def write_system(tmp_path, system, name="sys.json"):
@@ -171,6 +171,18 @@ def test_cluster_builds_one_transfer_matrix(capsys, monkeypatch, swap_path):
     assert json.loads(capsys.readouterr().out)["decayed"] is False
 
 
+@pytest.mark.parametrize("command", ["chain-eval", "cluster"])
+def test_ergodic_state_takes_no_singular_vectors(monkeypatch, tmp_path, command):
+    # the invariant state of an ergodic map is one LU solve after the
+    # singular values of sigma_r - I
+    path = write_system(tmp_path, fcstates.random_system(2, 6, 5))
+    flags = record_transfer_svds(monkeypatch, fcstates.cli, fcstates.cpmap, fcstates.chain)
+    spec = json.dumps({"start_site": 1, "factors": [matrix_to_json(eij(0, 1, 2))]})
+    args = [spec] if command == "chain-eval" else [spec, spec, "--n-max", "12"]
+    assert main([command, path, *args]) == 0
+    assert flags == [False]
+
+
 def test_chain_eval_rejects_bad_factor_shape(capsys, swap_path):
     spec = json.dumps({"start_site": 1, "factors": [matrix_to_json(np.eye(3))]})
     assert main(["chain-eval", swap_path, spec]) == 1
@@ -223,15 +235,18 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
 
     for module in (fcstates.cli, fcstates.cpmap):
         monkeypatch.setattr(module, "real_transfer", building, raising=False)
-    svd_at_one = RealTransfer._svd_at_one.func
+    # a values-only SVD and a full SVD of sigma - I each count as one
+    # factorization; the ergodic swap map takes only the first
+    for name in ("_singular_values_at_one", "_svd_at_one"):
+        factor = getattr(RealTransfer, name).func
 
-    def factoring(form):
-        factored.append(form.system)
-        return svd_at_one(form)
+        def factoring(form, factor=factor):
+            factored.append(form.system)
+            return factor(form)
 
-    prop = functools.cached_property(factoring)
-    prop.__set_name__(RealTransfer, "_svd_at_one")
-    monkeypatch.setattr(RealTransfer, "_svd_at_one", prop)
+        prop = functools.cached_property(factoring)
+        prop.__set_name__(RealTransfer, name)
+        monkeypatch.setattr(RealTransfer, name, prop)
     eig = fcstates.numerics.eig
 
     def solving(*args, **kwargs):

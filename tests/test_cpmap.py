@@ -7,6 +7,7 @@ from fcstates import (
     NumericalHealthError,
     coinvariance_check,
     commutant,
+    compress,
     fixed_points,
     gauge_group_order,
     generated_algebra,
@@ -28,15 +29,18 @@ from fcstates.cpmap import (
     OperatorSubspace,
     _commutant_constraints,
     _commutant_constraints_within,
+    check_semisimple,
     real_form,
 )
 
 from scipy.linalg import block_diag
 
-from conftest import direct_sum, eij, random_psd, scalar
+from conftest import block_shift, direct_sum, eij, nonfaithful, pauli_channel, random_psd, scalar
 from oracles import (
     frontier_generated_algebra,
     predual_matrix,
+    svd_fixed_kernels,
+    svd_invariant_state,
     vec_commutant,
     vec_commutant_constraints,
     vec_fixed_points,
@@ -237,6 +241,15 @@ def _projector(sub: OperatorSubspace) -> np.ndarray:
     return q @ q.conj().T
 
 
+def _assert_kernels_match_svd_route(form, tol=1e-8):
+    fixed, predual_fixed = form.fixed_kernels(tol)
+    oracle_fixed, oracle_predual = svd_fixed_kernels(form, tol)
+    assert fixed.shape == oracle_fixed.shape and predual_fixed.shape == oracle_predual.shape
+    for basis, oracle in ((fixed, oracle_fixed), (predual_fixed, oracle_predual)):
+        assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]), 2) <= 1e-12
+        assert np.linalg.norm(basis @ basis.T - oracle @ oracle.T, 2) <= 1e-12
+
+
 def test_fixed_kernels_match_separate_kernels(known_system):
     n = known_system.n
     form = real_transfer(known_system)
@@ -250,6 +263,85 @@ def test_fixed_kernels_match_separate_kernels(known_system):
     assert np.linalg.norm(_projector(fixed_points(form)) - oracle, 2) <= 1e-12
     state = invariant_state(form)
     assert np.linalg.norm(state.rho - vec_invariant_state(known_system).rho, 2) <= 1e-12
+    _assert_kernels_match_svd_route(form)
+    if fixed.shape[1] == 1:
+        assert np.linalg.norm(state.rho - svd_invariant_state(form).rho, 2) <= 1e-12
+
+
+def _compressed(system):
+    return compress(system, invariant_state(system).support)
+
+
+ERGODIC_FAMILIES = {
+    "block_shift(3,2,3)": lambda: block_shift(3, 2, 3, 71),
+    "block_shift(4,3,2)": lambda: block_shift(4, 3, 2, 72),
+    "block_shift(6,2,2)": lambda: block_shift(6, 2, 2, 73),
+    "compressed nonfaithful(2,3,2,22)": lambda: _compressed(nonfaithful(2, 3, 2, 22)),
+    "pauli_channel(1e-6)": lambda: pauli_channel(1e-6),
+    **{
+        f"random n={n} d={d} seed={seed}": lambda d=d, n=n, seed=seed: random_system(d, n, seed)
+        for seed, n, d in ((1100 + i, 2 + (7 * i) % 15, 2 + i % 3) for i in range(20))
+    },
+}
+
+
+@pytest.mark.parametrize("make", ERGODIC_FAMILIES.values(), ids=ERGODIC_FAMILIES.keys())
+def test_closed_form_kernels_match_svd_route_on_families(make):
+    form = real_transfer(make())
+    assert form.fixed_kernels(1e-8)[0].shape[1] == 1
+    _assert_kernels_match_svd_route(form)
+    state = invariant_state(form)
+    assert np.linalg.norm(state.rho - svd_invariant_state(form).rho, 2) <= 1e-12
+    # the closed form was taken, and no singular vector
+    assert "_svd_at_one" not in vars(form)
+
+
+def test_closed_form_survives_a_small_second_singular_value():
+    # sigma - I of pauli_channel(p) has singular values 0, p, p, 2p
+    form = real_transfer(pauli_channel(1e-6))
+    s = np.linalg.svd(form.shifted(1.0), compute_uv=False)
+    assert s[-2] == pytest.approx(1e-6, rel=1e-6)
+    (h,) = form.fixed_kernels(1e-8)[1].T
+    assert np.linalg.norm(form.matrix.T @ h - h) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_system(2, 4, 1),
+        lambda: random_system(3, 9, 2),
+        lambda: random_system(2, 16, 3),
+        lambda: block_shift(3, 2, 3, 71),
+        lambda: _compressed(nonfaithful(2, 3, 2, 22)),
+    ],
+    ids=["random n=4", "random n=9", "random n=16", "block_shift(3,2,3)", "compressed nonfaithful"],
+)
+def test_threshold_above_the_second_singular_value_takes_the_svd_route(make):
+    system = make()
+    s = np.linalg.svd(real_transfer(system).shifted(1.0), compute_uv=False)
+    assert s[-1] <= 1e-8 < s[-2]
+    # at 2 s[-2] the two smallest singular values are kept, so f >= 2
+    for tol in (1e-8, 2.0 * s[-2]):
+        form = real_transfer(system)
+        fixed, predual_fixed = form.fixed_kernels(tol)
+        assert ("_svd_at_one" in vars(form)) == (tol != 1e-8)
+        assert fixed.shape[1] == predual_fixed.shape[1] == int(np.sum(s <= tol))
+        shifted = form.shifted(1.0)
+        for basis, oracle in (
+            (fixed, kernel(shifted, tol, scale=1.0)),
+            (predual_fixed, kernel(shifted.T, tol, scale=1.0)),
+        ):
+            assert np.linalg.norm(basis @ basis.T - oracle @ oracle.T, 2) <= 1e-12
+
+
+def test_threshold_below_the_smallest_singular_value_aborts():
+    # no fixed point is kept, while eig puts the value 1 on the circle
+    form = real_transfer(random_system(2, 4, 1))
+    smallest = np.linalg.svd(form.shifted(1.0), compute_uv=False)[-1]
+    assert smallest > 0
+    assert form.fixed_kernels(0.5 * smallest)[1].shape[1] == 0
+    with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
+        check_semisimple(peripheral_spectrum(form, set_tol=0.5 * smallest))
 
 
 def test_generated_algebra_dimensions(swap2, rank_one2, scalar_half):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fcstates import (
+    NumericalHealthError,
     eig,
     herm_inv_sqrt,
     herm_sqrt,
@@ -80,6 +81,28 @@ def test_eig_rejects_nonsquare():
 def test_eig_rejects_nonfinite():
     with pytest.raises(ValueError):
         eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_eig_residual_gate_rejects_a_wrong_eigenvector(monkeypatch, kind):
+    # the gate reads the residual of the pairs LAPACK returns; one unit
+    # eigenvector moved by about 3e-6 puts it far above the 1e-10 tolerance
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((8, 8))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((8, 8))
+    solve = np.linalg.eig
+
+    def perturbed(m):
+        vals, vecs = solve(m)
+        vecs = vecs.copy()
+        vecs[:, 3] += 1e-6 * rng.standard_normal(8)
+        return vals, vecs
+
+    assert eig(a).residual <= 1e-12
+    monkeypatch.setattr(np.linalg, "eig", perturbed)
+    with pytest.raises(NumericalHealthError, match="eigenpair residual"):
+        eig(a)
 
 
 def test_eig_hermitian_eigenvalues_real():
