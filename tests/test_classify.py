@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-import fcstates.chain
 import fcstates.classify
 from fcstates import (
     NumericalHealthError,
@@ -18,7 +17,7 @@ from fcstates import (
 from fcstates.classify import HYPOTHESES_NOT_MET
 from fcstates.cli import main, system_to_json
 
-from conftest import block_shift, direct_sum, nonfaithful, pauli_channel, record_transfer_svds
+from conftest import ancilla, block_shift, conjugated, direct_sum, nonfaithful, pauli_channel, record_transfer_svds
 from oracles import commutant_chain_verdicts
 
 
@@ -166,7 +165,7 @@ def cyclic_system(m: int) -> PopescuSystem:
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_cyclic_systems_have_gauge_order_m(m):
-    rep = classify_chain(cyclic_system(m), clustering_check=False)
+    rep = classify_chain(cyclic_system(m))
     assert rep.ergodic
     assert rep.k == m
     assert rep.chain_pure is False
@@ -244,7 +243,7 @@ def test_unreachable_chain_outcomes_abort(monkeypatch, tmp_path, capsys, make, b
 
 
 def _assert_chain_verdicts_match_oracle(system):
-    rep = classify_chain(system, clustering_check=False)
+    rep = classify_chain(system)
     hyp, pure, factor = commutant_chain_verdicts(system)
     assert rep.chain_hypotheses == hyp
     assert rep.chain_pure == pure
@@ -255,7 +254,43 @@ def test_chain_verdicts_match_commutant_oracle(known_system):
     _assert_chain_verdicts_match_oracle(known_system)
 
 
+def A():
+    return random_system(2, 3, 1)
+
+
+def B():
+    return random_system(2, 2, 2)
+
+
+# systems off the ergodic path at n <= 12: (make, M is a factor, chain pure)
+OFF_ERGODIC = {
+    "A+UAU*": (lambda: direct_sum(A(), conjugated(A(), 91)), True, True),
+    "random(2,4,5)xI3": (lambda: ancilla(random_system(2, 4, 5), 3), True, True),
+    # one block whose sigma has the cube roots of unity on the circle
+    "block_shift(3,2,2)xI2": (lambda: ancilla(block_shift(3, 2, 2, 7), 2), True, False),
+    "block_shift(3,2,3)+A": (lambda: direct_sum(block_shift(3, 2, 3, 7), A()), False, None),
+    "(A+B)xI2": (lambda: ancilla(direct_sum(A(), B()), 2), False, None),
+    "nonfaithful(2,3,2)xI2": (lambda: ancilla(nonfaithful(2, 3, 2, 22), 2), True, True),
+    "nonfaithful(2,3,2)+A": (lambda: direct_sum(nonfaithful(2, 3, 2, 22), A()), False, None),
+    "S+USU*": (
+        lambda: direct_sum(block_shift(2, 2, 3, 11), conjugated(block_shift(2, 2, 3, 11), 92)),
+        True,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("make, factor, pure", OFF_ERGODIC.values(), ids=OFF_ERGODIC.keys())
+def test_off_ergodic_chain_verdicts(make, factor, pure):
+    rep = classify_chain(make())
+    assert not rep.ergodic
+    assert rep.chain_hypotheses.m_is_factor is factor
+    assert rep.chain_pure == (pure if factor else HYPOTHESES_NOT_MET)
+    assert rep.chain_factor is (pure if factor else None)
+
+
 ORACLE_FAMILIES = {
+    **{name: make for name, (make, _, _) in OFF_ERGODIC.items()},
     "block_shift(3,2,3)": lambda: block_shift(3, 2, 3, 71),
     "block_shift(4,3,2)": lambda: block_shift(4, 3, 2, 72),
     "block_shift(6,2,2)": lambda: block_shift(6, 2, 2, 73),
@@ -279,48 +314,58 @@ def test_chain_verdicts_match_commutant_oracle_on_families(make):
         (
             lambda: random_system(3, 5, 21),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0, "clustering_defect": 1},
+             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0},
         ),
         (
             lambda: nonfaithful(2, 3, 2, 22),
             {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
-             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 2, "svd_vectors": 0, "clustering_defect": 1},
+             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 2, "svd_vectors": 0},
         ),
         (
             lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1, "clustering_defect": 0},
+             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1},
+        ),
+        (
+            lambda: ancilla(random_system(2, 2, 63), 3),
+            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1},
         ),
     ],
-    ids=["random", "nonfaithful", "direct_sum"],
+    ids=["random", "nonfaithful", "direct_sum", "ancilla"],
 )
 def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # sigma_matrix, commutant, eig and kernel are counted where cpmap calls
-    # them, the other stages (and commutant and eig again) where classify does,
-    # sigma_matrix also where chain would; clustering_defect counts the probe
-    # (the direct sum fails the factor hypothesis, so no probe runs there).
-    # svd_values and svd_vectors count the SVDs of sigma_r - I or its
-    # transpose, for every sigma_r that classify builds, by whatever route
-    # they are taken, without and with singular vectors. An ergodic map takes
-    # no singular vector; the direct sum (f = 2) pays one values-only SVD on
-    # top of the full one, at most 0.7 ms at n <= 12 (1 BLAS thread).
+    # them, the other stages (and commutant and eig again) where classify
+    # does. Off the ergodic path the two
+    # commutants are M' inside the fixed space and the centre of M' inside
+    # M', and purity reads the one eig already taken: no commutant is solved
+    # over all of M_n. svd_values and svd_vectors count the SVDs of
+    # sigma_r - I or its transpose, for every sigma_r that classify builds,
+    # by whatever route they are taken, without and with singular vectors. An
+    # ergodic map takes no singular vector; a map with f > 1 (the direct sum,
+    # the ancilla) pays one values-only SVD on top of the full one, at most
+    # 0.7 ms at n <= 12 (1 BLAS thread).
     counts = dict.fromkeys(calls, 0)
+    unrestricted = []
 
     def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "commutant" and len(args) < 3 and kwargs.get("within") is None:
+                unrestricted.append(module.__name__)
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in ("fixed_points", "compress", "invariant_state", "commutant", "eig", "clustering_defect"):
+    for name in ("fixed_points", "compress", "invariant_state", "commutant", "eig"):
         monkeypatch.setattr(fcstates.classify, name, counted(fcstates.classify, name))
     for name in ("sigma_matrix", "commutant", "eig", "kernel"):
         monkeypatch.setattr(fcstates.cpmap, name, counted(fcstates.cpmap, name))
-    monkeypatch.setattr(fcstates.chain, "sigma_matrix", fcstates.cpmap.sigma_matrix, raising=False)
     flags = record_transfer_svds(monkeypatch, fcstates.classify)
     classify_chain(make())
     counts["svd_values"], counts["svd_vectors"] = flags.count(False), flags.count(True)
     assert counts == calls
+    assert unrestricted == []

@@ -16,12 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fcstates import PopescuSystem, invariant_state, random_system, real_transfer
 
-from conftest import direct_sum
-
-
-def _unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+from conftest import direct_sum, random_unitary
 
 
 @st.composite
@@ -48,9 +43,9 @@ def _fixed_dim(system: PopescuSystem) -> int:
 def test_fixed_spaces_and_state_follow_conjugation_and_mixing(case):
     system, f, rng = case
     n, d, ops = system.n, system.d, system.operators
-    u = _unitary(rng, n)
+    u = random_unitary(rng, n)
     conjugated = PopescuSystem.from_operators([u @ v @ u.conj().T for v in ops])
-    w = _unitary(rng, d)
+    w = random_unitary(rng, d)
     mixed = PopescuSystem.from_operators([sum(w[i, j] * ops[j] for j in range(d)) for i in range(d)])
 
     assert _fixed_dim(system) == _fixed_dim(conjugated) == _fixed_dim(mixed) == f
