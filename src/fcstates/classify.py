@@ -30,12 +30,15 @@ the uncompressed map has the peripheral set of its compression to the
 support of the state, so the peripheral set already reported decides
 purity there too. Neither M'' nor the restriction of sigma to it is formed.
 
-Two outcomes cannot occur in exact arithmetic, so each aborts with
+Three outcomes cannot occur in exact arithmetic, so each aborts with
 :class:`NumericalHealthError` instead of flipping a verdict: the
 compression of an ergodic map to the support of its invariant state is
 ergodic, and a unital CP map with a faithful invariant state has
 Fix(sigma) = M', so a compressed map that is not ergodic, or a commutant
-smaller than the fixed space, means a kernel at its tolerance boundary.
+smaller than the fixed space, means a kernel at its tolerance boundary;
+and every peripheral value of that compressed ergodic map is simple, so
+two eigenvalues that eig clusters at one peripheral value mean an
+eigensolver at its tolerance boundary.
 """
 
 from __future__ import annotations
@@ -156,6 +159,14 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
     working = _comparable_system(form, state, fixed, notes, tol)
     cform, _, cfixed = working
     cperi = peripheral_spectrum(cform, tol_peripheral, tol)
+    clustered = [p for p in cperi if p.algebraic > 1]
+    if clustered:
+        raise NumericalHealthError(
+            f"eig places {clustered[0].algebraic} eigenvalues at the peripheral value "
+            f"{clustered[0].value:.6f} of an ergodic map with a faithful state, where "
+            "every peripheral eigenspace is one-dimensional; the eigensolver is at "
+            "its tolerance boundary; classification is aborted"
+        )
     check_semisimple(cperi)
     if cfixed.dim != 1:
         raise NumericalHealthError(
@@ -197,6 +208,13 @@ def classify_od(
     undefined and the peripheral set is informational. In both cases the
     geometric and algebraic multiplicities of every peripheral value must
     agree, and an ergodic map must stay ergodic under compression.
+
+    The ergodic map, compressed, has a faithful state, so each peripheral
+    value t is simple: its eigenspace is spanned by a power of one
+    eigenunitary, and eig places one eigenvalue at t. The representative
+    eigen-operator is then eig's own eigenvector, checked by one residual
+    ||sigma x - t x||, and no kernel of sigma - t is taken; a value that
+    eig places twice aborts with :class:`NumericalHealthError`.
     """
     return _classify_od(system, tol, tol_peripheral)[0]
 

@@ -597,15 +597,17 @@ class PeripheralEigenvalue:
     """A unimodular eigenvalue of the forward transfer map."""
 
     value: complex
-    multiplicity: int  # geometric: the dimension of the kernel of sigma - value (may be 0)
+    multiplicity: int  # geometric: the dimension of the eigenspace found at set_tol (may be 0)
     operator: np.ndarray  # representative eigen-operator, unit trace norm
     semisimple: bool  # geometric multiplicity == algebraic multiplicity
     algebraic: int = 1  # the number of eigenvalues eig places in this value's cluster
 
 
 def _canonical_phase(x: np.ndarray) -> np.ndarray:
+    # the pivot is the first entry within 1e-8 of the largest modulus, so
+    # that entries of equal modulus up to roundoff do not decide it
     flat = np.abs(x).ravel()
-    j = int(np.argmax(flat))
+    j = int(np.argmax(flat >= (1.0 - 1e-8) * flat.max()))
     pivot = x.ravel()[j]
     if abs(pivot) < 1e-300:
         return x
@@ -621,19 +623,25 @@ def peripheral_spectrum(
 
     The eigenvalues within ``tol`` of the circle are clustered by
     :func:`value_clusters` at ``set_tol``. The algebraic multiplicity of a
-    value is the size of its cluster, the geometric one the dimension of the
-    kernel of sigma - value at threshold ``set_tol``; both are computed in
-    real arithmetic (Hermitian coordinates), the kernel of a real value is
-    real. The cluster within ``set_tol`` of 1, whose representative may be
-    1 + O(eps) i, reads its kernel from the factorization of sigma - I that
-    the fixed spaces share (:meth:`RealTransfer.fixed_kernels`).
+    value is the size of its cluster, the geometric one the number of
+    directions with ||sigma x - value x|| <= ``set_tol`` ||x||, both in real
+    arithmetic (Hermitian coordinates). The cluster within ``set_tol`` of 1,
+    whose representative may be 1 + O(eps) i, reads its kernel from the
+    factorization of sigma - I that the fixed spaces share
+    (:meth:`RealTransfer.fixed_kernels`). Any other value whose cluster has
+    one member takes the eigenvector x that eig returned for it, and no
+    kernel: if ||sigma x - value x|| <= ``set_tol`` ||x||, sigma - value has
+    a singular value at most ``set_tol``, so the geometric multiplicity is
+    at least 1, and at most the algebraic one, 1; otherwise it is 0. A
+    larger cluster takes the kernel of sigma - value at threshold
+    ``set_tol``, which is real for a real value.
     ``semisimple`` is false when the two multiplicities differ: a unimodular
     Jordan block when the algebraic one is larger, a kernel that counts
     eigenvalues the eigensolver puts off the circle when the geometric one
-    is, and a kernel threshold that misses the value (geometric 0, with the
-    eigenvector as the representative operator). The classification layer
-    treats each as a failure. Results are sorted by phase angle starting at
-    1.
+    is, and a kernel threshold or an eigenvector residual that misses the
+    value (geometric 0, with the eigenvector as the representative
+    operator). The classification layer treats each as a failure. Results
+    are sorted by phase angle starting at 1.
     """
     form = _as_real_transfer(system)
     n = form.n
@@ -641,15 +649,19 @@ def peripheral_spectrum(
     on_circle = [complex(z) for z in dec.eigenvalues if abs(1.0 - abs(z)) <= tol]
     out = []
     for value, algebraic in value_clusters(on_circle, set_tol):
+        idx = int(np.argmin(np.abs(dec.eigenvalues - value)))
+        x = dec.eigenvectors[:, idx]
         if abs(value - 1.0) <= set_tol:
             space = form.fixed_kernels(set_tol)[0]
+        elif algebraic == 1:
+            # sigma is real: apply it to the real and imaginary parts of x
+            image = form.matrix @ x.real + 1j * (form.matrix @ x.imag)
+            hit = np.linalg.norm(image - value * x) <= set_tol * np.linalg.norm(x)
+            space = x[:, None] if hit else np.empty((x.size, 0))
         else:
             space = kernel(form.shifted(value), set_tol, scale=1.0)
         geometric = space.shape[1]
-        if geometric == 0:
-            idx = int(np.argmin(np.abs(dec.eigenvalues - value)))
-            space = dec.eigenvectors[:, idx : idx + 1]
-        op = unvec(_from_hermitian(space[:, 0]), (n, n))
+        op = unvec(_from_hermitian(space[:, 0] if geometric else x), (n, n))
         tn = np.linalg.norm(op, "nuc")
         if tn > 0:
             op = op / tn

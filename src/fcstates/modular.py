@@ -316,11 +316,12 @@ def compare_duals(
     W_j = rho^{1/2} V_j rho^{-1/2}, which :func:`verify_duality` measures as
     ``double_dual``.
 
-    Both sides read their multiplicities from the system's kernels, so a
-    geometric multiplicity that differs from the algebraic one (a kernel at
-    its tolerance boundary, such as a kernel that misses the value 1)
-    raises :class:`NumericalHealthError` rather than reading as a match, as
-    does a moved pair above the threshold. ``form`` is the transfer map of
+    Both sides read their multiplicities from the system's peripheral
+    spectrum, so a geometric multiplicity that differs from the algebraic
+    one (a kernel or an eigenvector residual at its tolerance boundary,
+    such as a kernel that misses the value 1) raises
+    :class:`NumericalHealthError` rather than reading as a match, as does a
+    moved pair above the threshold. ``form`` is the transfer map of
     the dualized system when the caller already holds it (with its
     factored sigma - I); it is built otherwise.
     """

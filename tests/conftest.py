@@ -80,6 +80,20 @@ def record_transfer_svds(monkeypatch, *modules) -> list[bool]:
     return flags
 
 
+def record_kernels(monkeypatch) -> list[tuple[np.dtype, tuple[int, ...]]]:
+    """Record the dtype and shape of every kernel that cpmap takes."""
+    calls = []
+    kernel = fcstates.cpmap.kernel
+
+    def recording(a, *args, **kwargs):
+        a = np.asarray(a)
+        calls.append((a.dtype, a.shape))
+        return kernel(a, *args, **kwargs)
+
+    monkeypatch.setattr(fcstates.cpmap, "kernel", recording)
+    return calls
+
+
 def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T

@@ -10,6 +10,10 @@ Tests compare the library against these independent routes:
 * the fixed space of the transfer map and the commutant of a set of
   matrices as complex kernels in vec coordinates, where the library solves
   real kernels in Hermitian coordinates;
+* the peripheral spectrum with one kernel of sigma - t per peripheral
+  value t, real at a real value, where the library takes the eigenvector
+  eig returned for a value whose cluster has one member and checks its
+  residual;
 * the invariant state as the Cesaro limit built from two separately
   factored kernels in vec coordinates, where the library reads both from
   one factorization of sigma - I;
@@ -51,10 +55,16 @@ import numpy as np
 
 from fcstates.classify import HYPOTHESES_NOT_MET, ChainHypotheses
 from fcstates.cpmap import (
+    DEFAULT_PERIPHERAL_TOL,
+    DEFAULT_SET_TOL,
     DensityState,
     OperatorSubspace,
+    PeripheralEigenvalue,
     RealTransfer,
     Superoperator,
+    _as_real_transfer,
+    _canonical_phase,
+    _from_hermitian,
     invariant_state,
     peripheral_spectrum,
     sigma_matrix,
@@ -65,11 +75,13 @@ from fcstates.errors import NumericalHealthError
 from fcstates.numerics import (
     as_matrix,
     distinct_values,
+    eig,
     herm_inv_sqrt,
     herm_sqrt,
     kernel,
     orthonormal_columns,
     spectral_sets_match,
+    value_clusters,
 )
 from fcstates.dilation import MomentTable, TruncatedDilation
 from fcstates.modular import DualSystem
@@ -184,6 +196,44 @@ def svd_invariant_state(form: RealTransfer, tol: float = 1e-8) -> DensityState:
     rho = OperatorSubspace.from_hermitian(predual_fixed, form.n).basis[0]
     rho = 0.5 * (rho + rho.conj().T)
     return DensityState.from_matrix(rho / np.trace(rho).real)
+
+
+def kernel_peripheral_spectrum(
+    system: PopescuSystem | RealTransfer,
+    tol: float = DEFAULT_PERIPHERAL_TOL,
+    set_tol: float = DEFAULT_SET_TOL,
+) -> list[PeripheralEigenvalue]:
+    """The peripheral spectrum with the kernel of sigma - value at threshold
+    ``set_tol`` for every value off 1, whatever its cluster size; the value
+    1 reads the fixed kernels. A kernel that misses its value reports
+    geometric multiplicity 0 with eig's eigenvector as the operator."""
+    form = _as_real_transfer(system)
+    n = form.n
+    dec = eig(form.matrix)
+    on_circle = [complex(z) for z in dec.eigenvalues if abs(1.0 - abs(z)) <= tol]
+    out = []
+    for value, algebraic in value_clusters(on_circle, set_tol):
+        if abs(value - 1.0) <= set_tol:
+            space = form.fixed_kernels(set_tol)[0]
+        else:
+            space = kernel(form.shifted(value), set_tol, scale=1.0)
+        geometric = space.shape[1]
+        if geometric == 0:
+            idx = int(np.argmin(np.abs(dec.eigenvalues - value)))
+            space = dec.eigenvectors[:, idx : idx + 1]
+        op = unvec(_from_hermitian(space[:, 0]), (n, n))
+        op = op / np.linalg.norm(op, "nuc")
+        out.append(
+            PeripheralEigenvalue(
+                value=value,
+                multiplicity=geometric,
+                operator=_canonical_phase(op),
+                semisimple=geometric == algebraic,
+                algebraic=algebraic,
+            )
+        )
+    out.sort(key=lambda p: (abs(np.angle(p.value)), np.angle(p.value)))
+    return out
 
 
 def intersection_dim(a: OperatorSubspace, b: OperatorSubspace, tol: float = 1e-8) -> int:

@@ -4,21 +4,33 @@ import numpy as np
 import pytest
 
 import fcstates.classify
+import fcstates.cpmap
 from fcstates import (
+    EigenDecomposition,
     NumericalHealthError,
     PopescuSystem,
     classify_chain,
     classify_od,
     fixed_points,
     mixed_fixed_points,
+    peripheral_spectrum,
     random_system,
     spectral_sets_match,
 )
 from fcstates.classify import HYPOTHESES_NOT_MET
 from fcstates.cli import main, system_to_json
 
-from conftest import ancilla, block_shift, conjugated, direct_sum, nonfaithful, pauli_channel, record_transfer_svds
-from oracles import commutant_chain_verdicts
+from conftest import (
+    ancilla,
+    block_shift,
+    conjugated,
+    direct_sum,
+    nonfaithful,
+    pauli_channel,
+    record_kernels,
+    record_transfer_svds,
+)
+from oracles import commutant_chain_verdicts, kernel_peripheral_spectrum
 
 
 def test_classify_od_rank_one(rank_one2):
@@ -196,7 +208,7 @@ def _compressed_kernel_at_the_boundary(system):
             tol = 2.0 * np.linalg.svd(form.shifted(1.0), compute_uv=False)[-2]
         return original(form, tol)
 
-    return "fixed_points", at_boundary
+    return fcstates.classify, "fixed_points", at_boundary
 
 
 def _commutant_kernel_at_the_boundary(system):
@@ -206,7 +218,22 @@ def _commutant_kernel_at_the_boundary(system):
     def at_boundary(generators, tol, within=None):
         return original(generators, 1e-30 if within is not None else tol, within)
 
-    return "commutant", at_boundary
+    return fcstates.classify, "commutant", at_boundary
+
+
+def _peripheral_value_doubled(system):
+    # eig is made to place its eigenvalue of least modulus at t = e^{2 pi i/3}
+    # as well, so that value's cluster has two members
+    original = fcstates.cpmap.eig
+    t = np.exp(2j * np.pi / 3)
+
+    def doubled(a):
+        dec = original(a)
+        vals = dec.eigenvalues.astype(complex)
+        vals[np.argmin(np.abs(vals))] = vals[np.argmin(np.abs(vals - t))]
+        return EigenDecomposition(vals, dec.eigenvectors, dec.residual)
+
+    return fcstates.cpmap, "eig", doubled
 
 
 @pytest.mark.parametrize(
@@ -222,17 +249,23 @@ def _commutant_kernel_at_the_boundary(system):
             _commutant_kernel_at_the_boundary,
             "smaller than the fixed space",
         ),
+        (
+            lambda: block_shift(3, 2, 3, 71),
+            _peripheral_value_doubled,
+            "eig places 2 eigenvalues at the peripheral value",
+        ),
     ],
-    ids=["lost_ergodicity", "commutant_below_fixed_space"],
+    ids=["lost_ergodicity", "commutant_below_fixed_space", "doubled_peripheral_value"],
 )
 def test_unreachable_chain_outcomes_abort(monkeypatch, tmp_path, capsys, make, boundary, message):
-    # an ergodic map stays ergodic under compression, and Fix(sigma) = M'
-    # under a faithful state: either outcome is a kernel at the tolerance
-    # boundary, so classification aborts, and analyze exits 3
+    # an ergodic map stays ergodic under compression, Fix(sigma) = M' under
+    # a faithful state, and an ergodic map with a faithful state has simple
+    # peripheral values: each outcome is a kernel or an eigensolver at the
+    # tolerance boundary, so classification aborts, and analyze exits 3
     system = make()
     rep = classify_chain(system)
     assert rep.chain_hypotheses.fixed_equals_m_prime
-    monkeypatch.setattr(fcstates.classify, *boundary(system))
+    monkeypatch.setattr(*boundary(system))
     with pytest.raises(NumericalHealthError, match=message):
         classify_chain(system)
     path = tmp_path / "sys.json"
@@ -308,6 +341,57 @@ def test_chain_verdicts_match_commutant_oracle_on_families(make):
     _assert_chain_verdicts_match_oracle(make())
 
 
+def _assert_peripheral_spectrum_matches_kernel_oracle(system):
+    got = peripheral_spectrum(system)
+    want = kernel_peripheral_spectrum(system)
+    assert [(p.value, p.multiplicity, p.algebraic, p.semisimple) for p in got] == [
+        (p.value, p.multiplicity, p.algebraic, p.semisimple) for p in want
+    ]
+    for p, q in zip(got, want):
+        assert np.linalg.norm(p.operator - q.operator) <= 1e-10
+
+
+def test_peripheral_spectrum_matches_kernel_oracle(known_system):
+    _assert_peripheral_spectrum_matches_kernel_oracle(known_system)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*ORACLE_FAMILIES.values(), lambda: block_shift(4, 2, 6, 74)],
+    ids=[*ORACLE_FAMILIES.keys(), "block_shift(4,2,6)"],
+)
+def test_peripheral_spectrum_matches_kernel_oracle_on_families(make):
+    _assert_peripheral_spectrum_matches_kernel_oracle(make())
+
+
+BLOCK_SHIFTS = {
+    "block_shift(3,2,3)": lambda: block_shift(3, 2, 3, 71),
+    "block_shift(4,3,3)": lambda: block_shift(4, 3, 3, 75),
+    "block_shift(6,3,2)": lambda: block_shift(6, 3, 2, 76),
+    "block_shift(4,2,6)": lambda: block_shift(4, 2, 6, 74),
+}
+
+
+@pytest.mark.parametrize("make", BLOCK_SHIFTS.values(), ids=BLOCK_SHIFTS.keys())
+def test_classify_chain_takes_no_kernel_on_block_shifts(monkeypatch, make):
+    # every peripheral value other than 1 is simple and takes eig's
+    # eigenvector; the value 1 reads the factored sigma - I
+    kernels = record_kernels(monkeypatch)
+    rep = classify_chain(make())
+    assert rep.ergodic and rep.k == len(rep.peripheral) > 1
+    assert kernels == []
+
+
+def test_classify_chain_takes_no_complex_kernel(monkeypatch, known_system):
+    # an ergodic map takes no kernel at all; off that path (averaging3, the
+    # direct sum, the ancilla: peripheral set {1}) only the real commutant
+    # kernels run
+    kernels = record_kernels(monkeypatch)
+    rep = classify_chain(known_system)
+    assert all(dtype.kind == "f" for dtype, _ in kernels)
+    assert kernels == [] or not rep.ergodic
+
+
 @pytest.mark.parametrize(
     "make, calls",
     [
@@ -331,8 +415,13 @@ def test_chain_verdicts_match_commutant_oracle_on_families(make):
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
              "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1},
         ),
+        (
+            lambda: block_shift(3, 2, 3, 71),
+            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0},
+        ),
     ],
-    ids=["random", "nonfaithful", "direct_sum", "ancilla"],
+    ids=["random", "nonfaithful", "direct_sum", "ancilla", "block_shift"],
 )
 def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # sigma_matrix, commutant, eig and kernel are counted where cpmap calls
@@ -345,7 +434,8 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # by whatever route they are taken, without and with singular vectors. An
     # ergodic map takes no singular vector; a map with f > 1 (the direct sum,
     # the ancilla) pays one values-only SVD on top of the full one, at most
-    # 0.7 ms at n <= 12 (1 BLAS thread).
+    # 0.7 ms at n <= 12 (1 BLAS thread). The block shift's peripheral values
+    # other than 1 are simple, so each takes eig's eigenvector and no kernel.
     counts = dict.fromkeys(calls, 0)
     unrestricted = []
 
@@ -362,10 +452,12 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
 
     for name in ("fixed_points", "compress", "invariant_state", "commutant", "eig"):
         monkeypatch.setattr(fcstates.classify, name, counted(fcstates.classify, name))
-    for name in ("sigma_matrix", "commutant", "eig", "kernel"):
+    for name in ("sigma_matrix", "commutant", "eig"):
         monkeypatch.setattr(fcstates.cpmap, name, counted(fcstates.cpmap, name))
+    kernels = record_kernels(monkeypatch)
     flags = record_transfer_svds(monkeypatch, fcstates.classify)
     classify_chain(make())
+    counts["kernel"] = len(kernels)
     counts["svd_values"], counts["svd_vectors"] = flags.count(False), flags.count(True)
     assert counts == calls
     assert unrestricted == []

@@ -522,6 +522,45 @@ def test_peripheral_kernel_miss_reports_geometric_zero():
     assert abs(np.linalg.norm(p.operator, "nuc") - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("factor, expected", [(2.0, (0, 1, False)), (0.5, (1, 1, True))])
+def test_peripheral_eigenvector_residual_gate_at_its_threshold(monkeypatch, factor, expected):
+    # eig's eigenvector at t = e^{2 pi i/3}, a value whose cluster has one
+    # member, is moved off its eigenspace until its relative residual
+    # ||sigma x - t x|| / ||x|| is factor * set_tol
+    sys_ = block_shift(3, 2, 2, 64)
+    t = np.exp(2j * np.pi / 3)
+    set_tol = 1e-8
+    rng = np.random.default_rng(5)
+    exact_eig = fcstates.cpmap.eig
+    residuals = []
+
+    def moved_eig(a):
+        dec = exact_eig(a)
+        j = int(np.argmin(np.abs(dec.eigenvalues - t)))
+        x = dec.eigenvectors[:, j]
+        w = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+        w -= np.vdot(x, w) * x
+        w /= np.linalg.norm(w)
+        y = x + factor * set_tol / np.linalg.norm(a @ w - dec.eigenvalues[j] * w) * w
+        y /= np.linalg.norm(y)
+        residuals.append(np.linalg.norm(a @ y - dec.eigenvalues[j] * y))
+        vecs = dec.eigenvectors.astype(complex)
+        vecs[:, j] = y
+        return EigenDecomposition(dec.eigenvalues, vecs, dec.residual)
+
+    monkeypatch.setattr(fcstates.cpmap, "eig", moved_eig)
+    peri = peripheral_spectrum(sys_, set_tol=set_tol)
+    assert residuals[0] == pytest.approx(factor * set_tol, rel=1e-3)
+    (p,) = [p for p in peri if abs(p.value - t) <= 1e-6]
+    assert (p.multiplicity, p.algebraic, p.semisimple) == expected
+    assert abs(np.linalg.norm(p.operator, "nuc") - 1.0) <= 1e-10
+    if p.semisimple:
+        check_semisimple(peri)
+    else:
+        with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
+            check_semisimple(peri)
+
+
 def test_eigenunitary_swap(swap2):
     state = invariant_state(swap2)
     u = peripheral_eigenunitary(swap2, state, -1.0)
