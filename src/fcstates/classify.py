@@ -43,7 +43,7 @@ eigensolver at its tolerance boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cpmap import (
     DensityState,
@@ -65,16 +65,6 @@ from .popescu import PopescuSystem, compress, validate
 __all__ = ["ChainHypotheses", "ClassificationReport", "classify_od", "classify_chain"]
 
 HYPOTHESES_NOT_MET = "hypotheses not met"
-
-
-def _dedupe(notes: list[str]) -> tuple[str, ...]:
-    seen: set[str] = set()
-    out = []
-    for note in notes:
-        if note not in seen:
-            seen.add(note)
-            out.append(note)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -145,49 +135,39 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
         peripherals = peripheral_spectrum(form, tol_peripheral, tol)
         check_semisimple(peripherals)
         notes.append("transfer map is not ergodic; k undefined, peripheral set informational")
-        report = ClassificationReport(
-            validate_residual=residual,
-            ergodic=False,
-            od_state_pure=ergodic,
-            invariant_state=state,
-            compressed_ergodic=None,
-            peripheral=tuple(p.value for p in peripherals),
-            k=None,
-            notes=_dedupe(notes),
-        )
-        return report, (form, state, fixed)
-    working = _comparable_system(form, state, fixed, notes, tol)
-    cform, _, cfixed = working
-    cperi = peripheral_spectrum(cform, tol_peripheral, tol)
-    clustered = [p for p in cperi if p.algebraic > 1]
-    if clustered:
-        raise NumericalHealthError(
-            f"eig places {clustered[0].algebraic} eigenvalues at the peripheral value "
-            f"{clustered[0].value:.6f} of an ergodic map with a faithful state, where "
-            "every peripheral eigenspace is one-dimensional; the eigensolver is at "
-            "its tolerance boundary; classification is aborted"
-        )
-    check_semisimple(cperi)
-    if cfixed.dim != 1:
-        raise NumericalHealthError(
-            f"the map is ergodic but its compression to the support of the invariant "
-            f"state has a {cfixed.dim}-dimensional fixed space; compression keeps "
-            "ergodicity, so a fixed-point kernel is at the tolerance boundary; "
-            "classification is aborted"
-        )
-    values = tuple(p.value for p in cperi)
-    # the state is faithful and the map ergodic, so the k spectral projections
-    # of the eigenunitary are nonzero and k <= n
-    k = gauge_group_order(values, tol=tol, max_denominator=cform.n)
+        working, k = (form, state, fixed), None
+    else:
+        working = _comparable_system(form, state, fixed, notes, tol)
+        cform, _, cfixed = working
+        peripherals = peripheral_spectrum(cform, tol_peripheral, tol)
+        clustered = [p for p in peripherals if p.algebraic > 1]
+        if clustered:
+            raise NumericalHealthError(
+                f"eig places {clustered[0].algebraic} eigenvalues at the peripheral value "
+                f"{clustered[0].value:.6f} of an ergodic map with a faithful state, where "
+                "every peripheral eigenspace is one-dimensional; the eigensolver is at "
+                "its tolerance boundary; classification is aborted"
+            )
+        check_semisimple(peripherals)
+        if cfixed.dim != 1:
+            raise NumericalHealthError(
+                f"the map is ergodic but its compression to the support of the invariant "
+                f"state has a {cfixed.dim}-dimensional fixed space; compression keeps "
+                "ergodicity, so a fixed-point kernel is at the tolerance boundary; "
+                "classification is aborted"
+            )
+        # the state is faithful and the map ergodic, so the k spectral
+        # projections of the eigenunitary are nonzero and k <= n
+        k = gauge_group_order([p.value for p in peripherals], tol=tol, max_denominator=cform.n)
     report = ClassificationReport(
         validate_residual=residual,
-        ergodic=True,
+        ergodic=ergodic,
         od_state_pure=ergodic,
         invariant_state=state,
-        compressed_ergodic=True,
-        peripheral=values,
+        compressed_ergodic=True if ergodic else None,
+        peripheral=tuple(p.value for p in peripherals),
         k=k,
-        notes=_dedupe(notes),
+        notes=tuple(notes),
     )
     return report, working
 
@@ -287,31 +267,14 @@ def classify_chain(
             if not ok
         ]
         notes.append(f"chain hypotheses failed: {', '.join(failing)}")
-        return ClassificationReport(
-            validate_residual=base.validate_residual,
-            ergodic=base.ergodic,
-            od_state_pure=base.od_state_pure,
-            invariant_state=base.invariant_state,
-            compressed_ergodic=base.compressed_ergodic,
-            peripheral=base.peripheral,
-            k=base.k,
-            chain_hypotheses=hyp,
-            chain_pure=HYPOTHESES_NOT_MET,
-            chain_factor=None,
-            notes=_dedupe(notes),
+        return replace(
+            base, chain_hypotheses=hyp, chain_pure=HYPOTHESES_NOT_MET, notes=tuple(notes)
         )
     chain_pure = spectral_sets_match(base.peripheral, [1.0], tol)
-    return ClassificationReport(
-        validate_residual=base.validate_residual,
-        ergodic=base.ergodic,
-        od_state_pure=base.od_state_pure,
-        invariant_state=base.invariant_state,
-        compressed_ergodic=base.compressed_ergodic,
-        peripheral=base.peripheral,
-        k=base.k,
+    return replace(
+        base,
         chain_hypotheses=hyp,
         chain_pure=chain_pure,
         chain_factor=chain_pure,
-        notes=_dedupe(notes),
+        notes=tuple(notes),
     )
-

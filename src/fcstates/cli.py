@@ -18,14 +18,19 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
 from .chain import LocalObservable, clustering_defect, expectation
 from .classify import ClassificationReport, classify_chain
-from .cpmap import invariance_residual, invariant_state, mixed_fixed_points, real_transfer
+from .cpmap import (
+    invariance_residual,
+    invariant_state,
+    mixed_fixed_points,
+    real_transfer,
+    root_of_unity_phase,
+)
 from .dilation import build, cuntz_residuals
 from .errors import NumericalHealthError, ValidationError
 from .modular import compare_duals, dual_system, verify_duality
@@ -118,20 +123,13 @@ def parse_observable(spec: str) -> LocalObservable:
     return LocalObservable(int(doc.get("start_site", 1)), factors)
 
 
-def _snap_phase(value: complex, max_denominator: int) -> str:
-    frac = Fraction(float(np.angle(value)) / (2 * np.pi)).limit_denominator(max_denominator)
-    frac = Fraction(frac.numerator % frac.denominator, frac.denominator) if frac.denominator > 1 else Fraction(0, 1)
-    return f"{frac.numerator}/{frac.denominator}"
-
-
 def report_to_json(report: ClassificationReport, system: PopescuSystem, raw: bytes) -> dict:
-    peripheral = [
-        {
-            "value": _complex_pair(z),
-            "phase": _snap_phase(z, system.n**2),
-        }
-        for z in report.peripheral
-    ]
+    peripheral = []
+    for z in report.peripheral:
+        # a value that is not a root of unity of order <= n^2 has phase null
+        phase = root_of_unity_phase(z, system.n**2)
+        text = None if phase is None else f"{phase.numerator}/{phase.denominator}"
+        peripheral.append({"value": _complex_pair(z), "phase": text})
     hyp = report.chain_hypotheses
     return {
         "tool": "fcstates",

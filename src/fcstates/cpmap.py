@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -66,6 +66,7 @@ __all__ = [
     "peripheral_spectrum",
     "check_semisimple",
     "peripheral_eigenunitary",
+    "root_of_unity_phase",
     "gauge_group_order",
     "mixed_fixed_points",
 ]
@@ -413,21 +414,13 @@ def _hermitian_parts(gens: list[np.ndarray]) -> list[np.ndarray]:
     return parts + [1j * _HALF_SQRT2 * (g - g.conj().T) for g in gens if np.any(g != g.conj().T)]
 
 
-def _commutant_constraints(gens: list[np.ndarray]) -> np.ndarray:
-    """The stacked real matrices of X -> i[X, K] over the Hermitian parts K of
-    the generators, in Hermitian coordinates."""
-    n = gens[0].shape[0]
-    eye = np.eye(n)
-    ads = np.stack([1j * (np.kron(k.T, eye) - np.kron(eye, k)) for k in _hermitian_parts(gens)])
-    return real_form(ads).reshape(-1, n * n)
-
-
 def _commutant_constraints_within(
     gens: list[np.ndarray], within: OperatorSubspace
 ) -> np.ndarray:
-    """:func:`_commutant_constraints` times the Hermitian coordinates of the
-    Hermitian basis F_1..F_f of ``within``, from the images i[F_j, K]:
-    O(f n^3) per K, where the full stack costs O(n^6)."""
+    """The stacked real matrices, over the Hermitian parts K of the
+    generators, of c -> i[sum_j c_j F_j, K] for the Hermitian basis
+    F_1..F_f of ``within``: column j holds the Hermitian coordinates of the
+    image i[F_j, K], so each K costs O(f n^3)."""
     n = within.shape[0]
     f = np.stack(within.basis)
     blocks = []
@@ -450,15 +443,15 @@ def commutant(
     unitary recombination of the (A, A*) constraints, so the singular
     values and the threshold are those of the (A, A*) stack. When A is
     Hermitian the second K is zero and is left out; the singular values
-    stay the same. The basis is the real kernel, so its elements are
-    Hermitian.
+    stay the same.
 
-    With ``within``, a subspace with a Hermitian basis F_1..F_f, the result
-    is the part of the commutant inside it: X = sum_j c_j F_j, and the
-    kernel is taken over the f coefficients c, so the constraint matrix has
-    f columns in place of n^2, built from the images i[F_j, K] without the
-    full stack. The fixed space of the transfer map contains the commutant
-    of its operators, so it serves as ``within`` there.
+    The result is the part of the commutant inside ``within``, a subspace
+    with a Hermitian basis F_1..F_f, all n x n matrices by default (the
+    Hermitian basis itself): X = sum_j c_j F_j, and the kernel is taken over
+    the f coefficients c, from the images i[F_j, K]. That kernel is real,
+    so the basis elements are Hermitian. The fixed space of the transfer map
+    contains the commutant of its operators, so it serves as ``within``
+    there.
     """
     gens = [as_matrix(g, "generator") for g in generators]
     if not gens:
@@ -469,9 +462,7 @@ def commutant(
             raise ValueError("generators must share a common square dimension")
     scale = max(1.0, float(max(np.linalg.norm(g, 2) for g in gens)))
     if within is None:
-        return OperatorSubspace.from_hermitian(
-            kernel(_commutant_constraints(gens), tol, scale=scale), n
-        )
+        within = OperatorSubspace.from_hermitian(np.eye(n * n), n)
     basis = within.hermitian_columns()
     null = kernel(_commutant_constraints_within(gens, within), tol, scale=scale)
     return OperatorSubspace.from_hermitian(basis @ null, n)
@@ -751,46 +742,52 @@ def peripheral_eigenunitary(
     return u
 
 
+def root_of_unity_phase(
+    value: complex, max_denominator: int, tol: float = DEFAULT_SET_TOL
+) -> Fraction | None:
+    """The phase p/q in [0, 1), q <= ``max_denominator``, of a root of unity
+    value = exp(2 pi i p/q), or None when the value is not one.
+
+    The angle of the value over 2 pi is snapped to the nearest fraction of
+    bounded denominator (continued fractions via Fraction), and the snap is
+    accepted only when |value^q - 1| <= max(tol q, 1e-7).
+    """
+    frac = Fraction(float(np.angle(value)) / (2.0 * np.pi)).limit_denominator(max_denominator)
+    q = frac.denominator
+    if abs(value**q - 1.0) > max(tol * q, 1e-7):
+        return None
+    return Fraction(frac.numerator % q, q)
+
+
 def gauge_group_order(values, tol: float = DEFAULT_SET_TOL, max_denominator: int | None = None) -> int:
     """Order of the finite circle subgroup formed by the peripheral values.
 
-    Each phase is snapped to the nearest rational multiple of 2*pi with
-    bounded denominator (continued fractions via Fraction). The snap is then
-    validated against the original values (|t^q - 1| <= tol and closure of
-    the snapped set under multiplication). Failure raises: a peripheral set
-    that is not a finite subgroup signals hypothesis violation or numerical
-    degeneracy, and is never silently rounded.
+    k is the number of ``tol``-distinct values. Each is snapped by
+    :func:`root_of_unity_phase` (denominators up to ``max_denominator``,
+    k by default), and the snapped phases must be exactly j/k for
+    j = 0..k-1, each once. Failure raises: a peripheral set that is not a
+    finite subgroup signals hypothesis violation or numerical degeneracy,
+    and is never silently rounded.
     """
     vals = distinct_values(values, tol)
     if not vals:
         raise ValueError("empty peripheral set")
-    if not any(abs(v - 1.0) <= max(tol, 1e-8) for v in vals):
-        raise NumericalHealthError("peripheral set does not contain 1")
-    qmax = max_denominator if max_denominator is not None else max(len(vals), 1)
-    fracs = set()
+    k = len(vals)
+    qmax = max_denominator if max_denominator is not None else k
+    phases = []
     for v in vals:
-        theta = float(np.angle(v)) / (2.0 * np.pi)
-        frac = Fraction(theta).limit_denominator(qmax)
-        p, q = frac.numerator % frac.denominator, frac.denominator
-        if abs(v**q - 1.0) > max(tol * q, 1e-7):
+        phase = root_of_unity_phase(v, qmax, tol)
+        if phase is None:
             raise NumericalHealthError(
                 f"peripheral value {v:.6f} is not a root of unity of order <= {qmax}: "
                 "peripheral set is not a finite subgroup of the circle"
             )
-        fracs.add(Fraction(p, q))
-    for a in fracs:
-        for b in fracs:
-            if Fraction((a + b).numerator % (a + b).denominator, (a + b).denominator) not in fracs:
-                raise NumericalHealthError(
-                    "snapped peripheral set is not closed under multiplication: "
-                    "not a finite subgroup of the circle"
-                )
-    k = 1
-    for f in fracs:
-        k = k * f.denominator // gcd(k, f.denominator)
-    if k != len(fracs):
+        phases.append(phase)
+    if sorted(phases) != [Fraction(j, k) for j in range(k)]:
         raise NumericalHealthError(
-            f"peripheral set has {len(fracs)} elements but generates a group of order {k}"
+            f"the {k} peripheral values snap to the phases "
+            f"{', '.join(map(str, sorted(phases)))}, not to the group of {k}-th roots of "
+            "unity: not a finite subgroup of the circle"
         )
     return k
 

@@ -5,8 +5,11 @@ from hypothesis import given, settings, strategies as st
 from fcstates import (
     LocalObservable,
     clustering_defect,
+    commutant,
     compress,
     expectation,
+    fixed_points,
+    generated_algebra,
     invariant_state,
     random_system,
     real_transfer,
@@ -16,8 +19,8 @@ from fcstates import (
     words_up_to,
 )
 
-from conftest import eij
-from oracles import dense_expectation, e_map, padded_product
+from conftest import direct_sum, eij
+from oracles import dense_expectation, e_map, padded_product, vec_commutant
 
 
 def obs(*factors, start=1):
@@ -105,6 +108,22 @@ def test_chain_layer_makes_no_kron_call(monkeypatch):
     assert two_point(form, state, x, y, gap=4) == expected
     rep = clustering_defect(form, state, x, y, n_max=20)
     assert abs(rep.defects[6] - abs(expected - ex * ey)) <= 1e-14
+
+
+def test_commutant_makes_no_kron_call(monkeypatch):
+    sys_ = direct_sum(random_system(2, 2, 61), random_system(2, 3, 62))
+    ops = sys_.operators
+    fixed = fixed_points(sys_)
+    expected = vec_commutant(ops)
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    assert commutant(ops).span_equals(expected)
+    assert commutant(ops, within=fixed).span_equals(expected)
+    # M = M_2 (+) M_3 for two inequivalent ergodic blocks
+    assert generated_algebra(ops).dim == 4 + 9
 
 
 def test_expectation_swap_pairs(swap2):

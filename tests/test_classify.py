@@ -11,6 +11,7 @@ from fcstates import (
     PopescuSystem,
     classify_chain,
     classify_od,
+    commutant,
     fixed_points,
     mixed_fixed_points,
     peripheral_spectrum,
@@ -30,7 +31,7 @@ from conftest import (
     record_kernels,
     record_transfer_svds,
 )
-from oracles import commutant_chain_verdicts, kernel_peripheral_spectrum
+from oracles import commutant_chain_verdicts, kernel_peripheral_spectrum, vec_commutant
 
 
 def test_classify_od_rank_one(rank_one2):
@@ -339,6 +340,12 @@ ORACLE_FAMILIES = {
 @pytest.mark.parametrize("make", ORACLE_FAMILIES.values(), ids=ORACLE_FAMILIES.keys())
 def test_chain_verdicts_match_commutant_oracle_on_families(make):
     _assert_chain_verdicts_match_oracle(make())
+
+
+@pytest.mark.parametrize("make", ORACLE_FAMILIES.values(), ids=ORACLE_FAMILIES.keys())
+def test_commutant_matches_vec_oracle_on_families(make):
+    ops = make().operators
+    assert commutant(ops).span_equals(vec_commutant(ops))
 
 
 def _assert_peripheral_spectrum_matches_kernel_oracle(system):

@@ -15,6 +15,7 @@ import fcstates.classify
 import fcstates.cpmap
 import fcstates.modular
 import fcstates.numerics
+from fcstates import PopescuSystem
 from fcstates.cli import (
     main,
     matrix_from_json,
@@ -25,7 +26,7 @@ from fcstates.cli import (
 from fcstates.cpmap import RealTransfer
 from fcstates.modular import DualSystem
 
-from conftest import eij, pauli_channel, record_transfer_svds
+from conftest import block_shift, direct_sum, eij, pauli_channel, record_transfer_svds
 
 
 def write_system(tmp_path, system, name="sys.json"):
@@ -96,6 +97,25 @@ def test_analyze_swap(capsys, swap_path):
     assert doc["chain_pure"] is False
     phases = sorted(p["phase"] for p in doc["peripheral"])
     assert phases == ["0/1", "1/2"]
+
+
+def _analyzed_phases(capsys, tmp_path, system):
+    assert main(["analyze", write_system(tmp_path, system)]) == 0
+    return [p["phase"] for p in json.loads(capsys.readouterr().out)["peripheral"]]
+
+
+def test_analyze_reports_no_phase_for_a_value_that_is_not_a_root_of_unity(capsys, tmp_path):
+    # sigma(X) = U X U* has the peripheral values 1 (twice) and
+    # exp(+-i pi sqrt 2), whose phase 0.7071 is no fraction of denominator
+    # <= n^2 = 4; snapped without a check it read 2/3 and 1/3
+    u = np.diag([1.0, np.exp(1j * np.pi * np.sqrt(2))])
+    system = PopescuSystem.from_operators([u / np.sqrt(2), u / np.sqrt(2)])
+    assert _analyzed_phases(capsys, tmp_path, system) == ["0/1", None, None]
+
+
+def test_analyze_reports_the_phases_of_a_direct_sum_of_block_shifts(capsys, tmp_path):
+    system = direct_sum(block_shift(2, 2, 2, 3), block_shift(3, 2, 1, 4))
+    assert _analyzed_phases(capsys, tmp_path, system) == ["0/1", "2/3", "1/3", "1/2"]
 
 
 def test_analyze_rank_one(capsys, rank_one_path):

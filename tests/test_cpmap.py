@@ -27,7 +27,6 @@ from fcstates import (
 from fcstates.cpmap import (
     DensityState,
     OperatorSubspace,
-    _commutant_constraints,
     _commutant_constraints_within,
     check_semisimple,
     real_form,
@@ -130,6 +129,11 @@ def test_hermitian_basis_is_orthonormal_and_real_form_is_its_product():
         OperatorSubspace((1j * np.eye(n),), (n, n)).hermitian_columns()
 
 
+def _all_matrices(n: int) -> OperatorSubspace:
+    """All n x n matrices, spanned by the Hermitian basis."""
+    return OperatorSubspace.from_hermitian(np.eye(n * n), n)
+
+
 def test_real_forms_match_vec_oracles(known_system):
     n, ops = known_system.n, known_system.operators
     sig = sigma_matrix(known_system).matrix
@@ -142,7 +146,7 @@ def test_real_forms_match_vec_oracles(known_system):
 
     eye = np.eye(n * n)
     assert np.max(np.abs(svals(sig_r - eye) - svals(sig - eye))) <= 1e-12
-    stack = _commutant_constraints(list(ops))
+    stack = _commutant_constraints_within(list(ops), _all_matrices(n))
     assert stack.dtype == np.float64
     assert np.max(np.abs(svals(stack) - svals(vec_commutant_constraints(ops)))) <= 1e-12
     assert spectral_sets_match(np.linalg.eigvals(sig_r), np.linalg.eigvals(sig), 1e-10)
@@ -217,7 +221,11 @@ def test_commutant_constraints_within_are_the_full_stack_on_the_basis(known_syst
     ops, n = list(known_system.operators), known_system.n
     rng = np.random.default_rng(5)
     spread = np.linalg.qr(rng.standard_normal((n * n, min(4, n * n))))[0]
-    full = _commutant_constraints(ops)
+    full = _commutant_constraints_within(ops, _all_matrices(n))
+    # the (A, A*) stack is a unitary recombination of the i[X, K] stack, so
+    # the two have one Gram matrix
+    oracle = vec_commutant_constraints(ops)
+    assert np.linalg.norm(full.T @ full - real_form(oracle.conj().T @ oracle)) <= 1e-12
     for within in (fixed_points(known_system), OperatorSubspace.from_hermitian(spread, n)):
         direct = _commutant_constraints_within(ops, within)
         assert direct.dtype == np.float64
@@ -628,6 +636,13 @@ def test_gauge_group_order_rejects_non_group():
     third = np.exp(2j * np.pi / 3)
     with pytest.raises(NumericalHealthError):
         gauge_group_order([1.0, third], max_denominator=9)
+
+
+def test_gauge_group_order_rejects_distinct_values_that_snap_to_one_phase():
+    # -1 and -1 + 2e-8 i are distinct at tol = 1e-8, and both snap to 1/2:
+    # three values are not the group of order 2
+    with pytest.raises(NumericalHealthError):
+        gauge_group_order([1.0, -1.0, -1.0 + 2e-8j], tol=1e-8, max_denominator=3)
 
 
 # ----------------------------------------------------------------------
