@@ -13,32 +13,39 @@ Three questions are answered about a system:
   hypotheses (M is a factor, fixed space equals its commutant, state
   faithful).
 
-Purity of the chain state is computed only when the hypotheses hold;
-otherwise the report says so explicitly instead of guessing.
+Every verdict after ergodicity is read off one system: the given one when
+its invariant state (the Cesaro limit from I/n) is faithful, and otherwise
+its compression to the support p of that state, taken once. p is the
+largest co-invariant subspace that carries a faithful invariant state, so
+on it two facts hold as theorems: the compressed state is faithful, and
+X -> pXp maps the fixed space of sigma onto that of the compression, so
+the two have one dimension. A unital CP map with a faithful invariant
+state has Fix(sigma) = M'. The last two chain hypotheses therefore hold on
+the compressed system, and only "M is a factor" is decided. The peripheral
+eigenvectors of the trace-preserving predual live on p, where it acts as
+the predual of the compression, so the compressed map has the peripheral
+set of the given one, and that set is reported.
 
 Both chain verdicts come from two objects: the commutant M' and the
 peripheral set of sigma. An X that commutes with every V_i and V_i*
 satisfies sigma(X) = X sum_i V_i V_i* = X, so M' lies in the fixed space
-of sigma. When the (compressed) map is ergodic its fixed space is C.1,
-hence M' = C.1, M = M'' = M_n, and sigma restricted to M is sigma itself:
-the first two hypotheses hold as a theorem, and the chain verdicts are read
-from the peripheral spectrum already computed for k. Off that path (direct
-sums, ancillas) M' is solved inside the fixed space, and M is a factor iff
-the centre Z(M) = M cap M' = Z(M'), the commutant of M' inside M', is C.1.
-With one central block, sigma = sigma_W (x) id on M = M_{n_1} (x) I, and
-the uncompressed map has the peripheral set of its compression to the
-support of the state, so the peripheral set already reported decides
-purity there too. Neither M'' nor the restriction of sigma to it is formed.
+of sigma. When the map is ergodic its fixed space is C.1, hence M' = C.1,
+M = M'' = M_n, and sigma restricted to M is sigma itself: M is a factor,
+and the chain verdicts are read from the peripheral spectrum already
+computed for k. Off that path (direct sums, ancillas) M' is solved inside
+the fixed space, and M is a factor iff the centre Z(M) = M cap M' = Z(M'),
+the commutant of M' inside M', is C.1. With one central block,
+sigma = sigma_W (x) id on M = M_{n_1} (x) I, so the peripheral set already
+reported decides purity there too. Neither M'' nor the restriction of
+sigma to it is formed.
 
 Three outcomes cannot occur in exact arithmetic, so each aborts with
-:class:`NumericalHealthError` instead of flipping a verdict: the
-compression of an ergodic map to the support of its invariant state is
-ergodic, and a unital CP map with a faithful invariant state has
-Fix(sigma) = M', so a compressed map that is not ergodic, or a commutant
-smaller than the fixed space, means a kernel at its tolerance boundary;
-and every peripheral value of that compressed ergodic map is simple, so
-two eigenvalues that eig clusters at one peripheral value mean an
-eigensolver at its tolerance boundary.
+:class:`NumericalHealthError` instead of flipping a verdict: a compression
+whose fixed space has another dimension than the map's, or whose state is
+not faithful; a commutant smaller than the fixed space; and two
+eigenvalues that eig clusters at one peripheral value of an ergodic map,
+whose peripheral values are simple. Each means a kernel or an eigensolver
+at its tolerance boundary.
 """
 
 from __future__ import annotations
@@ -47,8 +54,6 @@ from dataclasses import dataclass, field, replace
 
 from .cpmap import (
     DensityState,
-    OperatorSubspace,
-    RealTransfer,
     check_semisimple,
     commutant,
     fixed_points,
@@ -96,30 +101,10 @@ class ClassificationReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _comparable_system(
-    form: RealTransfer,
-    state: DensityState,
-    fixed: OperatorSubspace,
-    notes: list[str],
-    tol: float,
-):
-    """The transfer map of the system, its state and its fixed space,
-    compressed to the support of the state when the state is not faithful."""
-    if state.faithful:
-        return form, state, fixed
-    notes.append(
-        f"invariant state has rank {state.rank} < {state.n}; "
-        "compressed to its support"
-    )
-    cform = real_transfer(compress(form.system, state.support))
-    return cform, invariant_state(cform), fixed_points(cform, tol)
-
-
 def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
-    """:func:`classify_od`, also returning the transfer map, state and fixed
-    space it ended on: compressed to the support of the state when the map
-    is ergodic, as given otherwise. The transfer map is built once per
-    system."""
+    """:func:`classify_od`, also returning the transfer map and fixed space
+    of the system it classified: the given one when its state is faithful,
+    its compression to the support of the state otherwise."""
     notes: list[str] = []
     residual = validate(system)
     form = real_transfer(system)
@@ -131,34 +116,40 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
             "predual fixed space has dimension > 1; reported state is the "
             "exact Cesaro limit from I/n, not unique"
         )
-    if not ergodic:
-        peripherals = peripheral_spectrum(form, tol_peripheral, tol)
-        check_semisimple(peripherals)
-        notes.append("transfer map is not ergodic; k undefined, peripheral set informational")
-        working, k = (form, state, fixed), None
-    else:
-        working = _comparable_system(form, state, fixed, notes, tol)
-        cform, _, cfixed = working
-        peripherals = peripheral_spectrum(cform, tol_peripheral, tol)
-        clustered = [p for p in peripherals if p.algebraic > 1]
-        if clustered:
+    if not state.faithful:
+        notes.append(
+            f"invariant state has rank {state.rank} < {state.n}; "
+            "compressed to its support"
+        )
+        form = real_transfer(compress(system, state.support))
+        cfixed, cstate = fixed_points(form, tol), invariant_state(form)
+        if cfixed.dim != fixed.dim or not cstate.faithful:
             raise NumericalHealthError(
-                f"eig places {clustered[0].algebraic} eigenvalues at the peripheral value "
-                f"{clustered[0].value:.6f} of an ergodic map with a faithful state, where "
-                "every peripheral eigenspace is one-dimensional; the eigensolver is at "
-                "its tolerance boundary; classification is aborted"
+                f"the compression to the support of the invariant state has a "
+                f"{cfixed.dim}-dimensional fixed space where the map has a "
+                f"{fixed.dim}-dimensional one, and a state of rank {cstate.rank} on "
+                f"{cstate.n} dimensions; compression keeps ergodicity and the dimension "
+                "of the fixed space, and its state is faithful, so a kernel is at the "
+                "tolerance boundary; classification is aborted"
             )
-        check_semisimple(peripherals)
-        if cfixed.dim != 1:
-            raise NumericalHealthError(
-                f"the map is ergodic but its compression to the support of the invariant "
-                f"state has a {cfixed.dim}-dimensional fixed space; compression keeps "
-                "ergodicity, so a fixed-point kernel is at the tolerance boundary; "
-                "classification is aborted"
-            )
+        fixed = cfixed
+    peripherals = peripheral_spectrum(form, tol_peripheral, tol)
+    clustered = [p for p in peripherals if p.algebraic > 1]
+    if ergodic and clustered:
+        raise NumericalHealthError(
+            f"eig places {clustered[0].algebraic} eigenvalues at the peripheral value "
+            f"{clustered[0].value:.6f} of an ergodic map with a faithful state, where "
+            "every peripheral eigenspace is one-dimensional; the eigensolver is at "
+            "its tolerance boundary; classification is aborted"
+        )
+    check_semisimple(peripherals)
+    if ergodic:
         # the state is faithful and the map ergodic, so the k spectral
         # projections of the eigenunitary are nonzero and k <= n
-        k = gauge_group_order([p.value for p in peripherals], tol=tol, max_denominator=cform.n)
+        k = gauge_group_order([p.value for p in peripherals], tol=tol, max_denominator=form.n)
+    else:
+        notes.append("transfer map is not ergodic; k undefined, peripheral set informational")
+        k = None
     report = ClassificationReport(
         validate_residual=residual,
         ergodic=ergodic,
@@ -169,7 +160,7 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
         k=k,
         notes=tuple(notes),
     )
-    return report, working
+    return report, form, fixed
 
 
 def classify_od(
@@ -182,12 +173,13 @@ def classify_od(
     Ergodicity (a trivial fixed-point space of the transfer map) is
     equivalent to purity of the induced state: the self-intertwiner space of
     the dilation is that same fixed space, so one kernel decides both. When
-    the map is ergodic the system is compressed to the support of its
-    unique invariant state, and k is the order of the circle
-    subgroup formed by the compressed peripheral spectrum; otherwise k is
-    undefined and the peripheral set is informational. In both cases the
-    geometric and algebraic multiplicities of every peripheral value must
-    agree, and an ergodic map must stay ergodic under compression.
+    the invariant state is not faithful the system is compressed once to
+    its support, and the peripheral spectrum is taken there; the
+    compression must keep the dimension of the fixed space and have a
+    faithful state. When the map is ergodic, k is the order of the circle
+    subgroup formed by that peripheral spectrum; otherwise k is undefined
+    and the peripheral set is informational. In both cases the geometric
+    and algebraic multiplicities of every peripheral value must agree.
 
     The ergodic map, compressed, has a faithful state, so each peripheral
     value t is simple: its eigenspace is spanned by a power of one
@@ -206,44 +198,32 @@ def classify_chain(
 ) -> ClassificationReport:
     """Full report: adds the two-sided chain verdicts to :func:`classify_od`.
 
-    Pipeline: compute the invariant state; if it is not faithful, compress
-    to its support and continue there. Test the hypotheses (the generated
-    algebra M is a factor, the fixed space equals the commutant M', the
-    state is faithful). When they hold, the chain state is pure iff the
-    peripheral spectrum of the transfer map restricted to M is {1}, and
-    purity coincides with factoriality in this finite-dimensional setting.
+    The chain verdicts are taken on the system that :func:`classify_od`
+    classified, compressed to the support of the invariant state when that
+    state is not faithful. Its state is faithful, and its fixed space is M'
+    (a smaller commutant aborts as a kernel at the tolerance boundary), so
+    those two hypotheses are reported as met, and the one decided is that
+    the generated algebra M is a factor. When it is, the chain state is pure
+    iff the peripheral spectrum of the transfer map restricted to M is {1},
+    and purity coincides with factoriality in this finite-dimensional
+    setting.
 
     M' lies in the fixed space, since sigma(X) = X sum_i V_i V_i* = X for
-    X in M'. So when the compressed map is ergodic, M' = C.1 and
-    M = M'' = M_n: the first two hypotheses hold as a theorem, and the
-    restricted spectrum is the peripheral spectrum of the compressed map,
-    already computed for k, so the chain state is pure iff k = 1.
+    X in M'. So when the map is ergodic, M' = C.1 and M = M'' = M_n is a
+    factor, and the restricted spectrum is the peripheral spectrum already
+    computed for k, so the chain state is pure iff k = 1.
 
-    Otherwise the state of the compressed map is faithful, so its fixed
-    space is M' (a smaller commutant aborts as a kernel at the tolerance
-    boundary), and M' is solved inside the fixed space. The centre of M is
+    Otherwise M' is solved inside the fixed space. The centre of M is
     M cap M' = Z(M'), so M is a factor iff the commutant of M' inside M' is
-    C.1; M itself is never formed. The restricted spectrum is read off the
-    peripheral set that :func:`classify_od` reported for the uncompressed
-    map, by two facts:
-
-    * with one central block, K = C^{n_1} (x) C^{m_1}, V_i = W_i (x) I,
-      M = M_{n_1} (x) I and sigma = sigma_W (x) id, so sigma restricted to
-      M has the peripheral set of sigma;
-    * the peripheral eigenvectors of the trace-preserving predual sigma_*
-      live on the support p of the Cesaro state, where sigma_* acts on
-      p M_n p as the predual of the compressed map, so the uncompressed
-      map has the peripheral set of the compressed one.
+    C.1; M itself is never formed. With one central block,
+    K = C^{n_1} (x) C^{m_1}, V_i = W_i (x) I, M = M_{n_1} (x) I and
+    sigma = sigma_W (x) id, so sigma restricted to M has the peripheral set
+    of sigma, the one :func:`classify_od` reported.
     """
-    base, (wform, wstate, fixed) = _classify_od(system, tol, tol_peripheral)
-    notes = list(base.notes)
-    if base.ergodic:
-        hyp = ChainHypotheses(
-            m_is_factor=True, fixed_equals_m_prime=True, phi_faithful=wstate.faithful
-        )
-    else:
-        wform, wstate, fixed = _comparable_system(wform, wstate, fixed, notes, tol)
-        comm = commutant(wform.system.operators, tol, within=fixed)
+    base, form, fixed = _classify_od(system, tol, tol_peripheral)
+    factor = True
+    if not base.ergodic:
+        comm = commutant(form.system.operators, tol, within=fixed)
         if comm.dim != fixed.dim:
             raise NumericalHealthError(
                 f"the commutant of the operators ({comm.dim}-dimensional) is smaller "
@@ -251,30 +231,14 @@ def classify_chain(
                 "is faithful, where the two are equal; a kernel is at the tolerance "
                 "boundary; classification is aborted"
             )
-        hyp = ChainHypotheses(
-            m_is_factor=commutant(comm.basis, tol, within=comm).dim == 1,
-            fixed_equals_m_prime=True,
-            phi_faithful=wstate.faithful,
-        )
-    if not hyp.all_met():
-        failing = [
-            name
-            for name, ok in (
-                ("M_is_factor", hyp.m_is_factor),
-                ("fixed_equals_M_prime", hyp.fixed_equals_m_prime),
-                ("phi_faithful", hyp.phi_faithful),
-            )
-            if not ok
-        ]
-        notes.append(f"chain hypotheses failed: {', '.join(failing)}")
+        factor = commutant(comm.basis, tol, within=comm).dim == 1
+    hyp = ChainHypotheses(m_is_factor=factor, fixed_equals_m_prime=True, phi_faithful=True)
+    if not factor:
         return replace(
-            base, chain_hypotheses=hyp, chain_pure=HYPOTHESES_NOT_MET, notes=tuple(notes)
+            base,
+            chain_hypotheses=hyp,
+            chain_pure=HYPOTHESES_NOT_MET,
+            notes=(*base.notes, "chain hypotheses failed: M_is_factor"),
         )
     chain_pure = spectral_sets_match(base.peripheral, [1.0], tol)
-    return replace(
-        base,
-        chain_hypotheses=hyp,
-        chain_pure=chain_pure,
-        chain_factor=chain_pure,
-        notes=tuple(notes),
-    )
+    return replace(base, chain_hypotheses=hyp, chain_pure=chain_pure, chain_factor=chain_pure)

@@ -82,19 +82,43 @@ def system_to_json(system: PopescuSystem, seed: int | None = None) -> dict:
     return doc
 
 
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("not a JSON object")
+    return value
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("not a JSON list")
+    return value
+
+
+def _field(doc: dict, key: str, convert, default=None):
+    """doc[key], or the default when it is absent, passed through convert;
+    a value that convert rejects is a :class:`SchemaError` naming the field."""
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed '{key}' field: {value!r:.60}") from exc
+
+
 def parse_system(doc: dict, tol_validate: float = 1e-9) -> PopescuSystem:
+    if not isinstance(doc, dict):
+        raise SchemaError("system file does not hold a JSON object")
     for key in ("d", "dim", "operators"):
         if key not in doc:
             raise SchemaError(f"system file is missing the '{key}' field")
-    d, n = int(doc["d"]), int(doc["dim"])
-    ops = [matrix_from_json(rows, "operator") for rows in doc["operators"]]
+    d, n = _field(doc, "d", int), _field(doc, "dim", int)
+    ops = [matrix_from_json(rows, "operator") for rows in _field(doc, "operators", _json_list)]
     if len(ops) != d:
         raise SchemaError(f"expected {d} operators, found {len(ops)}")
     for v in ops:
         if v.shape != (n, n):
             raise SchemaError(f"operator has shape {v.shape}, expected ({n}, {n})")
-    tols = doc.get("tolerances", {})
-    tol = float(tols.get("validate", tol_validate))
+    tols = _field(doc, "tolerances", _json_object, {})
+    tol = _field(tols, "validate", float, tol_validate)
     return PopescuSystem.from_operators(ops, tol=tol)
 
 
@@ -117,10 +141,10 @@ def parse_observable(spec: str) -> LocalObservable:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     doc = json.loads(text)
-    if "factors" not in doc:
-        raise SchemaError("observable spec is missing the 'factors' field")
-    factors = tuple(matrix_from_json(rows, "factor") for rows in doc["factors"])
-    return LocalObservable(int(doc.get("start_site", 1)), factors)
+    if not isinstance(doc, dict) or "factors" not in doc:
+        raise SchemaError("observable spec is not a JSON object with a 'factors' field")
+    factors = tuple(matrix_from_json(rows, "factor") for rows in _field(doc, "factors", _json_list))
+    return LocalObservable(_field(doc, "start_site", int, 1), factors)
 
 
 def report_to_json(report: ClassificationReport, system: PopescuSystem, raw: bytes) -> dict:
@@ -346,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NumericalHealthError as exc:

@@ -6,6 +6,7 @@ import pytest
 import fcstates.classify
 import fcstates.cpmap
 from fcstates import (
+    DensityState,
     EigenDecomposition,
     NumericalHealthError,
     PopescuSystem,
@@ -212,6 +213,37 @@ def _compressed_kernel_at_the_boundary(system):
     return fcstates.classify, "fixed_points", at_boundary
 
 
+def _compressed_kernel_past_the_boundary(system):
+    # off the ergodic path: the compressed map's fixed-point kernel is taken
+    # at a threshold just above its smallest nonzero singular value, which
+    # the ancilla repeats four times (sigma = sigma_W (x) id on M_3 (x) M_2)
+    original = fcstates.classify.fixed_points
+
+    def at_boundary(form, tol):
+        if form.n < system.n:
+            s = np.linalg.svd(form.shifted(1.0), compute_uv=False)
+            tol = 2.0 * s[-1 - np.sum(s <= tol)]
+        return original(form, tol)
+
+    return fcstates.classify, "fixed_points", at_boundary
+
+
+def _compressed_state_at_the_boundary(system):
+    # the compressed state's least eigenvalue falls below the support
+    # threshold, as when it sits at that threshold
+    original = fcstates.classify.invariant_state
+
+    def at_boundary(form):
+        state = original(form)
+        if form.n == system.n:
+            return state
+        vals, vecs = np.linalg.eigh(state.rho)
+        vals[0] = 0.0
+        return DensityState.from_matrix((vecs * vals) @ vecs.conj().T / vals.sum())
+
+    return fcstates.classify, "invariant_state", at_boundary
+
+
 def _commutant_kernel_at_the_boundary(system):
     # M' is solved inside the fixed space at a threshold below roundoff
     original = fcstates.classify.commutant
@@ -246,6 +278,16 @@ def _peripheral_value_doubled(system):
             "compression keeps ergodicity",
         ),
         (
+            lambda: ancilla(nonfaithful(2, 3, 2, 22), 2),
+            _compressed_kernel_past_the_boundary,
+            "16-dimensional fixed space where the map has a 4-dimensional one",
+        ),
+        (
+            lambda: nonfaithful(2, 3, 2, 22),
+            _compressed_state_at_the_boundary,
+            "a state of rank 2 on 3 dimensions",
+        ),
+        (
             lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
             _commutant_kernel_at_the_boundary,
             "smaller than the fixed space",
@@ -256,10 +298,17 @@ def _peripheral_value_doubled(system):
             "eig places 2 eigenvalues at the peripheral value",
         ),
     ],
-    ids=["lost_ergodicity", "commutant_below_fixed_space", "doubled_peripheral_value"],
+    ids=[
+        "lost_ergodicity",
+        "compression_changes_fixed_dimension",
+        "compressed_state_not_faithful",
+        "commutant_below_fixed_space",
+        "doubled_peripheral_value",
+    ],
 )
 def test_unreachable_chain_outcomes_abort(monkeypatch, tmp_path, capsys, make, boundary, message):
-    # an ergodic map stays ergodic under compression, Fix(sigma) = M' under
+    # compression to the support of the state keeps the dimension of the
+    # fixed space and gives a faithful state, Fix(sigma) = M' under
     # a faithful state, and an ergodic map with a faithful state has simple
     # peripheral values: each outcome is a kernel or an eigensolver at the
     # tolerance boundary, so classification aborts, and analyze exits 3
@@ -274,6 +323,19 @@ def test_unreachable_chain_outcomes_abort(monkeypatch, tmp_path, capsys, make, b
     assert main(["analyze", str(path)]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert message in doc["notes"][0]
+
+
+@pytest.mark.parametrize("name", ["averaging3", "nonfaithful(2,3,2)xI2", "nonfaithful(2,3,2)+A"])
+def test_peripheral_set_of_a_compressed_system_is_the_systems(request, name):
+    # off the ergodic path the peripheral set is taken on the compression to
+    # the support of the state, where the predual's peripheral eigenvectors
+    # live, so it is the peripheral set of the system as given
+    system = OFF_ERGODIC[name][0]() if name in OFF_ERGODIC else request.getfixturevalue(name)
+    rep = classify_chain(system)
+    assert not rep.ergodic and not rep.invariant_state.faithful
+    want = [p.value for p in kernel_peripheral_spectrum(system)]
+    assert len(rep.peripheral) == len(want)
+    assert all(abs(a - b) <= 1e-8 for a, b in zip(rep.peripheral, want))
 
 
 def _assert_chain_verdicts_match_oracle(system):
@@ -405,30 +467,44 @@ def test_classify_chain_takes_no_complex_kernel(monkeypatch, known_system):
         (
             lambda: random_system(3, 5, 21),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0},
+             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0,
+             "eig_dims": [25]},
         ),
         (
             lambda: nonfaithful(2, 3, 2, 22),
             {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
-             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 2, "svd_vectors": 0},
+             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 2, "svd_vectors": 0,
+             "eig_dims": [9]},
         ),
         (
             lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1},
+             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1,
+             "eig_dims": [25]},
         ),
         (
             lambda: ancilla(random_system(2, 2, 63), 3),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1},
+             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1,
+             "eig_dims": [36]},
+        ),
+        (
+            # off the ergodic path the system is compressed once, and the
+            # peripheral set and both commutants are taken on the 6 x 6
+            # compression: eig runs on a 36 x 36 matrix, not a 100 x 100 one
+            lambda: ancilla(nonfaithful(2, 3, 2, 22), 2),
+            {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
+             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 2, "svd_vectors": 2,
+             "eig_dims": [36]},
         ),
         (
             lambda: block_shift(3, 2, 3, 71),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0},
+             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0,
+             "eig_dims": [81]},
         ),
     ],
-    ids=["random", "nonfaithful", "direct_sum", "ancilla", "block_shift"],
+    ids=["random", "nonfaithful", "direct_sum", "ancilla", "nonfaithful_x_I2", "block_shift"],
 )
 def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # sigma_matrix, commutant, eig and kernel are counted where cpmap calls
@@ -444,6 +520,7 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # 0.7 ms at n <= 12 (1 BLAS thread). The block shift's peripheral values
     # other than 1 are simple, so each takes eig's eigenvector and no kernel.
     counts = dict.fromkeys(calls, 0)
+    counts["eig_dims"] = []
     unrestricted = []
 
     def counted(module, name):
@@ -451,6 +528,8 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "eig" and module is fcstates.cpmap:
+                counts["eig_dims"].append(args[0].shape[0])
             if name == "commutant" and len(args) < 3 and kwargs.get("within") is None:
                 unrestricted.append(module.__name__)
             return original(*args, **kwargs)

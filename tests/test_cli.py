@@ -72,6 +72,12 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+def test_validate_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff{"d": 2}')
+    assert main(["validate", str(path)]) == 2
+
+
 def test_validate_missing_field(tmp_path, capsys):
     path = tmp_path / "incomplete.json"
     path.write_text(json.dumps({"d": 2, "dim": 1}))
@@ -87,6 +93,47 @@ def test_validate_invalid_system(tmp_path, capsys):
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 1
+
+
+_SITE_FACTOR = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "system_fields, observable",
+    [
+        ({"operators": 5}, None),
+        ({"dim": None}, None),
+        ({"dim": float("inf")}, None),
+        ({"tolerances": [1]}, None),
+        ({"d": "two"}, None),
+        ({}, {"factors": 5}),
+        ({}, {"start_site": None, "factors": [_SITE_FACTOR]}),
+        ({}, {"start_site": "x", "factors": [_SITE_FACTOR]}),
+    ],
+    ids=["operators_5", "dim_null", "dim_infinite", "tolerances_list", "d_two", "factors_5",
+         "start_site_null", "start_site_x"],
+)
+def test_malformed_input_is_a_parse_error(capsys, tmp_path, swap2, system_fields, observable):
+    # a field of the wrong kind exits 2 with one line on stderr, never a
+    # traceback or the domain exit code 1
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({**system_to_json(swap2), **system_fields}))
+    argv = ["chain-eval", str(path), json.dumps(observable)] if observable else ["validate", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "chain-eval", "cluster", "dual"])
+def test_a_system_that_validates_is_analyzed(capsys, tmp_path, command):
+    # residual 4e-10 of sum V_i V_i* = I passes validation (tolerance 1e-9),
+    # so no later stage may reject the system as not unital
+    ops = [v * np.sqrt(1 + 4e-10) for v in fcstates.random_system(2, 4, 5).operators]
+    path = write_system(tmp_path, PopescuSystem(tuple(ops)))
+    spec = json.dumps({"start_site": 1, "factors": [_SITE_FACTOR]})
+    extra = {"chain-eval": [spec], "cluster": [spec, spec]}.get(command, [])
+    assert main([command, path, *extra]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_analyze_swap(capsys, swap_path):
