@@ -11,9 +11,8 @@ with full duality verification.
 """
 
 from .chain import ClusteringReport, LocalObservable, clustering_defect, expectation, two_point
-from .classify import ChainHypotheses, ClassificationReport, classify_chain, classify_od
+from .classify import ClassificationReport, classify_chain, classify_od
 from .cpmap import (
-    CoinvarianceCheck,
     DensityState,
     OperatorSubspace,
     PeripheralEigenvalue,
@@ -65,7 +64,6 @@ __all__ = [
     "RealTransfer",
     "OperatorSubspace",
     "DensityState",
-    "CoinvarianceCheck",
     "PeripheralEigenvalue",
     "sigma_matrix",
     "real_transfer",
@@ -81,7 +79,6 @@ __all__ = [
     "mixed_fixed_points",
     "vec",
     "unvec",
-    "ChainHypotheses",
     "ClassificationReport",
     "classify_od",
     "classify_chain",

@@ -67,37 +67,28 @@ from .errors import NumericalHealthError
 from .numerics import eig, spectral_sets_match  # noqa: F401
 from .popescu import PopescuSystem, compress, validate
 
-__all__ = ["ChainHypotheses", "ClassificationReport", "classify_od", "classify_chain"]
+__all__ = ["ClassificationReport", "classify_od", "classify_chain"]
 
 HYPOTHESES_NOT_MET = "hypotheses not met"
 
 
 @dataclass(frozen=True)
-class ChainHypotheses:
-    """Hypothesis flags for the two-sided chain purity criterion."""
-
-    m_is_factor: bool
-    fixed_equals_m_prime: bool
-    phi_faithful: bool
-
-    def all_met(self) -> bool:
-        return self.m_is_factor and self.fixed_equals_m_prime and self.phi_faithful
-
-
-@dataclass(frozen=True)
 class ClassificationReport:
-    """Collected verdicts for one system."""
+    """Collected verdicts for one system, each held once.
+
+    ``ergodic`` is also purity on the d-isometry algebra. ``m_is_factor``, set
+    by :func:`classify_chain`, is the one chain hypothesis decided; the other
+    two are theorems on the compressed system. ``chain_pure`` is also the
+    factoriality of the chain state, or HYPOTHESES_NOT_MET.
+    """
 
     validate_residual: float
     ergodic: bool
-    od_state_pure: bool
     invariant_state: DensityState
-    compressed_ergodic: bool | None
     peripheral: tuple[complex, ...]
     k: int | None
-    chain_hypotheses: ChainHypotheses | None = None
+    m_is_factor: bool | None = None
     chain_pure: bool | str | None = None
-    chain_factor: bool | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -111,7 +102,7 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
     fixed = fixed_points(form, tol)
     ergodic = fixed.dim == 1
     state = invariant_state(form)
-    if state.unique is False:
+    if not ergodic:
         notes.append(
             "predual fixed space has dimension > 1; reported state is the "
             "exact Cesaro limit from I/n, not unique"
@@ -153,9 +144,7 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
     report = ClassificationReport(
         validate_residual=residual,
         ergodic=ergodic,
-        od_state_pure=ergodic,
         invariant_state=state,
-        compressed_ergodic=True if ergodic else None,
         peripheral=tuple(p.value for p in peripherals),
         k=k,
         notes=tuple(notes),
@@ -202,7 +191,7 @@ def classify_chain(
     classified, compressed to the support of the invariant state when that
     state is not faithful. Its state is faithful, and its fixed space is M'
     (a smaller commutant aborts as a kernel at the tolerance boundary), so
-    those two hypotheses are reported as met, and the one decided is that
+    those two hypotheses hold, and the one decided, ``m_is_factor``, is that
     the generated algebra M is a factor. When it is, the chain state is pure
     iff the peripheral spectrum of the transfer map restricted to M is {1},
     and purity coincides with factoriality in this finite-dimensional
@@ -221,7 +210,7 @@ def classify_chain(
     of sigma, the one :func:`classify_od` reported.
     """
     base, form, fixed = _classify_od(system, tol, tol_peripheral)
-    factor = True
+    factor = True  # an ergodic map has M = M_n
     if not base.ergodic:
         comm = commutant(form.system.operators, tol, within=fixed)
         if comm.dim != fixed.dim:
@@ -232,13 +221,12 @@ def classify_chain(
                 "boundary; classification is aborted"
             )
         factor = commutant(comm.basis, tol, within=comm).dim == 1
-    hyp = ChainHypotheses(m_is_factor=factor, fixed_equals_m_prime=True, phi_faithful=True)
     if not factor:
         return replace(
             base,
-            chain_hypotheses=hyp,
+            m_is_factor=False,
             chain_pure=HYPOTHESES_NOT_MET,
             notes=(*base.notes, "chain hypotheses failed: M_is_factor"),
         )
-    chain_pure = spectral_sets_match(base.peripheral, [1.0], tol)
-    return replace(base, chain_hypotheses=hyp, chain_pure=chain_pure, chain_factor=chain_pure)
+    pure = spectral_sets_match(base.peripheral, [1.0], tol)
+    return replace(base, m_is_factor=True, chain_pure=pure)

@@ -41,8 +41,8 @@ from math import isqrt
 import numpy as np
 
 from .errors import NumericalHealthError, ValidationError
-from .numerics import as_matrix, distinct_values, eig, herm_sqrt, kernel, value_clusters
-from .popescu import PopescuSystem
+from .numerics import as_matrix, distinct_values, eig, kernel, value_clusters
+from .popescu import PopescuSystem, validate
 
 __all__ = [
     "vec",
@@ -52,7 +52,6 @@ __all__ = [
     "RealTransfer",
     "OperatorSubspace",
     "DensityState",
-    "CoinvarianceCheck",
     "PeripheralEigenvalue",
     "sigma_matrix",
     "real_transfer",
@@ -329,19 +328,14 @@ class OperatorSubspace:
 
 @dataclass(frozen=True)
 class DensityState:
-    """A positive unit-trace matrix together with its support data.
-
-    ``unique`` is set by :func:`invariant_state` and records whether the
-    fixed-point space of the predual was one-dimensional.
-    """
+    """A positive unit-trace matrix together with its support data."""
 
     rho: np.ndarray
     support: np.ndarray
     faithful: bool
-    unique: bool | None = None
 
     @classmethod
-    def from_matrix(cls, rho, tol: float = 1e-10, unique: bool | None = None) -> "DensityState":
+    def from_matrix(cls, rho, tol: float = 1e-10) -> "DensityState":
         rho = as_matrix(rho, "density matrix")
         if np.linalg.norm(rho - rho.conj().T, 2) > max(tol, 1e-10):
             raise ValidationError("density matrix is not Hermitian within tolerance")
@@ -359,7 +353,7 @@ class DensityState:
         carrier = vecs[:, keep]
         support = carrier @ carrier.conj().T
         faithful = bool(np.all(keep))
-        return cls(rho, support, faithful, unique)
+        return cls(rho, support, faithful)
 
     @property
     def n(self) -> int:
@@ -368,13 +362,6 @@ class DensityState:
     @property
     def rank(self) -> int:
         return int(round(np.trace(self.support).real))
-
-    def sqrt(self) -> np.ndarray:
-        """The square root of rho (the cyclic vector in Hilbert-Schmidt form)."""
-        return herm_sqrt(self.rho)
-
-    def expectation(self, x: np.ndarray) -> complex:
-        return complex(np.trace(self.rho @ x))
 
 
 def fixed_points(
@@ -492,8 +479,7 @@ def invariant_state(
     semisimple: sigma is a contraction in operator norm, so it has no Jordan
     block on the unit circle. As vec(I) lies in F, the trace of rho_0 is
     kept. When R is one-dimensional the state is its basis vector
-    normalized to unit trace, it is the unique invariant state, and
-    ``unique`` is set on the output.
+    normalized to unit trace, the unique invariant state.
 
     R and F are real kernels in Hermitian coordinates, where sigma_* is the
     transpose of sigma (:meth:`RealTransfer.fixed_kernels`), of the same
@@ -503,6 +489,11 @@ def invariant_state(
     matrix is nonsingular exactly because the fixed space of the predual is
     one-dimensional and its state has nonzero trace. Otherwise R and F are
     the left and right kernels of one full SVD of sigma - I.
+
+    The state must satisfy ||sigma_*(rho) - rho|| <= 1e-10 n + r, where r is
+    the residual ||sum_i V_i V_i* - I|| that :func:`validate` reports: a
+    system that is unital only to r has a transfer map that is trace
+    preserving only to r, so its state can be invariant only to that order.
     """
     form = _as_real_transfer(system)
     n = form.n
@@ -515,8 +506,7 @@ def invariant_state(
             raise ValueError("rho0 must have nonzero trace")
         rho0 = rho0 / tr
     left, right = form.fixed_kernels(DEFAULT_SUBSPACE_TOL)
-    unique = right.shape[1] == 1
-    if unique:
+    if right.shape[1] == 1:
         # the trace of a matrix is the sum of its diagonal coordinates
         v = right[:, 0] / np.sum(right[:n, 0])
     else:
@@ -533,25 +523,25 @@ def invariant_state(
     rho = (vecs * (vals / vals.sum())[None, :]) @ vecs.conj().T
     h = _to_hermitian(vec(rho)).real
     resid = float(np.linalg.norm(form.matrix.T @ h - h))
-    if resid > 1e-10 * n:
-        raise NumericalHealthError(f"invariant state has residual {resid:.3e}")
-    return DensityState.from_matrix(rho, unique=unique)
+    gate = 1e-10 * n + validate(form.system)
+    if resid > gate:
+        raise NumericalHealthError(
+            f"invariant state has residual {resid:.3e}, above its bound {gate:.3e}"
+        )
+    return DensityState.from_matrix(rho)
 
 
-@dataclass(frozen=True)
-class CoinvarianceCheck:
-    """The three equivalent hereditary-invariance conditions for a projection."""
+def coinvariance_check(system: PopescuSystem, p, tol: float = DEFAULT_SUBSPACE_TOL) -> bool:
+    """Whether a projection p is hereditary-invariant, decided by three
+    equivalent conditions evaluated numerically:
 
-    cond1: bool  # sigma(p) <= lambda p for some lambda >= 0
-    cond2: bool  # V_i p = p V_i p for all i
-    cond3: bool  # sigma(p) <= p
-
-
-def coinvariance_check(system: PopescuSystem, p, tol: float = DEFAULT_SUBSPACE_TOL) -> CoinvarianceCheck:
-    """Evaluate the three equivalent conditions on a projection numerically.
+    1. sigma(p) <= lambda p for some lambda >= 0;
+    2. V_i p = p V_i p for all i;
+    3. sigma(p) <= p.
 
     The conditions coincide in exact arithmetic; a disagreement beyond
-    tolerance indicates numerical ill health and raises.
+    tolerance indicates numerical ill health and raises, so the one value
+    returned is that of all three.
     """
     p = as_matrix(p, "projection")
     if np.linalg.norm(p - p.conj().T, 2) > tol or np.linalg.norm(p @ p - p, 2) > tol:
@@ -571,7 +561,7 @@ def coinvariance_check(system: PopescuSystem, p, tol: float = DEFAULT_SUBSPACE_T
             f"hereditary-invariance conditions disagree: ({cond1}, {cond2}, {cond3}); "
             "projection is too close to the tolerance boundary"
         )
-    return CoinvarianceCheck(cond1, cond2, cond3)
+    return cond1
 
 
 def invariance_residual(system: PopescuSystem, rho: np.ndarray) -> float:
@@ -588,7 +578,6 @@ class PeripheralEigenvalue:
     value: complex
     multiplicity: int  # geometric: the dimension of the eigenspace found at set_tol (may be 0)
     operator: np.ndarray  # representative eigen-operator, unit trace norm
-    semisimple: bool  # geometric multiplicity == algebraic multiplicity
     algebraic: int = 1  # the number of eigenvalues eig places in this value's cluster
 
 
@@ -624,13 +613,13 @@ def peripheral_spectrum(
     at least 1, and at most the algebraic one, 1; otherwise it is 0. A
     larger cluster takes the kernel of sigma - value at threshold
     ``set_tol``, which is real for a real value.
-    ``semisimple`` is false when the two multiplicities differ: a unimodular
-    Jordan block when the algebraic one is larger, a kernel that counts
-    eigenvalues the eigensolver puts off the circle when the geometric one
-    is, and a kernel threshold or an eigenvector residual that misses the
-    value (geometric 0, with the eigenvector as the representative
-    operator). The classification layer treats each as a failure. Results
-    are sorted by phase angle starting at 1.
+    The two multiplicities differ for a unimodular Jordan block when the
+    algebraic one is larger, a kernel that counts eigenvalues the
+    eigensolver puts off the circle when the geometric one is, and a kernel
+    threshold or an eigenvector residual that misses the value (geometric
+    0, with the eigenvector as the representative operator).
+    :func:`check_semisimple` treats each as a failure. Results are sorted by
+    phase angle starting at 1.
     """
     form = _as_real_transfer(system)
     n = form.n
@@ -659,7 +648,6 @@ def peripheral_spectrum(
                 value=value,
                 multiplicity=geometric,
                 operator=_canonical_phase(op),
-                semisimple=geometric == algebraic,
                 algebraic=algebraic,
             )
         )
@@ -678,7 +666,7 @@ def check_semisimple(peripherals: list[PeripheralEigenvalue]) -> None:
     bad = [
         f"{p.value:.6f} (geometric {p.multiplicity}, algebraic {p.algebraic})"
         for p in peripherals
-        if not p.semisimple
+        if p.multiplicity != p.algebraic
     ]
     if bad:
         raise NumericalHealthError(

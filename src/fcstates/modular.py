@@ -60,7 +60,7 @@ from .cpmap import (
 )
 from .errors import NumericalHealthError
 from .numerics import eig  # noqa: F401  (bound here for perfbench's span tracer)
-from .numerics import herm_inv_sqrt, herm_sqrt, spectral_sets_match
+from .numerics import herm_inv_sqrt, herm_sqrt
 from .popescu import PopescuSystem
 
 __all__ = [
@@ -192,14 +192,13 @@ class DualityReport:
     """Residuals of the structural identities of the dual system."""
 
     # ||sum_j Vt_j Vt_j* - I|| on the GNS space; sum_j R_{W_j} R_{W_j}* is
-    # R_{sum_j W_j* W_j}, so this is one identity with parameter_isometry and
-    # the two fields always hold the same number
+    # R_{sum_j W_j* W_j}, so this is also the parameter isometry residual
+    # ||sum_j W_j* W_j - I||
     completeness: float
     double_dual: float  # max_j ||dual(dual(V_j)) - left-mult V_j||
     dual_invariance: float  # ||phi~ o sigma~ - phi~|| as ||sum W rho W* - rho||
     vector_consistency: float  # max_j ||Vt_j* Phi - V_j* Phi||
     commutation: float  # max_ij ||[Vt_i, left-mult V_j]||, Frobenius over the matrix units
-    parameter_isometry: float  # ||sum_j W_j* W_j - I||, equal to completeness
     predual_invariance: float  # ||sum_j V_j* rho V_j - rho||
 
     def max_residual(self) -> float:
@@ -209,7 +208,6 @@ class DualityReport:
             self.dual_invariance,
             self.vector_consistency,
             self.commutation,
-            self.parameter_isometry,
             self.predual_invariance,
         )
 
@@ -246,7 +244,7 @@ def verify_duality(dual: DualSystem) -> DualityReport:
     system, md = dual.system, dual.modular
     n = system.n
     rho, rs, rsi = md.state.rho, md.phi_vector, md.phi_inverse
-    parameter_isometry = float(
+    completeness = float(
         np.linalg.norm(sum(w.conj().T @ w for w in dual.parameters) - np.eye(n), 2)
     )
     double_dual = max(
@@ -266,12 +264,11 @@ def verify_duality(dual: DualSystem) -> DualityReport:
         for v in system.operators
     )
     return DualityReport(
-        completeness=parameter_isometry,
+        completeness=completeness,
         double_dual=double_dual,
         dual_invariance=dual_invariance,
         vector_consistency=vector_consistency,
         commutation=commutation,
-        parameter_isometry=parameter_isometry,
         predual_invariance=invariance_residual(system, rho),
     )
 
@@ -280,17 +277,17 @@ def verify_duality(dual: DualSystem) -> DualityReport:
 class DualComparison:
     """Spectral agreement between a system and its dual.
 
-    ``dual_peripheral[i]`` is the dual value that ``peripheral[i]`` moves to:
+    ``peripheral`` is the system's peripheral set. Each value lambda moves to
     its conjugate, an eigenvalue of tau because lambda is one of its
-    trace-pairing adjoint tau^dagger. ``similarity`` is the largest relative
+    trace-pairing adjoint tau^dagger; the set is closed under conjugation,
+    as sigma is real, so the dual has the same peripheral set, and it has
+    the system's fixed-space dimension. Both agreements hold whenever
+    :func:`compare_duals` returns. ``similarity`` is the largest relative
     residual ||tau^dagger(Z) - lambda Z||_F / ||Z||_F over the moved
     eigenpairs (see :func:`compare_duals`).
     """
 
-    ergodic_match: bool
-    psp_match: bool
     peripheral: tuple[complex, ...]
-    dual_peripheral: tuple[complex, ...]
     similarity: float
 
 
@@ -320,10 +317,11 @@ def compare_duals(
     spectrum, so a geometric multiplicity that differs from the algebraic
     one (a kernel or an eigenvector residual at its tolerance boundary,
     such as a kernel that misses the value 1) raises
-    :class:`NumericalHealthError` rather than reading as a match, as does a
-    moved pair above the threshold. ``form`` is the transfer map of
-    the dualized system when the caller already holds it (with its
-    factored sigma - I); it is built otherwise.
+    :class:`NumericalHealthError`, as does a moved pair above the
+    threshold. When the function returns, the two agree on ergodicity and on
+    the peripheral set, so no match flag is returned. ``form`` is the
+    transfer map of the dualized system when the caller already holds it
+    (with its factored sigma - I); it is built otherwise.
     """
     if form is None:
         form = real_transfer(dual.system)
@@ -345,11 +343,4 @@ def compare_duals(
             f"the system's eigenpairs do not move to the dual under rho^(1/2) . rho^(1/2): "
             f"relative residual {similarity:.3e}"
         )
-    dvalues = tuple(complex(np.conj(v)) for v in values)
-    return DualComparison(
-        ergodic_match=(peri[0].multiplicity == 1) == (len(fixed) == 1),
-        psp_match=spectral_sets_match(values, dvalues, tol),
-        peripheral=values,
-        dual_peripheral=dvalues,
-        similarity=similarity,
-    )
+    return DualComparison(peripheral=values, similarity=similarity)

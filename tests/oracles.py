@@ -51,9 +51,11 @@ Tests compare the library against these independent routes:
   through the similarity tau = Gamma^{-1} sigma_* Gamma.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from fcstates.classify import HYPOTHESES_NOT_MET, ChainHypotheses
+from fcstates.classify import HYPOTHESES_NOT_MET
 from fcstates.cpmap import (
     DEFAULT_PERIPHERAL_TOL,
     DEFAULT_SET_TOL,
@@ -228,7 +230,6 @@ def kernel_peripheral_spectrum(
                 value=value,
                 multiplicity=geometric,
                 operator=_canonical_phase(op),
-                semisimple=geometric == algebraic,
                 algebraic=algebraic,
             )
         )
@@ -242,6 +243,19 @@ def intersection_dim(a: OperatorSubspace, b: OperatorSubspace, tol: float = 1e-8
         return 0
     s = np.linalg.svd(a.to_columns().conj().T @ b.to_columns(), compute_uv=False)
     return int(np.sum(s >= 1.0 - tol))
+
+
+@dataclass(frozen=True)
+class ChainHypotheses:
+    """The three hypotheses of the two-sided chain purity criterion, each
+    decided on its own by :func:`commutant_chain_verdicts`."""
+
+    m_is_factor: bool
+    fixed_equals_m_prime: bool
+    phi_faithful: bool
+
+    def all_met(self) -> bool:
+        return self.m_is_factor and self.fixed_equals_m_prime and self.phi_faithful
 
 
 def commutant_chain_verdicts(

@@ -20,7 +20,7 @@ from fcstates import (
     spectral_sets_match,
 )
 from fcstates.classify import HYPOTHESES_NOT_MET
-from fcstates.cli import main, system_to_json
+from fcstates.cli import main, report_to_json, system_to_json
 
 from conftest import (
     ancilla,
@@ -35,12 +35,24 @@ from conftest import (
 from oracles import commutant_chain_verdicts, kernel_peripheral_spectrum, vec_commutant
 
 
-def test_classify_od_rank_one(rank_one2):
+ALL_HYPOTHESES_MET = {"M_is_factor": True, "fixed_equals_M_prime": True, "phi_faithful": True}
+
+
+def analyze_json(system, tmp_path, capsys) -> dict:
+    """The JSON document that ``fcstates analyze`` prints for the system."""
+    path = tmp_path / "analyzed.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    assert main(["analyze", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_classify_od_rank_one(rank_one2, tmp_path, capsys):
     rep = classify_od(rank_one2)
-    assert rep.ergodic and rep.od_state_pure
+    assert rep.ergodic
     assert rep.invariant_state.rank == 1
-    assert rep.compressed_ergodic
     assert rep.k == 1
+    doc = analyze_json(rank_one2, tmp_path, capsys)
+    assert doc["od_state_pure"] is True and doc["compressed_ergodic"] is True
     assert spectral_sets_match(rep.peripheral, [1.0], 1e-9)
 
 
@@ -51,18 +63,20 @@ def test_classify_od_swap(swap2):
     assert spectral_sets_match(rep.peripheral, [1.0, -1.0], 1e-9)
 
 
-def test_classify_od_averaging(averaging3):
+def test_classify_od_averaging(averaging3, tmp_path, capsys):
     rep = classify_od(averaging3)
-    assert not rep.ergodic and not rep.od_state_pure
+    assert not rep.ergodic
     assert rep.k is None
+    doc = analyze_json(averaging3, tmp_path, capsys)
+    assert doc["od_state_pure"] is False and doc["compressed_ergodic"] is None
     assert any("informational" in note for note in rep.notes)
 
 
-def test_purity_equals_ergodicity_everywhere(averaging3, rank_one2, swap2):
+def test_purity_equals_ergodicity_everywhere(averaging3, rank_one2, swap2, tmp_path, capsys):
     systems = [averaging3, rank_one2, swap2] + [random_system(2, 3, s) for s in range(4)]
     for sys_ in systems:
-        rep = classify_od(sys_)
-        assert rep.od_state_pure == rep.ergodic
+        doc = analyze_json(sys_, tmp_path, capsys)
+        assert doc["od_state_pure"] is doc["ergodic"] is classify_od(sys_).ergodic
 
 
 def test_k_one_iff_trivial_compressed_peripheral():
@@ -75,18 +89,23 @@ def test_k_one_iff_trivial_compressed_peripheral():
         assert (rep.k == 1) == trivial
 
 
-def test_classify_chain_swap(swap2):
+def test_classify_chain_swap(swap2, tmp_path, capsys):
     rep = classify_chain(swap2)
-    assert rep.chain_hypotheses.all_met()
+    assert rep.m_is_factor is True
     assert rep.chain_pure is False
-    assert rep.chain_factor is False
     assert rep.k == 2
+    doc = analyze_json(swap2, tmp_path, capsys)
+    assert doc["chain_hypotheses"] == ALL_HYPOTHESES_MET
+    assert doc["chain_factor"] is False
 
 
-def test_classify_chain_scalar(scalar_half):
+def test_classify_chain_scalar(scalar_half, tmp_path, capsys):
     rep = classify_chain(scalar_half)
-    assert rep.chain_hypotheses.all_met()
-    assert rep.chain_pure is True and rep.chain_factor is True
+    assert rep.m_is_factor is True
+    assert rep.chain_pure is True
+    doc = analyze_json(scalar_half, tmp_path, capsys)
+    assert doc["chain_hypotheses"] == ALL_HYPOTHESES_MET
+    assert doc["chain_pure"] is True and doc["chain_factor"] is True
 
 
 def test_classify_chain_rank_one_compresses(rank_one2):
@@ -96,15 +115,17 @@ def test_classify_chain_rank_one_compresses(rank_one2):
     assert rep.k == 1
 
 
-def test_classify_chain_averaging_hypotheses_fail(averaging3):
+def test_classify_chain_averaging_hypotheses_fail(averaging3, tmp_path, capsys):
     rep = classify_chain(averaging3)
     assert rep.chain_pure == HYPOTHESES_NOT_MET
-    assert rep.chain_factor is None
-    assert not rep.chain_hypotheses.m_is_factor
+    assert rep.m_is_factor is False
+    doc = analyze_json(averaging3, tmp_path, capsys)
+    assert doc["chain_factor"] is None
+    assert doc["chain_hypotheses"] == {**ALL_HYPOTHESES_MET, "M_is_factor": False}
     assert any("M_is_factor" in note for note in rep.notes)
 
 
-def test_classify_chain_ancilla_degeneracy(swap2):
+def test_classify_chain_ancilla_degeneracy(swap2, tmp_path, capsys):
     # tensoring with an ancilla defines the same chain state but kills
     # ergodicity; the hypotheses still hold and the verdict is unchanged
     ops = [np.kron(v, np.eye(2)) for v in swap2.operators]
@@ -112,8 +133,9 @@ def test_classify_chain_ancilla_degeneracy(swap2):
     rep = classify_chain(big)
     assert not rep.ergodic
     assert rep.k is None
-    assert rep.chain_hypotheses.all_met()
+    assert rep.m_is_factor is True
     assert rep.chain_pure is False
+    assert analyze_json(big, tmp_path, capsys)["chain_hypotheses"] == ALL_HYPOTHESES_MET
 
 
 def test_chain_pure_iff_k_one():
@@ -162,7 +184,8 @@ def test_unimodular_jordan_block_aborts():
     from fcstates import NumericalHealthError, PeripheralEigenvalue
     from fcstates.cpmap import check_semisimple
 
-    fake = [PeripheralEigenvalue(1.0 + 0j, 1, np.eye(2), semisimple=False)]
+    # geometric multiplicity 1 below algebraic multiplicity 2
+    fake = [PeripheralEigenvalue(1.0 + 0j, 1, np.eye(2), algebraic=2)]
     with pytest.raises(NumericalHealthError, match="Jordan"):
         check_semisimple(fake)
 
@@ -313,8 +336,9 @@ def test_unreachable_chain_outcomes_abort(monkeypatch, tmp_path, capsys, make, b
     # peripheral values: each outcome is a kernel or an eigensolver at the
     # tolerance boundary, so classification aborts, and analyze exits 3
     system = make()
-    rep = classify_chain(system)
-    assert rep.chain_hypotheses.fixed_equals_m_prime
+    hyp, _, _ = commutant_chain_verdicts(system)
+    assert hyp.fixed_equals_m_prime and hyp.phi_faithful
+    assert classify_chain(system).m_is_factor == hyp.m_is_factor
     monkeypatch.setattr(*boundary(system))
     with pytest.raises(NumericalHealthError, match=message):
         classify_chain(system)
@@ -341,9 +365,18 @@ def test_peripheral_set_of_a_compressed_system_is_the_systems(request, name):
 def _assert_chain_verdicts_match_oracle(system):
     rep = classify_chain(system)
     hyp, pure, factor = commutant_chain_verdicts(system)
-    assert rep.chain_hypotheses == hyp
+    # the oracle decides the two hypotheses that the library holds as theorems
+    assert hyp.fixed_equals_m_prime and hyp.phi_faithful
+    assert rep.m_is_factor == hyp.m_is_factor
     assert rep.chain_pure == pure
-    assert rep.chain_factor == factor
+    doc = report_to_json(rep, system, b"")
+    assert doc["chain_hypotheses"] == {
+        "M_is_factor": hyp.m_is_factor,
+        "fixed_equals_M_prime": hyp.fixed_equals_m_prime,
+        "phi_faithful": hyp.phi_faithful,
+    }
+    assert doc["chain_pure"] == pure
+    assert doc["chain_factor"] == factor
 
 
 def test_chain_verdicts_match_commutant_oracle(known_system):
@@ -378,11 +411,12 @@ OFF_ERGODIC = {
 
 @pytest.mark.parametrize("make, factor, pure", OFF_ERGODIC.values(), ids=OFF_ERGODIC.keys())
 def test_off_ergodic_chain_verdicts(make, factor, pure):
-    rep = classify_chain(make())
+    system = make()
+    rep = classify_chain(system)
     assert not rep.ergodic
-    assert rep.chain_hypotheses.m_is_factor is factor
+    assert rep.m_is_factor is factor
     assert rep.chain_pure == (pure if factor else HYPOTHESES_NOT_MET)
-    assert rep.chain_factor is (pure if factor else None)
+    assert report_to_json(rep, system, b"")["chain_factor"] is (pure if factor else None)
 
 
 ORACLE_FAMILIES = {
@@ -413,8 +447,8 @@ def test_commutant_matches_vec_oracle_on_families(make):
 def _assert_peripheral_spectrum_matches_kernel_oracle(system):
     got = peripheral_spectrum(system)
     want = kernel_peripheral_spectrum(system)
-    assert [(p.value, p.multiplicity, p.algebraic, p.semisimple) for p in got] == [
-        (p.value, p.multiplicity, p.algebraic, p.semisimple) for p in want
+    assert [(p.value, p.multiplicity, p.algebraic) for p in got] == [
+        (p.value, p.multiplicity, p.algebraic) for p in want
     ]
     for p, q in zip(got, want):
         assert np.linalg.norm(p.operator - q.operator) <= 1e-10

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fcstates import PopescuSystem, classify_chain, random_system
+from fcstates.cli import report_to_json
 
 from conftest import ancilla, block_shift, conjugated, direct_sum, random_unitary
 
@@ -40,7 +41,8 @@ def systems(draw):
 
 def _verdicts(system: PopescuSystem):
     rep = classify_chain(system)
-    return rep.chain_hypotheses.m_is_factor, rep.chain_pure, rep.chain_factor
+    # chain_factor is written into the analyze JSON from the verdicts above
+    return rep.m_is_factor, rep.chain_pure, report_to_json(rep, system, b"")["chain_factor"]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

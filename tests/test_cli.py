@@ -26,7 +26,7 @@ from fcstates.cli import (
 from fcstates.cpmap import RealTransfer
 from fcstates.modular import DualSystem
 
-from conftest import block_shift, direct_sum, eij, pauli_channel, record_transfer_svds
+from conftest import ancilla, block_shift, direct_sum, eij, pauli_channel, record_transfer_svds
 
 
 def write_system(tmp_path, system, name="sys.json"):
@@ -109,9 +109,18 @@ _SITE_FACTOR = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         ({}, {"factors": 5}),
         ({}, {"start_site": None, "factors": [_SITE_FACTOR]}),
         ({}, {"start_site": "x", "factors": [_SITE_FACTOR]}),
+        # an integer field takes a JSON integer only, never a truncated float,
+        # a numeric string or a boolean
+        ({"dim": 2.7}, None),
+        ({"dim": "2"}, None),
+        ({"d": 2.0}, None),
+        ({}, {"start_site": 1.9, "factors": [_SITE_FACTOR]}),
+        ({}, {"start_site": "3", "factors": [_SITE_FACTOR]}),
+        ({}, {"start_site": True, "factors": [_SITE_FACTOR]}),
     ],
     ids=["operators_5", "dim_null", "dim_infinite", "tolerances_list", "d_two", "factors_5",
-         "start_site_null", "start_site_x"],
+         "start_site_null", "start_site_x", "dim_2.7", "dim_string", "d_float",
+         "start_site_1.9", "start_site_string", "start_site_true"],
 )
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, swap2, system_fields, observable):
     # a field of the wrong kind exits 2 with one line on stderr, never a
@@ -126,14 +135,47 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, swap2, system_fields
 
 @pytest.mark.parametrize("command", ["validate", "analyze", "chain-eval", "cluster", "dual"])
 def test_a_system_that_validates_is_analyzed(capsys, tmp_path, command):
-    # residual 4e-10 of sum V_i V_i* = I passes validation (tolerance 1e-9),
-    # so no later stage may reject the system as not unital
-    ops = [v * np.sqrt(1 + 4e-10) for v in fcstates.random_system(2, 4, 5).operators]
-    path = write_system(tmp_path, PopescuSystem(tuple(ops)))
+    # residuals 4e-10 and 9e-10 of sum V_i V_i* = I pass validation
+    # (tolerance 1e-9), so no later stage may reject the system as not
+    # unital, nor its invariant state as not invariant
     spec = json.dumps({"start_site": 1, "factors": [_SITE_FACTOR]})
     extra = {"chain-eval": [spec], "cluster": [spec, spec]}.get(command, [])
-    assert main([command, path, *extra]) == 0
-    assert capsys.readouterr().err == ""
+    for excess in (4e-10, 9e-10):
+        ops = [v * np.sqrt(1 + excess) for v in fcstates.random_system(2, 4, 5).operators]
+        path = write_system(tmp_path, PopescuSystem(tuple(ops)))
+        assert main([command, path, *extra]) == 0, excess
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 3)])
+def test_invariant_state_residual_gate(capsys, monkeypatch, tmp_path, factor, code):
+    # the state's invariance residual may reach 1e-10 n plus the validation
+    # residual of the system; the predual's fixed vector is moved off its
+    # kernel until the residual is factor times that bound
+    ops = [v * np.sqrt(1 + 9e-10) for v in fcstates.random_system(2, 4, 5).operators]
+    system = PopescuSystem(tuple(ops))
+    gate = 1e-10 * system.n + fcstates.validate(system)
+    exact = RealTransfer._ergodic_kernels.func
+    rng = np.random.default_rng(3)
+
+    def moved(form):
+        left, right = exact(form)
+        h = right[:, 0]
+        w = rng.standard_normal(h.size)
+        w -= (w @ h) * h
+        w /= np.linalg.norm(w)
+        # the state is h over its trace (the sum of its diagonal coordinates)
+        # so the residual of the moved vector, scaled alike, is linear in eps
+        per_unit = np.linalg.norm(form.matrix.T @ w - w) / np.sum(h[: form.n])
+        eps = factor * gate / per_unit
+        return left, (h + eps * w)[:, None]
+
+    prop = functools.cached_property(moved)
+    prop.__set_name__(RealTransfer, "_ergodic_kernels")
+    monkeypatch.setattr(RealTransfer, "_ergodic_kernels", prop)
+    assert main(["analyze", write_system(tmp_path, system)]) == code
+    err = capsys.readouterr().err
+    assert ("invariant state has residual" in err) is (code == 3)
 
 
 def test_analyze_swap(capsys, swap_path):
@@ -180,6 +222,27 @@ def test_analyze_averaging(capsys, tmp_path, averaging3):
     assert doc["k"] == "undefined"
 
 
+ANALYZE_KEYS = [
+    "tool", "version", "input_sha256", "validate_residual", "residuals", "ergodic",
+    "od_state_pure", "invariant_state", "compressed_ergodic", "peripheral", "k",
+    "chain_hypotheses", "chain_pure", "chain_factor", "notes",
+]
+
+
+@pytest.mark.parametrize("kind", ["ergodic", "non_ergodic_factor", "non_factor"])
+def test_analyze_json_keys(capsys, tmp_path, swap2, averaging3, kind):
+    # every key, nested ones too, in the order printed; the report types hold
+    # each verdict once, and the keys that restate a theorem are written from it
+    system = {"ergodic": swap2, "non_ergodic_factor": ancilla(swap2, 2), "non_factor": averaging3}
+    assert main(["analyze", write_system(tmp_path, system[kind])]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ANALYZE_KEYS
+    assert list(doc["residuals"]) == ["validate", "state_invariance"]
+    assert list(doc["invariant_state"]) == ["rho", "support_rank", "faithful"]
+    assert doc["peripheral"] and all(list(p) == ["value", "phase"] for p in doc["peripheral"])
+    assert list(doc["chain_hypotheses"]) == ["M_is_factor", "fixed_equals_M_prime", "phi_faithful"]
+
+
 def test_analyze_deterministic(capsys, swap_path):
     assert main(["analyze", swap_path]) == 0
     first = capsys.readouterr().out
@@ -192,6 +255,7 @@ def test_analyze_multiplicity_mismatch_exits_numerical(capsys, tmp_path):
     path = write_system(tmp_path, pauli_channel(3e-9))
     assert main(["analyze", path]) == 3
     doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["tool", "version", "input_sha256", "error", "notes"]
     assert doc["error"] == "numerical-health failure"
     assert "Jordan" in doc["notes"][0]
 
@@ -334,8 +398,17 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
     assert sum(s is system for s in factored) == 1
     assert solved == [(4, 4)]
     doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == [
+        "completeness", "double_dual", "dual_invariance", "vector_consistency", "commutation",
+        "parameter_isometry", "predual_invariance", "ergodic_match", "psp_match",
+        "peripheral", "dual_peripheral",
+    ]
     assert doc["ergodic_match"] is True and doc["psp_match"] is True
     assert doc["double_dual"] <= 1e-9
+    # completeness is the parameter isometry residual, and each value moves
+    # to its conjugate
+    assert doc["parameter_isometry"] == doc["completeness"]
+    assert doc["dual_peripheral"] == [[re, -im] for re, im in doc["peripheral"]]
 
 
 def test_dual_rejects_non_faithful(capsys, rank_one_path):
