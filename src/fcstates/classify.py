@@ -172,10 +172,11 @@ def classify_od(
 
     The ergodic map, compressed, has a faithful state, so each peripheral
     value t is simple: its eigenspace is spanned by a power of one
-    eigenunitary, and eig places one eigenvalue at t. The representative
-    eigen-operator is then eig's own eigenvector, checked by one residual
-    ||sigma x - t x||, and no kernel of sigma - t is taken; a value that
-    eig places twice aborts with :class:`NumericalHealthError`.
+    eigenunitary, and the eig of the Ritz matrix (see
+    :func:`~fcstates.cpmap.peripheral_spectrum`) places one eigenvalue at t.
+    The representative eigen-operator is then its Ritz vector, checked by
+    one residual ||sigma x - t x||, and no kernel of sigma - t is taken; a
+    value that eig places twice aborts with :class:`NumericalHealthError`.
     """
     return _classify_od(system, tol, tol_peripheral)[0]
 

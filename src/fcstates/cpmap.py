@@ -29,6 +29,15 @@ peripheral spectrum and commutants are computed there in real arithmetic,
 and the subspaces they return have Hermitian bases. A complex matrix is
 stepped there as two real columns, its Hermitian and anti-Hermitian parts
 (:meth:`RealTransfer.pairings`).
+
+The peripheral spectrum needs only the few eigenvalues on or near the unit
+circle, so it is taken by Rayleigh-Ritz on a p-dimensional invariant
+subspace X that holds them: repeated squaring of sigma and a random sample
+of its range find X, eig runs on the p x p matrix X^T sigma X, and a norm
+bound on the complement certifies that every other eigenvalue lies
+strictly inside the circle (:meth:`RealTransfer.ritz_matrix`). Only when
+every eigenvalue survives the squaring is p = n^2 and the whole matrix
+solved.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import floor, isqrt, log, log1p, log2
 
 import numpy as np
 
@@ -73,6 +82,17 @@ __all__ = [
 DEFAULT_SUBSPACE_TOL = 1e-8
 DEFAULT_PERIPHERAL_TOL = 1e-9
 DEFAULT_SET_TOL = 1e-8
+
+# the peripheral subspace (RealTransfer.ritz_matrix): the first sample
+# width and its seed; the relative bound of the dropped singular values of
+# the sample, and of the invariance residual (that of numerics.eig); the
+# least relative size of a kept one; the squarings after which a sample
+# with no gap widens
+_RITZ_BLOCK = 8
+_RITZ_SEED = 0
+_RITZ_GAP = 1e-10
+_RITZ_KEEP = 1e-4
+_RITZ_MAX_SQUARINGS = 40
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -173,7 +193,9 @@ class RealTransfer:
     sigma - I, which give the dimension f of both spaces; when f = 1 (an
     ergodic map), one LU solve of the bordered matrix sigma^T - I + e e^T,
     e the coordinates of I/sqrt(n), which is nonsingular exactly when
-    f = 1; for any other f, one full SVD of sigma - I.
+    f = 1; for any other f, one full SVD of sigma - I. The peripheral
+    spectrum reads :meth:`ritz_matrix`, whose invariant subspace, found by
+    repeated squaring of sigma, is held here too.
     """
 
     system: PopescuSystem
@@ -240,6 +262,117 @@ class RealTransfer:
             return self._ergodic_kernels
         u, _, vt = self._svd_at_one
         return vt[rank:].T, u[:, rank:]
+
+    def _sampled_basis(self) -> np.ndarray | None:
+        """The orthonormalized P U_p of :meth:`ritz_matrix`, or None when no
+        sample narrower than n^2 shows a gap."""
+        size = self.matrix.shape[0]
+        rng = np.random.default_rng(_RITZ_SEED)
+        power, squarings = self.matrix, 0  # power = sigma^(2^squarings)
+        width = min(size, _RITZ_BLOCK)
+        while width < size:
+            sample = rng.standard_normal((size, width))
+            seen = []
+            while True:
+                u, s, _ = np.linalg.svd(power @ sample, full_matrices=False)
+                p = int(np.sum(s > _RITZ_GAP * s[0]))
+                if p < width and s[p - 1] >= _RITZ_KEEP * s[0]:
+                    # one more application of the power squares the share of
+                    # the dropped directions in the kept ones
+                    return np.linalg.qr(power @ u[:, :p])[0]
+                ratios = s / s[0]
+                if squarings == _RITZ_MAX_SQUARINGS or any(
+                    np.max(np.abs(ratios - r)) <= 1e-9 for r in seen
+                ):
+                    break
+                seen.append(ratios)
+                power = power @ power
+                squarings += 1
+            width = min(2 * width, size)
+        return None
+
+    @cached_property
+    def _dominant_subspace(self) -> tuple[np.ndarray, np.ndarray]:
+        basis = self._sampled_basis()
+        if basis is None:
+            return np.eye(self.matrix.shape[0]), self.matrix
+        image = self.matrix @ basis
+        ritz = basis.T @ image
+        scale = np.linalg.norm(self.matrix, axis=0).max()
+        residual = float(np.linalg.norm(image - basis @ ritz) / scale)
+        if residual > _RITZ_GAP:
+            raise NumericalHealthError(
+                f"the sampled {basis.shape[1]}-dimensional peripheral subspace has "
+                f"invariance residual {residual:.3e}, above {_RITZ_GAP:.0e}"
+            )
+        return basis, ritz
+
+    def ritz_matrix(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """An orthonormal real basis X (columns) of a sigma-invariant subspace
+        that holds every eigenvalue of modulus at least 1 - ``tol``, and the
+        p x p Ritz matrix S = X^T sigma X, whose eigenvalues are those
+        eigenvalues of sigma.
+
+        *Sampling.* sigma is squared, P = sigma^(2^j), and the range of P is
+        sampled as P G for a seeded Gaussian block G of b = min(n^2, 8)
+        columns. Under squaring each eigenvalue of modulus below 1 decays
+        doubly exponentially, and the semisimple peripheral part stays
+        bounded, so the singular values s_1 >= s_2 >= ... of P G develop a
+        gap: p < b of them above 1e-10 s_1, each of those at least
+        1e-4 s_1. X is then the orthonormalized P U_p, U_p the first p left
+        singular vectors. That one more application of P leaves a dropped
+        direction a share of at most (1e-10 / 1e-4)^2 in a kept one, and
+        roundoff of size eps s_1 moves a kept singular vector by about as
+        much, 1e-12. A sample that stops changing without a gap (its
+        normalized singular values repeat within 1e-9 those of an earlier
+        squaring, as when P has converged to a projection of rank at least
+        b, or cycles through the powers of a root of unity), or that has
+        none after 40 squarings, is redrawn with 2b columns, squaring on
+        from the same P. At b = n^2, X = I and S is sigma itself: a map
+        with every eigenvalue on the circle (V_i = c_i U) is solved whole.
+
+        *Invariance.* ||sigma X - X S||_F, over the largest column norm of
+        sigma, must be at most 1e-10, the bound :func:`~fcstates.numerics.eig`
+        puts on its own residual.
+
+        *Certificate.* In the basis (X, X^perp), C = (I - X X^T) sigma is
+        block lower triangular with diagonal blocks 0 and
+        T = X^perp^T sigma X^perp, and sigma has the eigenvalues of S and of
+        T up to the invariance residual. If ||C^(2^i)||_F <= 1/2, every
+        eigenvalue of T has modulus at most 2^(-2^(-i)), which is below
+        1 - ``tol`` for i <= floor(log2(ln 2 / -ln(1 - tol))), 29 at 1e-9.
+        C is squared until its norm is at most 1/2, up to that i; otherwise
+        :class:`NumericalHealthError` is raised. A peripheral direction that
+        the sample missed stays unimodular in T, so it cannot pass. As
+        2^(-2^(-i)) >= 1/2, ``tol`` must lie in (0, 1/2).
+
+        Each step is a product of n^2 x n^2 matrices, which costs about a
+        hundredth of one eigensolve of that size at n <= 16. X and S are
+        held; the certificate is taken on every call.
+        """
+        if not 0.0 < tol < 0.5:
+            raise ValueError(
+                f"tol = {tol} must lie in (0, 1/2): the certificate squares about "
+                "log2(ln 2 / tol) times, and its bound 2^(-2^(-i)) >= 1/2 on an "
+                "eigenvalue must lie below 1 - tol"
+            )
+        basis, ritz = self._dominant_subspace
+        size = basis.shape[0]
+        if basis.shape[1] == size:
+            return basis, ritz
+        cap = floor(log2(log(2.0) / -log1p(-tol)))
+        complement = self.matrix - basis @ (basis.T @ self.matrix)
+        for i in range(cap + 1):
+            if np.linalg.norm(complement) <= 0.5:
+                return basis, ritz
+            if i < cap:
+                complement = complement @ complement
+        raise NumericalHealthError(
+            f"the eigenvalues of sigma outside its {basis.shape[1]} Ritz values are not "
+            f"certified below 1 - {tol:.1e}: ||((I - X X^T) sigma)^(2^i)||_F > 1/2 for "
+            f"every i <= {cap}; the sampled subspace misses a peripheral direction, or "
+            "one lies at the tolerance boundary; the verdict is aborted"
+        )
 
     def pairings(self, r: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
         """trace(R sigma^s(B)) for s = 0..steps, for n x n matrices R and B.
@@ -599,18 +732,23 @@ def peripheral_spectrum(
 ) -> list[PeripheralEigenvalue]:
     """Unimodular eigenvalues of the forward map, with eigen-operators.
 
-    The eigenvalues within ``tol`` of the circle are clustered by
-    :func:`value_clusters` at ``set_tol``. The algebraic multiplicity of a
-    value is the size of its cluster, the geometric one the number of
-    directions with ||sigma x - value x|| <= ``set_tol`` ||x||, both in real
-    arithmetic (Hermitian coordinates). The cluster within ``set_tol`` of 1,
-    whose representative may be 1 + O(eps) i, reads its kernel from the
-    factorization of sigma - I that the fixed spaces share
+    The eigenvalues come from one eig of the p x p Ritz matrix
+    S = X^T sigma X of :meth:`RealTransfer.ritz_matrix`, whose certificate
+    places every other eigenvalue of sigma below 1 - ``tol`` in modulus, and
+    an eigenvector y of S gives the eigenvector x = X y of sigma. p is the
+    number of eigenvalues that survive repeated squaring, n^2 only when
+    all of them do. The eigenvalues within ``tol`` of the circle are
+    clustered by :func:`value_clusters` at ``set_tol``. The algebraic
+    multiplicity of a value is the size of its cluster, the geometric one
+    the number of directions with ||sigma x - value x|| <= ``set_tol`` ||x||,
+    both in real arithmetic (Hermitian coordinates). The cluster within
+    ``set_tol`` of 1, whose representative may be 1 + O(eps) i, reads its
+    kernel from the factorization of sigma - I that the fixed spaces share
     (:meth:`RealTransfer.fixed_kernels`). Any other value whose cluster has
-    one member takes the eigenvector x that eig returned for it, and no
-    kernel: if ||sigma x - value x|| <= ``set_tol`` ||x||, sigma - value has
-    a singular value at most ``set_tol``, so the geometric multiplicity is
-    at least 1, and at most the algebraic one, 1; otherwise it is 0. A
+    one member takes its eigenvector x, and no kernel: if
+    ||sigma x - value x|| <= ``set_tol`` ||x||, sigma - value has a singular
+    value at most ``set_tol``, so the geometric multiplicity is at least 1,
+    and at most the algebraic one, 1; otherwise it is 0. A
     larger cluster takes the kernel of sigma - value at threshold
     ``set_tol``, which is real for a real value.
     The two multiplicities differ for a unimodular Jordan block when the
@@ -623,12 +761,13 @@ def peripheral_spectrum(
     """
     form = _as_real_transfer(system)
     n = form.n
-    dec = eig(form.matrix)
+    basis, ritz = form.ritz_matrix(tol)
+    dec = eig(ritz)
     on_circle = [complex(z) for z in dec.eigenvalues if abs(1.0 - abs(z)) <= tol]
     out = []
     for value, algebraic in value_clusters(on_circle, set_tol):
         idx = int(np.argmin(np.abs(dec.eigenvalues - value)))
-        x = dec.eigenvectors[:, idx]
+        x = basis @ dec.eigenvectors[:, idx]
         if abs(value - 1.0) <= set_tol:
             space = form.fixed_kernels(set_tol)[0]
         elif algebraic == 1:
@@ -678,7 +817,7 @@ def check_semisimple(peripherals: list[PeripheralEigenvalue]) -> None:
 
 
 def peripheral_eigenunitary(
-    system: PopescuSystem,
+    system: PopescuSystem | RealTransfer,
     state: DensityState,
     t: complex,
     tol: float = DEFAULT_SUBSPACE_TOL,
@@ -690,22 +829,30 @@ def peripheral_eigenunitary(
     that unitary scales the generators: U V_i U* = t V_i. Both facts are
     verified on the returned operator; failure signals a hypothesis
     violation (e.g. a non-faithful state).
+
+    U is the operator that :func:`peripheral_spectrum`, at ``set_tol`` =
+    ``tol``, reports for the value within ``tol`` of conj(t), rescaled; the
+    map is ergodic when the value 1 has multiplicity 1 there. Pass the
+    transfer map when it is at hand: its sampled peripheral subspace and
+    its fixed kernels are held there.
     """
     if abs(abs(t) - 1.0) > 1e-6:
         raise ValueError(f"t = {t} is not unimodular")
     if not state.faithful:
         raise ValueError("eigenunitary extraction requires a faithful invariant state")
+    form = _as_real_transfer(system)
+    system = form.system
     inv_resid = invariance_residual(system, state.rho)
     if inv_resid > max(tol, 1e-9):
         raise ValueError(f"state is not invariant: residual {inv_resid:.3e}")
-    form = real_transfer(system)
-    fx = fixed_points(form)
-    if fx.dim != 1:
+    peri = peripheral_spectrum(form, set_tol=tol)
+    check_semisimple(peri)
+    if peri[0].multiplicity != 1:
         raise ValueError("transfer map is not ergodic; eigenunitary is not unique")
-    space = kernel(form.shifted(np.conj(t)), tol, scale=1.0)
-    if space.shape[1] == 0:
+    match = [p for p in peri if abs(p.value - np.conj(t)) <= tol]
+    if not match:
         raise ValueError(f"t = {t} is not in the peripheral spectrum at tolerance {tol:.1e}")
-    u = unvec(_from_hermitian(space[:, 0]), (system.n, system.n))
+    u = match[0].operator
     gram = u.conj().T @ u
     scale = np.trace(gram).real / system.n
     if scale <= 0:

@@ -295,7 +295,8 @@ def compare_duals(
     dual: DualSystem, tol: float = 1e-8, form: RealTransfer | None = None
 ) -> DualComparison:
     """Ergodicity and peripheral-spectrum agreement of the dual pair, from
-    one eigendecomposition: that of the system's transfer map.
+    one eigendecomposition: that of the Ritz matrix of the system's
+    transfer map (:func:`~fcstates.cpmap.peripheral_spectrum`).
 
     The dual map tau is Gamma^{-1} sigma_* Gamma with
     Gamma(Y) = rho^{1/2} Y rho^{1/2} (see the module docstring), so its

@@ -10,6 +10,7 @@ representation to a co-invariant subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -40,7 +41,8 @@ class PopescuSystem:
 
     Construct through :meth:`from_operators`, which enforces the defining
     relation; the raw constructor is reserved for internal callers that have
-    already validated.
+    already validated. The residual of the relation is computed once and
+    held (:attr:`residual`).
     """
 
     operators: tuple[np.ndarray, ...]
@@ -76,11 +78,17 @@ class PopescuSystem:
     def __iter__(self):
         return iter(self.operators)
 
+    @cached_property
+    def residual(self) -> float:
+        """||sum_i V_i V_i* - I||, the residual of the defining relation."""
+        acc = sum(v @ v.conj().T for v in self.operators)
+        return float(np.linalg.norm(acc - np.eye(self.n), 2))
+
 
 def validate(system: PopescuSystem) -> float:
-    """Residual ||sum_i V_i V_i* - I|| of the defining relation."""
-    acc = sum(v @ v.conj().T for v in system.operators)
-    return float(np.linalg.norm(acc - np.eye(system.n), 2))
+    """Residual ||sum_i V_i V_i* - I|| of the defining relation, computed
+    once per system."""
+    return system.residual
 
 
 def v_word(system: PopescuSystem, word: Word) -> np.ndarray:

@@ -5,7 +5,10 @@ import pytest
 from scipy.linalg import block_diag
 
 import fcstates.cpmap
-from fcstates import PopescuSystem, random_system
+from fcstates import PopescuSystem, peripheral_spectrum, random_system
+from fcstates.cpmap import OperatorSubspace, _to_hermitian, real_transfer, vec
+
+from oracles import kernel_peripheral_spectrum, peripheral_eigenspace
 
 
 def eij(i: int, j: int, n: int) -> np.ndarray:
@@ -92,6 +95,33 @@ def record_kernels(monkeypatch) -> list[tuple[np.dtype, tuple[int, ...]]]:
 
     monkeypatch.setattr(fcstates.cpmap, "kernel", recording)
     return calls
+
+
+def assert_peripheral_spectrum_matches_kernel_oracle(system):
+    """The peripheral spectrum against the dense-eig oracle
+    :func:`oracles.kernel_peripheral_spectrum`, on one transfer map."""
+    # the library solves the Ritz matrix of a certified subspace and the
+    # oracle the whole matrix, so a value may move by roundoff: 1e-12 is
+    # 10^4 below set_tol. A simple value's eigenspace is a line, so the two
+    # representatives agree; a kernel's first basis vector is not canonical,
+    # so at a larger cluster the representative must lie in the oracle's
+    # eigenspace, and the eigenspaces taken at the two values must agree
+    form = real_transfer(system)
+    got = peripheral_spectrum(form)
+    want = kernel_peripheral_spectrum(form)
+    assert [(p.multiplicity, p.algebraic) for p in got] == [
+        (q.multiplicity, q.algebraic) for q in want
+    ]
+    for p, q in zip(got, want):
+        assert abs(p.value - q.value) <= 1e-12
+        if p.algebraic == 1:
+            assert np.linalg.norm(p.operator - q.operator) <= 1e-10
+            continue
+        space = peripheral_eigenspace(form, q.value)
+        c = _to_hermitian(vec(p.operator))
+        assert np.linalg.norm(c - space @ (space.conj().T @ c)) <= 1e-10 * np.linalg.norm(c)
+        ours = OperatorSubspace.from_hermitian(peripheral_eigenspace(form, p.value), form.n)
+        assert ours.span_equals(OperatorSubspace.from_hermitian(space, form.n), 1e-10)
 
 
 def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:

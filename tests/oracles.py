@@ -10,10 +10,13 @@ Tests compare the library against these independent routes:
 * the fixed space of the transfer map and the commutant of a set of
   matrices as complex kernels in vec coordinates, where the library solves
   real kernels in Hermitian coordinates;
-* the peripheral spectrum with one kernel of sigma - t per peripheral
-  value t, real at a real value, where the library takes the eigenvector
-  eig returned for a value whose cluster has one member and checks its
-  residual;
+* the peripheral spectrum from one dense eig of the whole n^2 x n^2
+  matrix and one kernel of sigma - t per peripheral value t, real at a
+  real value, where the library solves the p x p Ritz matrix of a
+  certified invariant subspace and takes the Ritz vector for a value whose
+  cluster has one member, checking its residual;
+* the eigenunitary at t as a kernel of sigma - conj(t), where the library
+  rescales the operator that its peripheral spectrum reports;
 * the invariant state as the Cesaro limit built from two separately
   factored kernels in vec coordinates, where the library reads both from
   one factorization of sigma - I;
@@ -67,8 +70,11 @@ from fcstates.cpmap import (
     _as_real_transfer,
     _canonical_phase,
     _from_hermitian,
+    fixed_points,
+    invariance_residual,
     invariant_state,
     peripheral_spectrum,
+    real_transfer,
     sigma_matrix,
     unvec,
     vec,
@@ -200,6 +206,18 @@ def svd_invariant_state(form: RealTransfer, tol: float = 1e-8) -> DensityState:
     return DensityState.from_matrix(rho / np.trace(rho).real)
 
 
+def peripheral_eigenspace(
+    form: RealTransfer, value: complex, set_tol: float = DEFAULT_SET_TOL
+) -> np.ndarray:
+    """Orthonormal Hermitian coordinates (columns) of the eigenspace of sigma
+    at a peripheral value: the kernel of sigma - value at threshold
+    ``set_tol``, real at a real value; within ``set_tol`` of 1 it is the
+    fixed kernel."""
+    if abs(value - 1.0) <= set_tol:
+        return form.fixed_kernels(set_tol)[0]
+    return kernel(form.shifted(value), set_tol, scale=1.0)
+
+
 def kernel_peripheral_spectrum(
     system: PopescuSystem | RealTransfer,
     tol: float = DEFAULT_PERIPHERAL_TOL,
@@ -215,10 +233,7 @@ def kernel_peripheral_spectrum(
     on_circle = [complex(z) for z in dec.eigenvalues if abs(1.0 - abs(z)) <= tol]
     out = []
     for value, algebraic in value_clusters(on_circle, set_tol):
-        if abs(value - 1.0) <= set_tol:
-            space = form.fixed_kernels(set_tol)[0]
-        else:
-            space = kernel(form.shifted(value), set_tol, scale=1.0)
+        space = peripheral_eigenspace(form, value, set_tol)
         geometric = space.shape[1]
         if geometric == 0:
             idx = int(np.argmin(np.abs(dec.eigenvalues - value)))
@@ -235,6 +250,34 @@ def kernel_peripheral_spectrum(
         )
     out.sort(key=lambda p: (abs(np.angle(p.value)), np.angle(p.value)))
     return out
+
+
+def kernel_eigenunitary(
+    system: PopescuSystem, state: DensityState, t: complex, tol: float = 1e-8
+) -> np.ndarray:
+    """The unitary U with sigma(U) = conj(t) U, phase-fixed, from its own
+    complex kernel of sigma - conj(t) at threshold ``tol``, rescaled and
+    checked for unitarity and for U V_i U* = t V_i."""
+    if abs(abs(t) - 1.0) > 1e-6:
+        raise ValueError(f"t = {t} is not unimodular")
+    if not state.faithful:
+        raise ValueError("eigenunitary extraction requires a faithful invariant state")
+    if invariance_residual(system, state.rho) > max(tol, 1e-9):
+        raise ValueError("state is not invariant")
+    form = real_transfer(system)
+    if fixed_points(form).dim != 1:
+        raise ValueError("transfer map is not ergodic; eigenunitary is not unique")
+    space = kernel(form.shifted(np.conj(t)), tol, scale=1.0)
+    if space.shape[1] == 0:
+        raise ValueError(f"t = {t} is not in the peripheral spectrum at tolerance {tol:.1e}")
+    u = unvec(_from_hermitian(space[:, 0]), (system.n, system.n))
+    u = u / np.sqrt(np.trace(u.conj().T @ u).real / system.n)
+    if np.linalg.norm(u.conj().T @ u - np.eye(system.n), 2) > tol:
+        raise NumericalHealthError("peripheral eigenvector fails unitarity after rescaling")
+    u = _canonical_phase(u)
+    if max(np.linalg.norm(u @ v @ u.conj().T - t * v, 2) for v in system.operators) > max(tol, 1e-8):
+        raise NumericalHealthError("eigenunitary does not scale the generators")
+    return u
 
 
 def intersection_dim(a: OperatorSubspace, b: OperatorSubspace, tol: float = 1e-8) -> int:

@@ -24,6 +24,7 @@ from fcstates.cli import main, report_to_json, system_to_json
 
 from conftest import (
     ancilla,
+    assert_peripheral_spectrum_matches_kernel_oracle,
     block_shift,
     conjugated,
     direct_sum,
@@ -278,15 +279,16 @@ def _commutant_kernel_at_the_boundary(system):
 
 
 def _peripheral_value_doubled(system):
-    # eig is made to place its eigenvalue of least modulus at t = e^{2 pi i/3}
-    # as well, so that value's cluster has two members
+    # eig is made to place its eigenvalue farthest from t = e^{2 pi i/3} at t
+    # as well, so that value's cluster has two members; eig solves the Ritz
+    # matrix, whose eigenvalues here are the three on the circle
     original = fcstates.cpmap.eig
     t = np.exp(2j * np.pi / 3)
 
     def doubled(a):
         dec = original(a)
         vals = dec.eigenvalues.astype(complex)
-        vals[np.argmin(np.abs(vals))] = vals[np.argmin(np.abs(vals - t))]
+        vals[np.argmax(np.abs(vals - t))] = vals[np.argmin(np.abs(vals - t))]
         return EigenDecomposition(vals, dec.eigenvectors, dec.residual)
 
     return fcstates.cpmap, "eig", doubled
@@ -444,18 +446,8 @@ def test_commutant_matches_vec_oracle_on_families(make):
     assert commutant(ops).span_equals(vec_commutant(ops))
 
 
-def _assert_peripheral_spectrum_matches_kernel_oracle(system):
-    got = peripheral_spectrum(system)
-    want = kernel_peripheral_spectrum(system)
-    assert [(p.value, p.multiplicity, p.algebraic) for p in got] == [
-        (p.value, p.multiplicity, p.algebraic) for p in want
-    ]
-    for p, q in zip(got, want):
-        assert np.linalg.norm(p.operator - q.operator) <= 1e-10
-
-
 def test_peripheral_spectrum_matches_kernel_oracle(known_system):
-    _assert_peripheral_spectrum_matches_kernel_oracle(known_system)
+    assert_peripheral_spectrum_matches_kernel_oracle(known_system)
 
 
 @pytest.mark.parametrize(
@@ -464,7 +456,7 @@ def test_peripheral_spectrum_matches_kernel_oracle(known_system):
     ids=[*ORACLE_FAMILIES.keys(), "block_shift(4,2,6)"],
 )
 def test_peripheral_spectrum_matches_kernel_oracle_on_families(make):
-    _assert_peripheral_spectrum_matches_kernel_oracle(make())
+    assert_peripheral_spectrum_matches_kernel_oracle(make())
 
 
 BLOCK_SHIFTS = {
@@ -502,40 +494,41 @@ def test_classify_chain_takes_no_complex_kernel(monkeypatch, known_system):
             lambda: random_system(3, 5, 21),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
              "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0,
-             "eig_dims": [25]},
+             "eig_dims": [1]},
         ),
         (
             lambda: nonfaithful(2, 3, 2, 22),
             {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
              "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 2, "svd_vectors": 0,
-             "eig_dims": [9]},
+             "eig_dims": [1]},
         ),
         (
             lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
              "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1,
-             "eig_dims": [25]},
+             "eig_dims": [2]},
         ),
         (
             lambda: ancilla(random_system(2, 2, 63), 3),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
              "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1,
-             "eig_dims": [36]},
+             "eig_dims": [9]},
         ),
         (
             # off the ergodic path the system is compressed once, and the
             # peripheral set and both commutants are taken on the 6 x 6
-            # compression: eig runs on a 36 x 36 matrix, not a 100 x 100 one
+            # compression: eig runs on the Ritz matrix of its 36 x 36 map,
+            # whose 4 Ritz values are its 4 fixed points
             lambda: ancilla(nonfaithful(2, 3, 2, 22), 2),
             {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
              "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 2, "svd_vectors": 2,
-             "eig_dims": [36]},
+             "eig_dims": [4]},
         ),
         (
             lambda: block_shift(3, 2, 3, 71),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
              "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0,
-             "eig_dims": [81]},
+             "eig_dims": [3]},
         ),
     ],
     ids=["random", "nonfaithful", "direct_sum", "ancilla", "nonfaithful_x_I2", "block_shift"],
@@ -553,6 +546,9 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # the ancilla) pays one values-only SVD on top of the full one, at most
     # 0.7 ms at n <= 12 (1 BLAS thread). The block shift's peripheral values
     # other than 1 are simple, so each takes eig's eigenvector and no kernel.
+    # The one eig runs on the p x p Ritz matrix, never on the n^2 x n^2 map:
+    # p is 1 for a primitive map, dim Fix = 2, 9 or 4 where the peripheral
+    # set is {1}, and k = 3 for the block shift.
     counts = dict.fromkeys(calls, 0)
     counts["eig_dims"] = []
     unrestricted = []

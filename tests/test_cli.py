@@ -26,7 +26,15 @@ from fcstates.cli import (
 from fcstates.cpmap import RealTransfer
 from fcstates.modular import DualSystem
 
-from conftest import ancilla, block_shift, direct_sum, eij, pauli_channel, record_transfer_svds
+from conftest import (
+    ancilla,
+    block_shift,
+    direct_sum,
+    eij,
+    nonfaithful,
+    pauli_channel,
+    record_transfer_svds,
+)
 
 
 def write_system(tmp_path, system, name="sys.json"):
@@ -396,6 +404,8 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
     (system,) = loaded
     assert sum(s is system for s in forms) == 1
     assert sum(s is system for s in factored) == 1
+    # n^2 = 4 does not exceed the first sample width, 8, so the Ritz
+    # subspace is everything (p = n^2) and eig runs on sigma itself
     assert solved == [(4, 4)]
     doc = json.loads(capsys.readouterr().out)
     assert list(doc) == [
@@ -409,6 +419,61 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
     # to its conjugate
     assert doc["parameter_isometry"] == doc["completeness"]
     assert doc["dual_peripheral"] == [[re, -im] for re, im in doc["peripheral"]]
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+@pytest.mark.parametrize(
+    "make, p", [(lambda: fcstates.random_system(2, 4, 3), 1), (lambda: block_shift(2, 2, 2, 5), 2)],
+    ids=["random(2,4)", "block_shift(2,2,2)"],
+)
+def test_one_eig_on_the_ritz_matrix(capsys, monkeypatch, tmp_path, command, make, p):
+    # one eig per op, on the p x p Ritz matrix of the 16 x 16 map: p is the
+    # number of values on the circle, 1 and 2 here
+    path = write_system(tmp_path, make())
+    solved = []
+    eig = fcstates.numerics.eig
+
+    def solving(*args, **kwargs):
+        solved.append(args[0].shape)
+        return eig(*args, **kwargs)
+
+    for module in (fcstates, fcstates.numerics, fcstates.cpmap, fcstates.classify, fcstates.modular):
+        monkeypatch.setattr(module, "eig", solving)
+    assert main([command, path]) == 0
+    assert solved == [(p, p)]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, swap_path):
+    built = []
+    build = fcstates.cli.build_parser
+
+    def building():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(fcstates.cli, "build_parser", building)
+    fcstates.cli._parser.cache_clear()
+    assert main(["validate", swap_path]) == 0
+    assert main(["analyze", swap_path]) == 0
+    assert len(built) == 1
+
+
+def test_analyze_validates_each_system_once(capsys, monkeypatch, tmp_path):
+    # a system with a non-faithful state is analyzed on itself and on its
+    # compression; each residual of the defining relation is computed once
+    path = write_system(tmp_path, nonfaithful(2, 3, 2, 22))
+    computed = []
+    residual = PopescuSystem.residual.func
+
+    def computing(system):
+        computed.append(system.n)
+        return residual(system)
+
+    prop = functools.cached_property(computing)
+    prop.__set_name__(PopescuSystem, "residual")
+    monkeypatch.setattr(PopescuSystem, "residual", prop)
+    assert main(["analyze", path]) == 0
+    assert sorted(computed) == [3, 5]
 
 
 def test_dual_rejects_non_faithful(capsys, rank_one_path):

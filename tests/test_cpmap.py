@@ -34,9 +34,22 @@ from fcstates.cpmap import (
 
 from scipy.linalg import block_diag
 
-from conftest import block_shift, direct_sum, eij, nonfaithful, pauli_channel, random_psd, scalar
+from conftest import (
+    ancilla,
+    assert_peripheral_spectrum_matches_kernel_oracle,
+    block_shift,
+    direct_sum,
+    eij,
+    nonfaithful,
+    pauli_channel,
+    random_psd,
+    random_unitary,
+    record_kernels,
+    scalar,
+)
 from oracles import (
     frontier_generated_algebra,
+    kernel_eigenunitary,
     predual_matrix,
     svd_fixed_kernels,
     svd_invariant_state,
@@ -615,6 +628,135 @@ def test_peripheral_unitary_eigenvectors_random_faithful():
             u = peripheral_eigenunitary(sys_, state, p.value)
             assert np.linalg.norm(u.conj().T @ u - np.eye(3), 2) <= 1e-8
     assert found >= 5
+
+
+EIGENUNITARY_CASES = {
+    "block_shift(3,2,2)": (lambda: block_shift(3, 2, 2, 64), np.exp(2j * np.pi / 3)),
+    "block_shift(4,2,3)": (lambda: block_shift(4, 2, 3, 65), 1j),
+    "block_shift(6,2,2)": (lambda: block_shift(6, 2, 2, 73), np.exp(-2j * np.pi / 6)),
+    "random(2,4)": (lambda: random_system(2, 4, 66), 1.0),
+}
+
+
+@pytest.mark.parametrize("make, t", EIGENUNITARY_CASES.values(), ids=EIGENUNITARY_CASES.keys())
+def test_eigenunitary_matches_kernel_oracle(monkeypatch, make, t):
+    # the operator at conj(t) comes from the peripheral spectrum, rescaled:
+    # no kernel is taken, and the unitary is the oracle's own kernel vector
+    system = make()
+    state = invariant_state(system)
+    want = kernel_eigenunitary(system, state, t)
+    kernels = record_kernels(monkeypatch)
+    got = peripheral_eigenunitary(real_transfer(system), state, t)
+    assert kernels == []
+    assert np.linalg.norm(got - want, 2) <= 1e-8
+
+
+def test_eigenunitary_rejects_a_value_off_the_spectrum():
+    system = block_shift(3, 2, 2, 64)
+    with pytest.raises(ValueError, match="not in the peripheral spectrum"):
+        peripheral_eigenunitary(system, invariant_state(system), 1j)
+
+
+def test_eigenunitary_rejects_a_map_that_is_not_ergodic():
+    system = direct_sum(random_system(2, 2, 1), random_system(2, 3, 2))
+    with pytest.raises(ValueError, match="not ergodic"):
+        peripheral_eigenunitary(system, invariant_state(system), 1.0)
+
+
+# ----------------------------------------------------------------------
+# the certified peripheral subspace
+# ----------------------------------------------------------------------
+
+def _ritz_dimension(system) -> int:
+    return real_transfer(system).ritz_matrix(1e-9)[0].shape[1]
+
+
+def test_ritz_sample_widens_past_its_first_block():
+    # dim Fix = 9 exceeds the first sample of 8 columns: the sample stops
+    # changing without a gap and is redrawn with 16
+    system = ancilla(random_system(2, 4, 5), 3)
+    assert _ritz_dimension(system) == 9 > fcstates.cpmap._RITZ_BLOCK
+    assert_peripheral_spectrum_matches_kernel_oracle(system)
+    (p,) = peripheral_spectrum(system)
+    assert (p.multiplicity, p.algebraic) == (9, 9)
+
+
+def test_ritz_sample_widens_past_a_cycling_power():
+    # 12 values on the circle: 1, t and conj(t), t = e^{2 pi i/3}, each 4
+    # times; the powers of sigma cycle through t and conj(t), so the sample
+    # repeats every second squaring and is widened to 16
+    system = ancilla(block_shift(3, 2, 2, 7), 2)
+    assert _ritz_dimension(system) == 12
+    assert_peripheral_spectrum_matches_kernel_oracle(system)
+
+
+def test_ritz_subspace_is_everything_when_every_value_is_on_the_circle(monkeypatch):
+    # V_i = c_i U: sigma = Ad U is orthogonal, every one of its n^2
+    # eigenvalues is unimodular, and eig runs on sigma itself
+    u = random_unitary(np.random.default_rng(4), 3)
+    system = fcstates.PopescuSystem.from_operators([0.6 * u, 0.8 * u])
+    dims = []
+    original = fcstates.cpmap.eig
+
+    def recording(a, *args, **kwargs):
+        dims.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(fcstates.cpmap, "eig", recording)
+    form = real_transfer(system)
+    basis, ritz = form.ritz_matrix(1e-9)
+    assert np.array_equal(basis, np.eye(9)) and ritz is form.matrix
+    assert_peripheral_spectrum_matches_kernel_oracle(system)
+    assert dims[0] == (9, 9)
+    peri = peripheral_spectrum(system)
+    assert sum(p.algebraic for p in peri) == 9
+    assert (peri[0].multiplicity, peri[0].algebraic) == (3, 3)  # the diagonal of U's basis
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_ritz_sample_squares_through_slow_mixing(eps):
+    # sigma = (1 - eps) id + eps sigma_V on 3 x 3 matrices: the second
+    # eigenvalue is 1 - O(eps), and squaring runs until it has decayed,
+    # leaving the one fixed point, not the whole space
+    v = random_system(2, 3, 9)
+    system = fcstates.PopescuSystem.from_operators(
+        [np.sqrt(1 - eps) * np.eye(3)] + [np.sqrt(eps) * w for w in v.operators]
+    )
+    assert _ritz_dimension(system) == 1
+    assert_peripheral_spectrum_matches_kernel_oracle(system)
+    (p,) = peripheral_spectrum(system)
+    assert abs(p.value - 1.0) <= 1e-12
+
+
+def test_a_certificate_that_cannot_close_aborts():
+    # the sampled subspace is replaced by the fixed direction of a block
+    # shift alone, which misses its values t and conj(t) on the circle:
+    # they stay unimodular in the complement, no power of it falls to norm
+    # 1/2, and no spectrum is reported
+    form = real_transfer(block_shift(3, 2, 2, 64))
+    e = np.zeros((form.n**2, 1))
+    e[: form.n, 0] = 1.0 / np.sqrt(form.n)
+    form.__dict__["_dominant_subspace"] = (e, e.T @ form.matrix @ e)
+    with pytest.raises(NumericalHealthError, match=r"not certified below 1 - 1\.0e-09.*i <= 29"):
+        peripheral_spectrum(form)
+    with pytest.raises(NumericalHealthError, match=r"i <= 19"):
+        peripheral_spectrum(form, tol=1e-6)
+    # at tol = 0 the squarings are unbounded; at tol = 1/2 no power of the
+    # complement bounds an eigenvalue below 1 - tol
+    for tol in (0.0, 0.5):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\)"):
+            peripheral_spectrum(form, tol=tol)
+
+
+def test_a_subspace_that_is_not_invariant_aborts(monkeypatch):
+    # with no least size for a kept singular value, the sample keeps
+    # decaying directions whose singular values lie near roundoff, and
+    # whose singular vectors roundoff moves: the invariance gate fails
+    system = random_system(2, 3, 1)
+    assert_peripheral_spectrum_matches_kernel_oracle(system)
+    monkeypatch.setattr(fcstates.cpmap, "_RITZ_KEEP", 0.0)
+    with pytest.raises(NumericalHealthError, match="invariance residual .*, above 1e-10"):
+        peripheral_spectrum(system)
 
 
 def test_gauge_group_order_values():
