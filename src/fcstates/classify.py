@@ -174,9 +174,9 @@ def classify_od(
     value t is simple: its eigenspace is spanned by a power of one
     eigenunitary, and the eig of the Ritz matrix (see
     :func:`~fcstates.cpmap.peripheral_spectrum`) places one eigenvalue at t.
-    The representative eigen-operator is then its Ritz vector, checked by
-    one residual ||sigma x - t x||, and no kernel of sigma - t is taken; a
-    value that eig places twice aborts with :class:`NumericalHealthError`.
+    Its eigenspace is X times the kernel of the p x p matrix S - t, so no
+    n^2 x n^2 kernel is taken; a value that eig places twice aborts with
+    :class:`NumericalHealthError`.
     """
     return _classify_od(system, tol, tol_peripheral)[0]
 

@@ -283,7 +283,7 @@ def _cmd_dual(args) -> int:
         )
     dual = dual_system(system, state)
     rep = verify_duality(dual)
-    cmp_ = compare_duals(dual, tol=args.tol_spectral_set, form=form)
+    cmp_ = compare_duals(dual, args.tol_spectral_set, form, args.tol_peripheral)
     # completeness is the parameter isometry residual (verify_duality), and
     # compare_duals returns only when the dual agrees on ergodicity and on
     # the peripheral set, each value moving to its conjugate

@@ -30,14 +30,15 @@ and the subspaces they return have Hermitian bases. A complex matrix is
 stepped there as two real columns, its Hermitian and anti-Hermitian parts
 (:meth:`RealTransfer.pairings`).
 
-The peripheral spectrum needs only the few eigenvalues on or near the unit
-circle, so it is taken by Rayleigh-Ritz on a p-dimensional invariant
+Every spectral question needs only the eigenvalues on or near the unit
+circle, so each is answered by Rayleigh-Ritz on a p-dimensional invariant
 subspace X that holds them: repeated squaring of sigma and a random sample
-of its range find X, eig runs on the p x p matrix X^T sigma X, and a norm
-bound on the complement certifies that every other eigenvalue lies
-strictly inside the circle (:meth:`RealTransfer.ritz_matrix`). Only when
-every eigenvalue survives the squaring is p = n^2 and the whole matrix
-solved.
+of its range find X, and a norm bound from the power the sampling holds
+certifies that every other eigenvalue lies strictly inside the circle
+(:meth:`RealTransfer.ritz_matrix`). eig, the fixed space and each
+peripheral eigenspace are solved on the p x p matrix X^T sigma X; the
+predual's fixed space is one LU solve. Only when every eigenvalue
+survives the squaring is p = n^2 and the whole matrix solved.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, isqrt, log, log1p, log2
+from math import exp, isqrt, log1p, sqrt
 
 import numpy as np
 
@@ -187,15 +188,12 @@ class RealTransfer:
     real n^2 x n^2 matrix; the predual sigma_* is its transpose. Build it
     once per system with :func:`real_transfer` and pass it to the stages
     (:func:`fixed_points`, :func:`invariant_state`,
-    :func:`peripheral_spectrum`) in place of the system. Those stages read
-    the fixed spaces of sigma and sigma_* from :meth:`fixed_kernels`, and
-    each factorization it takes is held here: the singular values of
-    sigma - I, which give the dimension f of both spaces; when f = 1 (an
-    ergodic map), one LU solve of the bordered matrix sigma^T - I + e e^T,
-    e the coordinates of I/sqrt(n), which is nonsingular exactly when
-    f = 1; for any other f, one full SVD of sigma - I. The peripheral
-    spectrum reads :meth:`ritz_matrix`, whose invariant subspace, found by
-    repeated squaring of sigma, is held here too.
+    :func:`peripheral_spectrum`) in place of the system. They read one
+    held object: the Ritz pair (X, S = X^T sigma X) of a certified
+    invariant subspace that holds the value 1 and every peripheral
+    eigenspace (:meth:`ritz_matrix`), so each of those is a kernel of the
+    p x p matrix S - t mapped by X. Only the fixed space of the predual
+    takes an n^2 x n^2 factorization, one LU solve (:meth:`fixed_kernels`).
     """
 
     system: PopescuSystem
@@ -205,67 +203,10 @@ class RealTransfer:
     def n(self) -> int:
         return self.system.n
 
-    def shifted(self, value: complex) -> np.ndarray:
-        """sigma - value * I, real when the value is."""
-        value = complex(value)
-        return self.matrix - (value if value.imag else value.real) * np.eye(self.n**2)
-
-    @cached_property
-    def _singular_values_at_one(self) -> np.ndarray:
-        return np.linalg.svd(self.shifted(1.0), compute_uv=False)
-
-    @cached_property
-    def _svd_at_one(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.linalg.svd(self.shifted(1.0))
-
-    @cached_property
-    def _ergodic_kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        # e is the Hermitian coordinate vector of I/sqrt(n); e e^T touches only
-        # the diagonal coordinates, the leading n x n block
-        n = self.n
-        e = np.zeros(n * n)
-        e[:n] = 1.0 / np.sqrt(n)
-        bordered = self.shifted(1.0).T
-        bordered[:n, :n] += 1.0 / n
-        h = np.linalg.solve(bordered, e)
-        return e[:, None], (h / np.linalg.norm(h))[:, None]
-
-    def fixed_kernels(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """Real orthonormal bases (columns) of the kernels of sigma - I and of
-        sigma_* - I = (sigma - I)^T: the fixed spaces of sigma and its predual.
-
-        A singular direction of sigma - I is kept when its singular value is
-        at most ``tol`` (the scale of sigma is 1); the rank is read from the
-        singular values alone, so the two kernels always have the same
-        dimension f. When f = 1 both have a closed form and no singular
-        vector is computed. sigma is unital, so the fixed space of sigma is
-        spanned by e, the Hermitian coordinates of I/sqrt(n). That of the
-        predual is spanned by the solution h of the bordered system
-
-            (sigma^T - I + e e^T) h = e.
-
-        e is a left null vector of sigma^T - I (sigma_* preserves the trace),
-        so e^T applied to the system gives e^T h = 1 and then
-        (sigma^T - I) h = 0. The bordered matrix is nonsingular exactly when
-        f = 1: a null vector x has e^T x = 0 by the same step and lies in the
-        kernel of sigma^T - I. For f = 1 that kernel is spanned by an invariant
-        state, whose trace e^T x is not 0, so x = 0; for f > 1 the kernel
-        meets the hyperplane e^T x = 0. The LU solve is backward stable, so
-        ||sigma_* h - h|| stays at the roundoff level of ||h|| however close
-        the second-smallest singular value lies to ``tol``. For any other f
-        the right singular vectors of one full SVD give the first basis and
-        the left ones the second.
-        """
-        s = self._singular_values_at_one
-        rank = int(np.sum(s > tol))
-        if rank == s.size - 1:
-            return self._ergodic_kernels
-        u, _, vt = self._svd_at_one
-        return vt[rank:].T, u[:, rank:]
-
-    def _sampled_basis(self) -> np.ndarray | None:
-        """The orthonormalized P U_p of :meth:`ritz_matrix`, or None when no
-        sample narrower than n^2 shows a gap."""
+    def _sampled_basis(self) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """The orthonormalized P U_p of :meth:`ritz_matrix`, the power
+        P = sigma^m that gave it and m, or None when no sample narrower than
+        n^2 shows a gap."""
         size = self.matrix.shape[0]
         rng = np.random.default_rng(_RITZ_SEED)
         power, squarings = self.matrix, 0  # power = sigma^(2^squarings)
@@ -279,7 +220,7 @@ class RealTransfer:
                 if p < width and s[p - 1] >= _RITZ_KEEP * s[0]:
                     # one more application of the power squares the share of
                     # the dropped directions in the kept ones
-                    return np.linalg.qr(power @ u[:, :p])[0]
+                    return np.linalg.qr(power @ u[:, :p])[0], power, 2**squarings
                 ratios = s / s[0]
                 if squarings == _RITZ_MAX_SQUARINGS or any(
                     np.max(np.abs(ratios - r)) <= 1e-9 for r in seen
@@ -292,20 +233,30 @@ class RealTransfer:
         return None
 
     @cached_property
-    def _dominant_subspace(self) -> tuple[np.ndarray, np.ndarray]:
-        basis = self._sampled_basis()
-        if basis is None:
-            return np.eye(self.matrix.shape[0]), self.matrix
+    def _dominant_subspace(self) -> tuple[np.ndarray, np.ndarray, float | None, int]:
+        # X, S, the certificate c (None when X = I) and m
+        sampled = self._sampled_basis()
+        if sampled is None:
+            return np.eye(self.matrix.shape[0]), self.matrix, None, 1
+        basis, power, m = sampled
         image = self.matrix @ basis
         ritz = basis.T @ image
+        drift = float(np.linalg.norm(image - basis @ ritz))
         scale = np.linalg.norm(self.matrix, axis=0).max()
-        residual = float(np.linalg.norm(image - basis @ ritz) / scale)
-        if residual > _RITZ_GAP:
+        if drift > _RITZ_GAP * scale:
             raise NumericalHealthError(
                 f"the sampled {basis.shape[1]}-dimensional peripheral subspace has "
-                f"invariance residual {residual:.3e}, above {_RITZ_GAP:.0e}"
+                f"invariance residual {drift / scale:.3e}, above {_RITZ_GAP:.0e}"
             )
-        return basis, ritz
+        n, unital = self.n, validate(self.system)
+        if m * sqrt(n) * drift > 0.5 or m * unital > 1 / 16:
+            raise NumericalHealthError(
+                f"no certificate at sigma^{m}: m sqrt(n) ||R||_F = {m * sqrt(n) * drift:.3e} "
+                f"(at most 1/2), m ||sum_i V_i V_i* - I|| = {m * unital:.3e} (at most 1/16)"
+            )
+        complement = power - basis @ (basis.T @ power)
+        complement -= (complement @ basis) @ basis.T
+        return basis, ritz, float(np.linalg.norm(complement)) + 2 * m * n * drift, m
 
     def ritz_matrix(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """An orthonormal real basis X (columns) of a sigma-invariant subspace
@@ -313,12 +264,12 @@ class RealTransfer:
         p x p Ritz matrix S = X^T sigma X, whose eigenvalues are those
         eigenvalues of sigma.
 
-        *Sampling.* sigma is squared, P = sigma^(2^j), and the range of P is
-        sampled as P G for a seeded Gaussian block G of b = min(n^2, 8)
-        columns. Under squaring each eigenvalue of modulus below 1 decays
-        doubly exponentially, and the semisimple peripheral part stays
-        bounded, so the singular values s_1 >= s_2 >= ... of P G develop a
-        gap: p < b of them above 1e-10 s_1, each of those at least
+        *Sampling.* sigma is squared, P = sigma^m with m = 2^j, and the
+        range of P is sampled as P G for a seeded Gaussian block G of
+        b = min(n^2, 8) columns. Under squaring each eigenvalue of modulus
+        below 1 decays doubly exponentially, and the semisimple peripheral
+        part stays bounded, so the singular values s_1 >= s_2 >= ... of P G
+        develop a gap: p < b of them above 1e-10 s_1, each of those at least
         1e-4 s_1. X is then the orthonormalized P U_p, U_p the first p left
         singular vectors. That one more application of P leaves a dropped
         direction a share of at most (1e-10 / 1e-4)^2 in a kept one, and
@@ -328,51 +279,108 @@ class RealTransfer:
         squaring, as when P has converged to a projection of rank at least
         b, or cycles through the powers of a root of unity), or that has
         none after 40 squarings, is redrawn with 2b columns, squaring on
-        from the same P. At b = n^2, X = I and S is sigma itself: a map
-        with every eigenvalue on the circle (V_i = c_i U) is solved whole.
+        from the same P. At b = n^2, X = I and S is sigma itself, with no
+        certificate: a map with every eigenvalue on the circle
+        (V_i = c_i U) is solved whole.
 
-        *Invariance.* ||sigma X - X S||_F, over the largest column norm of
-        sigma, must be at most 1e-10, the bound :func:`~fcstates.numerics.eig`
-        puts on its own residual.
+        *Invariance.* R = sigma X - X S must have ||R||_F =: g at most 1e-10
+        times the largest column norm of sigma, the bound
+        :func:`~fcstates.numerics.eig` puts on its own residual.
 
-        *Certificate.* In the basis (X, X^perp), C = (I - X X^T) sigma is
-        block lower triangular with diagonal blocks 0 and
-        T = X^perp^T sigma X^perp, and sigma has the eigenvalues of S and of
-        T up to the invariance residual. If ||C^(2^i)||_F <= 1/2, every
-        eigenvalue of T has modulus at most 2^(-2^(-i)), which is below
-        1 - ``tol`` for i <= floor(log2(ln 2 / -ln(1 - tol))), 29 at 1e-9.
-        C is squared until its norm is at most 1/2, up to that i; otherwise
-        :class:`NumericalHealthError` is raised. A peripheral direction that
-        the sample missed stays unimodular in T, so it cannot pass. As
-        2^(-2^(-i)) >= 1/2, ``tol`` must lie in (0, 1/2).
+        *Certificate.* One number, held with X and S, bounds every other
+        eigenvalue by c^(1/m), with Q = I - X X^T:
 
-        Each step is a product of n^2 x n^2 matrices, which costs about a
-        hundredth of one eigensolve of that size at n <= 16. X and S are
-        held; the certificate is taken on every call.
+            c = ||Q P Q||_F + 2 m n g.
+
+        X^T R = 0, so sigma = A + R X^T with A block upper triangular in
+        (X, X^perp), diagonal blocks S and T = X^perp^T sigma X^perp: the
+        eigenvalues of sigma up to the invariance residual. Norms ||.||_2
+        of n^2 x n^2 matrices are taken on Hermitian coordinates, where the
+        Euclidean norm is the Hilbert-Schmidt norm |Y| >= ||Y||. With r the
+        residual ||sum_i V_i V_i* - I||, Russo-Dye bounds each power of the
+        CP map sigma by ||sigma^k(1)|| <= (1 + r)^k in operator norm, and
+        |Y| <= sqrt(n) ||Y||, so ||sigma^k||_2 <= K = sqrt(n) (1 + r)^m for
+        k <= m (K = sqrt(n) for a unital map). Telescoping
+        sigma^j - A^j = sum_{k<j} sigma^k R X^T A^(j-1-k) gives by
+        induction ||A^j||_2 <= K (1 + K g)^j, and then
+
+            ||sigma^m - A^m||_2 <= m K^2 g (1 + K g)^(m-1)
+                                <= m n g exp(2 m r + m K g) < 2 m n g
+
+        when m sqrt(n) g <= 1/2 and m r <= 1/16, as the exponent is at most
+        1/8 + exp(1/16)/2 < ln 2; otherwise the sampling aborts with
+        :class:`NumericalHealthError`. The lower block of A^m is T^m, so
+        |lambda|^m <= ||T^m||_2 <= ||X^perp^T P X^perp||_2 + 2 m n g <= c
+        for every eigenvalue lambda of T. This call requires
+        c^(1/m) < 1 - ``tol``, tested as c < exp(m log1p(-tol)), and
+        raises :class:`NumericalHealthError` otherwise; a peripheral
+        direction that the sample missed stays unimodular in T and keeps
+        c >= 1. ``tol`` must lie in (0, 1/2).
         """
         if not 0.0 < tol < 0.5:
-            raise ValueError(
-                f"tol = {tol} must lie in (0, 1/2): the certificate squares about "
-                "log2(ln 2 / tol) times, and its bound 2^(-2^(-i)) >= 1/2 on an "
-                "eigenvalue must lie below 1 - tol"
+            raise ValueError(f"tol = {tol} must lie in (0, 1/2)")
+        basis, ritz, certificate, m = self._dominant_subspace
+        if certificate is not None and certificate >= exp(m * log1p(-tol)):
+            raise NumericalHealthError(
+                f"the eigenvalues of sigma outside its {basis.shape[1]} Ritz values are not "
+                f"certified below 1 - {tol:.1e}: c = {certificate:.3e} bounds ||T^m||, m = {m}, "
+                f"c^(1/m) = {certificate ** (1 / m):.12f}; the sample misses a peripheral "
+                "direction, or one lies at the tolerance boundary"
             )
-        basis, ritz = self._dominant_subspace
-        size = basis.shape[0]
-        if basis.shape[1] == size:
-            return basis, ritz
-        cap = floor(log2(log(2.0) / -log1p(-tol)))
-        complement = self.matrix - basis @ (basis.T @ self.matrix)
-        for i in range(cap + 1):
-            if np.linalg.norm(complement) <= 0.5:
-                return basis, ritz
-            if i < cap:
-                complement = complement @ complement
-        raise NumericalHealthError(
-            f"the eigenvalues of sigma outside its {basis.shape[1]} Ritz values are not "
-            f"certified below 1 - {tol:.1e}: ||((I - X X^T) sigma)^(2^i)||_F > 1/2 for "
-            f"every i <= {cap}; the sampled subspace misses a peripheral direction, or "
-            "one lies at the tolerance boundary; the verdict is aborted"
-        )
+        return basis, ritz
+
+    def _fixed_basis(self, tol: float) -> np.ndarray:
+        """F = X ker(S - I) of :meth:`fixed_kernels`."""
+        basis, ritz, certificate, m = self._dominant_subspace
+        if certificate is not None and certificate >= 1.0:
+            raise NumericalHealthError(
+                f"the fixed space of sigma is not certified inside its {basis.shape[1]} Ritz "
+                f"values: c = {certificate:.3e} >= 1 bounds ||T^m||, m = {m}"
+            )
+        return basis @ kernel(ritz - np.eye(ritz.shape[0]), tol, scale=1.0)
+
+    def fixed_kernels(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """A real orthonormal basis F (columns) of the fixed space of sigma,
+        and the basis H of that of its predual sigma^T with F^T H = I.
+
+        F is X times the kernel of S - I at threshold ``tol`` (the scale of
+        sigma is 1), the p x p Ritz matrix of :meth:`ritz_matrix`, whose
+        certificate must be c < 1: a fixed direction outside X would keep
+        c >= 1. H is one LU solve with f right-hand sides,
+
+            (sigma^T - I + F F^T) H = F.
+
+        F^T (sigma^T - I) = 0, so F^T applied to the system gives F^T H = I,
+        and then (sigma^T - I) H = F - F F^T H = 0. The bordered matrix is
+        nonsingular exactly when F spans Fix(sigma). A null vector x has
+        F^T x = 0 by the same step and lies in the fixed space R of the
+        predual. The eigenvalue 1 of a unital CP map is semisimple (sigma
+        is a contraction in operator norm, so it has no Jordan block on the
+        circle), so R and Fix(sigma) have one dimension and F^T R is
+        nonsingular when F spans Fix(sigma): x = 0. When F spans less, R
+        meets the kernel of F^T. A singular bordered matrix raises
+        :class:`NumericalHealthError`, as does ||(sigma^T - I) H||_F above
+        ``tol`` ||H||_F: the solve gives (sigma^T - I) H =
+        F ((sigma - I) F)^T H, so only an F that sigma does not fix to
+        ``tol`` fails it.
+        """
+        fixed = self._fixed_basis(tol)
+        bordered = self.matrix.T - np.eye(self.matrix.shape[0]) + fixed @ fixed.T
+        try:
+            dual = np.linalg.solve(bordered, fixed)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalHealthError(
+                f"the bordered matrix sigma^T - I + F F^T is singular: F "
+                f"({fixed.shape[1]} columns) does not span the fixed space of sigma"
+            ) from exc
+        resid, gate = np.linalg.norm(self.matrix.T @ dual - dual), tol * np.linalg.norm(dual)
+        if resid > gate:
+            raise NumericalHealthError(
+                f"the bordered solve H has residual ||(sigma^T - I) H||_F = {resid:.3e}, above "
+                f"its bound {gate:.3e}: F ({fixed.shape[1]} columns) does not span the fixed "
+                "space of sigma"
+            )
+        return fixed, dual
 
     def pairings(self, r: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
         """trace(R sigma^s(B)) for s = 0..steps, for n x n matrices R and B.
@@ -503,11 +511,16 @@ def fixed_points(
     """Orthonormal basis of {X : sigma(X) = X} of Hermitian matrices.
 
     The fixed set is *-closed and contains the commutant of the generators,
-    but need not be an algebra. The basis is the real kernel of sigma - I in
-    Hermitian coordinates, so its elements are Hermitian.
+    but need not be an algebra. The basis is real in Hermitian coordinates,
+    so its elements are Hermitian: X times the kernel of the Ritz matrix
+    S - I at threshold ``tol`` (:meth:`RealTransfer.fixed_kernels`). For
+    x = X y, ||(sigma - I) x|| = ||(S - I) y|| up to the invariance
+    residual; a near-null direction of a non-normal sigma - I outside X,
+    where the certificate puts every eigenvalue inside the circle, is not
+    counted.
     """
     form = _as_real_transfer(system)
-    return OperatorSubspace.from_hermitian(form.fixed_kernels(tol)[0], form.n)
+    return OperatorSubspace.from_hermitian(form._fixed_basis(tol), form.n)
 
 
 def is_algebra(sub: OperatorSubspace, tol: float = DEFAULT_SUBSPACE_TOL) -> bool:
@@ -611,17 +624,14 @@ def invariant_state(
     F* R is invertible because eigenvalue 1 of a unital CP map is
     semisimple: sigma is a contraction in operator norm, so it has no Jordan
     block on the unit circle. As vec(I) lies in F, the trace of rho_0 is
-    kept. When R is one-dimensional the state is its basis vector
-    normalized to unit trace, the unique invariant state.
+    kept. When R is one-dimensional the state is the unique invariant one.
 
-    R and F are real kernels in Hermitian coordinates, where sigma_* is the
-    transpose of sigma (:meth:`RealTransfer.fixed_kernels`), of the same
-    dimension, read from the singular values of sigma - I. When it is 1, R
-    is spanned by the solution h of (sigma^T - I + e e^T) h = e, with e the
-    coordinates of I/sqrt(n): e^T h = 1 and sigma_* h = h, and the bordered
-    matrix is nonsingular exactly because the fixed space of the predual is
-    one-dimensional and its state has nonzero trace. Otherwise R and F are
-    the left and right kernels of one full SVD of sigma - I.
+    F and R come from :meth:`RealTransfer.fixed_kernels` in Hermitian
+    coordinates, where sigma_* is the transpose of sigma: F from the kernel
+    of the Ritz matrix S - I, and the basis R = H of the predual's fixed
+    space from one bordered LU solve, with F^T H = I. The projection is
+    then rho = H F^T r_0, r_0 the coordinates of rho_0, whatever the
+    dimension of the fixed space.
 
     The state must satisfy ||sigma_*(rho) - rho|| <= 1e-10 n + r, where r is
     the residual ||sum_i V_i V_i* - I|| that :func:`validate` reports: a
@@ -638,13 +648,8 @@ def invariant_state(
         if abs(tr) < 1e-14:
             raise ValueError("rho0 must have nonzero trace")
         rho0 = rho0 / tr
-    left, right = form.fixed_kernels(DEFAULT_SUBSPACE_TOL)
-    if right.shape[1] == 1:
-        # the trace of a matrix is the sum of its diagonal coordinates
-        v = right[:, 0] / np.sum(right[:n, 0])
-    else:
-        r0 = _to_hermitian(vec(rho0))
-        v = right @ np.linalg.solve(left.T @ right, left.T @ r0)
+    fixed, dual = form.fixed_kernels(DEFAULT_SUBSPACE_TOL)
+    v = dual @ (fixed.T @ _to_hermitian(vec(rho0)))
     rho = unvec(_from_hermitian(v), (n, n))
     rho = 0.5 * (rho + rho.conj().T)
     vals, vecs = np.linalg.eigh(rho)
@@ -734,30 +739,23 @@ def peripheral_spectrum(
 
     The eigenvalues come from one eig of the p x p Ritz matrix
     S = X^T sigma X of :meth:`RealTransfer.ritz_matrix`, whose certificate
-    places every other eigenvalue of sigma below 1 - ``tol`` in modulus, and
-    an eigenvector y of S gives the eigenvector x = X y of sigma. p is the
-    number of eigenvalues that survive repeated squaring, n^2 only when
-    all of them do. The eigenvalues within ``tol`` of the circle are
+    places every other eigenvalue of sigma below 1 - ``tol`` in modulus. p
+    is the number of eigenvalues that survive repeated squaring, n^2 only
+    when all of them do. The eigenvalues within ``tol`` of the circle are
     clustered by :func:`value_clusters` at ``set_tol``. The algebraic
-    multiplicity of a value is the size of its cluster, the geometric one
-    the number of directions with ||sigma x - value x|| <= ``set_tol`` ||x||,
-    both in real arithmetic (Hermitian coordinates). The cluster within
-    ``set_tol`` of 1, whose representative may be 1 + O(eps) i, reads its
-    kernel from the factorization of sigma - I that the fixed spaces share
-    (:meth:`RealTransfer.fixed_kernels`). Any other value whose cluster has
-    one member takes its eigenvector x, and no kernel: if
-    ||sigma x - value x|| <= ``set_tol`` ||x||, sigma - value has a singular
-    value at most ``set_tol``, so the geometric multiplicity is at least 1,
-    and at most the algebraic one, 1; otherwise it is 0. A
-    larger cluster takes the kernel of sigma - value at threshold
-    ``set_tol``, which is real for a real value.
-    The two multiplicities differ for a unimodular Jordan block when the
+    multiplicity of a value is the size of its cluster, and the geometric
+    one the dimension of its eigenspace: X times the kernel of S - value at
+    threshold ``set_tol``, real for a real value. Every such eigenvector of
+    sigma lies in X, and ||sigma X y - value X y|| = ||(S - value) y|| up to
+    the invariance residual. A unital map has the value 1, and the cluster
+    nearest it takes the kernel of S - I, the fixed space of
+    :func:`fixed_points`, so the two agree at every threshold. The two
+    multiplicities differ for a unimodular Jordan block when the
     algebraic one is larger, a kernel that counts eigenvalues the
     eigensolver puts off the circle when the geometric one is, and a kernel
-    threshold or an eigenvector residual that misses the value (geometric
-    0, with the eigenvector as the representative operator).
-    :func:`check_semisimple` treats each as a failure. Results are sorted by
-    phase angle starting at 1.
+    threshold that misses the value (geometric 0, with eig's eigenvector
+    X y as the representative operator). :func:`check_semisimple` treats
+    each as a failure. Results are sorted by phase angle starting at 1.
     """
     form = _as_real_transfer(system)
     n = form.n
@@ -765,20 +763,14 @@ def peripheral_spectrum(
     dec = eig(ritz)
     on_circle = [complex(z) for z in dec.eigenvalues if abs(1.0 - abs(z)) <= tol]
     out = []
-    for value, algebraic in value_clusters(on_circle, set_tol):
-        idx = int(np.argmin(np.abs(dec.eigenvalues - value)))
-        x = basis @ dec.eigenvectors[:, idx]
-        if abs(value - 1.0) <= set_tol:
-            space = form.fixed_kernels(set_tol)[0]
-        elif algebraic == 1:
-            # sigma is real: apply it to the real and imaginary parts of x
-            image = form.matrix @ x.real + 1j * (form.matrix @ x.imag)
-            hit = np.linalg.norm(image - value * x) <= set_tol * np.linalg.norm(x)
-            space = x[:, None] if hit else np.empty((x.size, 0))
-        else:
-            space = kernel(form.shifted(value), set_tol, scale=1.0)
+    clusters = value_clusters(on_circle, set_tol)
+    one = min(clusters, key=lambda c: abs(c[0] - 1.0), default=(None, 0))[0]
+    for value, algebraic in clusters:
+        shift = 1.0 if value == one else value if value.imag else value.real
+        space = kernel(ritz - shift * np.eye(ritz.shape[0]), set_tol, scale=1.0)
         geometric = space.shape[1]
-        op = unvec(_from_hermitian(space[:, 0] if geometric else x), (n, n))
+        nearest = dec.eigenvectors[:, int(np.argmin(np.abs(dec.eigenvalues - value)))]
+        op = unvec(_from_hermitian(basis @ (space[:, 0] if geometric else nearest)), (n, n))
         tn = np.linalg.norm(op, "nuc")
         if tn > 0:
             op = op / tn
@@ -831,10 +823,11 @@ def peripheral_eigenunitary(
     violation (e.g. a non-faithful state).
 
     U is the operator that :func:`peripheral_spectrum`, at ``set_tol`` =
-    ``tol``, reports for the value within ``tol`` of conj(t), rescaled; the
-    map is ergodic when the value 1 has multiplicity 1 there. Pass the
-    transfer map when it is at hand: its sampled peripheral subspace and
-    its fixed kernels are held there.
+    ``tol``, reports for the value within ``tol`` of conj(t), rescaled: X
+    times the kernel of the Ritz matrix S - conj(t), so no n^2 x n^2
+    kernel is taken. The map is ergodic when the value 1 has multiplicity
+    1 there. Pass the transfer map when it is at hand: its certified Ritz
+    pair, from which every eigenspace is read, is held there.
     """
     if abs(abs(t) - 1.0) > 1e-6:
         raise ValueError(f"t = {t} is not unimodular")

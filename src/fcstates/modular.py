@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmap import (
-    DEFAULT_SET_TOL,
+    DEFAULT_PERIPHERAL_TOL,
     DensityState,
     RealTransfer,
     check_semisimple,
@@ -292,7 +292,10 @@ class DualComparison:
 
 
 def compare_duals(
-    dual: DualSystem, tol: float = 1e-8, form: RealTransfer | None = None
+    dual: DualSystem,
+    tol: float = 1e-8,
+    form: RealTransfer | None = None,
+    tol_peripheral: float = DEFAULT_PERIPHERAL_TOL,
 ) -> DualComparison:
     """Ergodicity and peripheral-spectrum agreement of the dual pair, from
     one eigendecomposition: that of the Ritz matrix of the system's
@@ -316,21 +319,23 @@ def compare_duals(
 
     Both sides read their multiplicities from the system's peripheral
     spectrum, so a geometric multiplicity that differs from the algebraic
-    one (a kernel or an eigenvector residual at its tolerance boundary,
-    such as a kernel that misses the value 1) raises
+    one (a kernel of the Ritz matrix at its tolerance boundary, such as
+    one that misses the value 1) raises
     :class:`NumericalHealthError`, as does a moved pair above the
     threshold. When the function returns, the two agree on ergodicity and on
-    the peripheral set, so no match flag is returned. ``form`` is the
-    transfer map of the dualized system when the caller already holds it
-    (with its factored sigma - I); it is built otherwise.
+    the peripheral set, so no match flag is returned. As in
+    :func:`~fcstates.classify.classify_chain`, ``tol_peripheral`` places a
+    value on the circle and ``tol`` is the set and kernel tolerance.
+    ``form`` is the transfer map of the dualized system when the caller
+    already holds it (with its certified Ritz pair); it is built otherwise.
     """
     if form is None:
         form = real_transfer(dual.system)
     elif form.system is not dual.system:
         raise ValueError("form is not the transfer map of the dualized system")
-    peri = peripheral_spectrum(form)
+    peri = peripheral_spectrum(form, tol_peripheral, tol)
     check_semisimple(peri)
-    fixed = fixed_points(form, DEFAULT_SET_TOL).basis
+    fixed = fixed_points(form, tol).basis
     values = tuple(p.value for p in peri)
     lam = np.array(values + (1.0,) * len(fixed))[:, None, None]
     rs = dual.modular.phi_vector

@@ -12,19 +12,24 @@ Tests compare the library against these independent routes:
   real kernels in Hermitian coordinates;
 * the peripheral spectrum from one dense eig of the whole n^2 x n^2
   matrix and one kernel of sigma - t per peripheral value t, real at a
-  real value, where the library solves the p x p Ritz matrix of a
-  certified invariant subspace and takes the Ritz vector for a value whose
-  cluster has one member, checking its residual;
+  real value, where the library solves the p x p Ritz matrix S of a
+  certified invariant subspace and takes every eigenspace as a kernel of
+  S - t;
 * the eigenunitary at t as a kernel of sigma - conj(t), where the library
   rescales the operator that its peripheral spectrum reports;
 * the invariant state as the Cesaro limit built from two separately
-  factored kernels in vec coordinates, where the library reads both from
-  one factorization of sigma - I;
+  factored kernels in vec coordinates, where the library reads them from
+  the Ritz matrix and one bordered solve;
 * the fixed spaces of sigma and sigma_* as the right and left singular
-  vectors of one full SVD of sigma - I in Hermitian coordinates, and the
-  unique invariant state as the one left singular vector, where the library
-  takes the closed form span(I) and one solve of a bordered matrix when the
-  fixed space is one-dimensional;
+  vectors of one full SVD of sigma - I in Hermitian coordinates, their
+  dimension from the singular values alone, the closed form span(I) with
+  the bordered solve (sigma^T - I + e e^T) h = e of an ergodic map, and
+  the unique invariant state as the one left singular vector, where the
+  library reads the fixed space from the kernel of the p x p Ritz matrix
+  S - I and the predual's from one bordered solve for every dimension;
+* the certificate of the Ritz subspace by repeated squaring of
+  (I - X X^T) sigma, where the library reads it from the power that its
+  sampling holds;
 * the chain hypotheses and verdicts by the full commutant route (M' and
   M'' as kernels over all of M_n, the factor test by principal angles,
   M' against the fixed space by mutual projection, and the spectrum of
@@ -187,12 +192,62 @@ def vec_invariant_state(system: PopescuSystem, tol: float = 1e-8) -> DensityStat
     return DensityState.from_matrix(rho / np.trace(rho).real)
 
 
+def shifted(form: RealTransfer, value: complex) -> np.ndarray:
+    """sigma - value * I, real when the value is."""
+    value = complex(value)
+    return form.matrix - (value if value.imag else value.real) * np.eye(form.n**2)
+
+
+def svd_fixed_dimension(form: RealTransfer, tol: float = 1e-8) -> int:
+    """The dimension of the fixed space: the number of singular values of
+    sigma - I at most ``tol``, from one values-only SVD."""
+    return int(np.sum(np.linalg.svd(shifted(form, 1.0), compute_uv=False) <= tol))
+
+
 def svd_fixed_kernels(form: RealTransfer, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Bases of the kernels of sigma - I and sigma^T - I from the right and
     left singular vectors of one full SVD of sigma - I, at any dimension."""
-    u, s, vt = np.linalg.svd(form.shifted(1.0))
+    u, s, vt = np.linalg.svd(shifted(form, 1.0))
     rank = int(np.sum(s > tol))
     return vt[rank:].T, u[:, rank:]
+
+
+def bordered_ergodic_kernels(form: RealTransfer) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed spaces of an ergodic map in closed form: e, the Hermitian
+    coordinates of I/sqrt(n), and the unit solution h of
+    (sigma^T - I + e e^T) h = e, one LU solve; e e^T touches only the
+    leading n x n block of diagonal coordinates."""
+    n = form.n
+    e = np.zeros(n * n)
+    e[:n] = 1.0 / np.sqrt(n)
+    bordered = shifted(form, 1.0).T
+    bordered[:n, :n] += 1.0 / n
+    h = np.linalg.solve(bordered, e)
+    return e[:, None], (h / np.linalg.norm(h))[:, None]
+
+
+def svd_route_fixed_kernels(
+    form: RealTransfer, tol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed spaces by the dimension that the singular values of
+    sigma - I give: the closed forms of :func:`bordered_ergodic_kernels`
+    when it is 1, and :func:`svd_fixed_kernels` otherwise."""
+    if svd_fixed_dimension(form, tol) == 1:
+        return bordered_ergodic_kernels(form)
+    return svd_fixed_kernels(form, tol)
+
+
+def squared_certificate(form: RealTransfer, basis: np.ndarray, tol: float) -> int | None:
+    """The least i <= floor(log2(ln 2 / -ln(1 - tol))) with
+    ||((I - X X^T) sigma)^(2^i)||_F <= 1/2, which bounds every eigenvalue of
+    sigma outside the span of X by 2^(-2^(-i)) < 1 - tol, or None."""
+    cap = int(np.floor(np.log2(np.log(2.0) / -np.log1p(-tol))))
+    complement = form.matrix - basis @ (basis.T @ form.matrix)
+    for i in range(cap + 1):
+        if np.linalg.norm(complement) <= 0.5:
+            return i
+        complement = complement @ complement
+    return None
 
 
 def svd_invariant_state(form: RealTransfer, tol: float = 1e-8) -> DensityState:
@@ -214,8 +269,8 @@ def peripheral_eigenspace(
     ``set_tol``, real at a real value; within ``set_tol`` of 1 it is the
     fixed kernel."""
     if abs(value - 1.0) <= set_tol:
-        return form.fixed_kernels(set_tol)[0]
-    return kernel(form.shifted(value), set_tol, scale=1.0)
+        return svd_route_fixed_kernels(form, set_tol)[0]
+    return kernel(shifted(form, value), set_tol, scale=1.0)
 
 
 def kernel_peripheral_spectrum(
@@ -267,7 +322,7 @@ def kernel_eigenunitary(
     form = real_transfer(system)
     if fixed_points(form).dim != 1:
         raise ValueError("transfer map is not ergodic; eigenunitary is not unique")
-    space = kernel(form.shifted(np.conj(t)), tol, scale=1.0)
+    space = kernel(shifted(form, np.conj(t)), tol, scale=1.0)
     if space.shape[1] == 0:
         raise ValueError(f"t = {t} is not in the peripheral spectrum at tolerance {tol:.1e}")
     u = unvec(_from_hermitian(space[:, 0]), (system.n, system.n))

@@ -4,14 +4,27 @@ The benchmark's own tests check its generators only at n <= 6. Here each
 ``classify_random``, ``classify_structured`` and ``state_dual`` slot of
 ``perfbench/workloads.py`` runs for seeds 41-43, round 0, through the
 benchmark's ``prepare`` and ``check``, exactly as a benchmark op runs; the
-modules are imported, and nothing under ``perfbench/`` is written. The 87
-ops take about 3 s (Intel Xeon, 1 BLAS thread).
+modules are imported, and nothing under ``perfbench/`` is written.
+
+Each op also guards the spectral route. Every transfer matrix sigma_r
+(n^2 x n^2) that an op builds takes exactly one n^2 x n^2 LU solve, the
+bordered system of its invariant state, and no SVD or eig of that size:
+every other spectral object is read from the p x p Ritz matrix, p < n^2
+on every slot. Every ``analyze`` op must print a state invariance residual
+of at most 1e-14, which a predual fixed space read from the squared power
+of sigma would exceed. The 87 ops take about 2.2 s with the guard and
+2.0 s without (Intel Xeon, 1 BLAS thread).
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+import fcstates
+
+from conftest import record_transfer_factorizations
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -23,11 +36,21 @@ SLOTS = [
     for slot_no, slot in enumerate(workloads.WORKLOADS[name].slots)
 ]
 IDS = [f"{name}-{slot_no}-{slot.label}" for name, slot_no, slot in SLOTS]
+MODULES = (fcstates.cli, fcstates.classify, fcstates.cpmap, fcstates.chain, fcstates.modular)
 
 
 @pytest.mark.parametrize("seed", [41, 42, 43])
 @pytest.mark.parametrize("name, slot_no, slot", SLOTS, ids=IDS)
-def test_benchmark_slot_meets_its_known_answers(tmp_path, name, slot_no, slot, seed):
+def test_benchmark_slot_meets_its_known_answers(monkeypatch, tmp_path, name, slot_no, slot, seed):
     case = slot.make(workloads.op_rng(seed, 0, slot_no))
-    output = workloads.prepare(slot, case, tmp_path / "system.json")()
+    run = workloads.prepare(slot, case, tmp_path / "system.json")
+    calls = record_transfer_factorizations(monkeypatch, *MODULES)
+    output = run()
+    monkeypatch.undo()
     assert workloads.check(slot, case, output) == []
+    built = sorted(size for kind, size in calls if kind == "real_transfer")
+    assert built
+    assert sorted(size for kind, size in calls if kind != "real_transfer") == built
+    assert all(kind == "solve" for kind, _ in calls if kind != "real_transfer")
+    if slot.command == "analyze":
+        assert json.loads(output[1])["residuals"]["state_invariance"] <= 1e-14

@@ -20,10 +20,12 @@ from fcstates import (
     spectral_sets_match,
 )
 from fcstates.classify import HYPOTHESES_NOT_MET
+from fcstates.cpmap import OperatorSubspace, real_transfer
 from fcstates.cli import main, report_to_json, system_to_json
 
 from conftest import (
     ancilla,
+    assert_fixed_kernels_match_svd_route,
     assert_peripheral_spectrum_matches_kernel_oracle,
     block_shift,
     conjugated,
@@ -31,9 +33,15 @@ from conftest import (
     nonfaithful,
     pauli_channel,
     record_kernels,
-    record_transfer_svds,
+    record_transfer_factorizations,
 )
-from oracles import commutant_chain_verdicts, kernel_peripheral_spectrum, vec_commutant
+from oracles import (
+    commutant_chain_verdicts,
+    kernel_peripheral_spectrum,
+    shifted,
+    svd_fixed_kernels,
+    vec_commutant,
+)
 
 
 ALL_HYPOTHESES_MET = {"M_is_factor": True, "fixed_equals_M_prime": True, "phi_faithful": True}
@@ -225,28 +233,33 @@ def test_multiplicity_mismatch_at_the_tolerance_boundary_aborts():
 
 
 def _compressed_kernel_at_the_boundary(system):
-    # the compressed map's fixed-point kernel is taken at a threshold just
-    # above its second singular value, as when that value sits at tol
+    # the compressed map's fixed space is read as the SVD of sigma - I reads
+    # it at a threshold just above its second singular value, as when that
+    # value sits at tol; the Ritz route, whose certificate puts that
+    # direction inside the circle, cannot count it
     original = fcstates.classify.fixed_points
 
     def at_boundary(form, tol):
         if form.n < system.n:
-            tol = 2.0 * np.linalg.svd(form.shifted(1.0), compute_uv=False)[-2]
+            tol = 2.0 * np.linalg.svd(shifted(form, 1.0), compute_uv=False)[-2]
+            return OperatorSubspace.from_hermitian(svd_fixed_kernels(form, tol)[0], form.n)
         return original(form, tol)
 
     return fcstates.classify, "fixed_points", at_boundary
 
 
 def _compressed_kernel_past_the_boundary(system):
-    # off the ergodic path: the compressed map's fixed-point kernel is taken
-    # at a threshold just above its smallest nonzero singular value, which
-    # the ancilla repeats four times (sigma = sigma_W (x) id on M_3 (x) M_2)
+    # off the ergodic path: the compressed map's fixed space is read as the
+    # SVD of sigma - I reads it at a threshold just above its smallest
+    # nonzero singular value, which the ancilla repeats four times
+    # (sigma = sigma_W (x) id on M_3 (x) M_2)
     original = fcstates.classify.fixed_points
 
     def at_boundary(form, tol):
         if form.n < system.n:
-            s = np.linalg.svd(form.shifted(1.0), compute_uv=False)
+            s = np.linalg.svd(shifted(form, 1.0), compute_uv=False)
             tol = 2.0 * s[-1 - np.sum(s <= tol)]
+            return OperatorSubspace.from_hermitian(svd_fixed_kernels(form, tol)[0], form.n)
         return original(form, tol)
 
     return fcstates.classify, "fixed_points", at_boundary
@@ -440,6 +453,14 @@ def test_chain_verdicts_match_commutant_oracle_on_families(make):
     _assert_chain_verdicts_match_oracle(make())
 
 
+@pytest.mark.parametrize("name, make", ORACLE_FAMILIES.items(), ids=ORACLE_FAMILIES.keys())
+def test_fixed_kernels_match_svd_route_on_families(name, make):
+    # worst gap 4.7e-15, and 3.3e-11 at pauli_channel(1e-6), whose second
+    # singular value 1e-6 leaves the SVD oracles that far from every route
+    bound = 1e-9 if name == "pauli_channel(1e-6)" else 1e-12
+    assert_fixed_kernels_match_svd_route(real_transfer(make()), bound=bound)
+
+
 @pytest.mark.parametrize("make", ORACLE_FAMILIES.values(), ids=ORACLE_FAMILIES.keys())
 def test_commutant_matches_vec_oracle_on_families(make):
     ops = make().operators
@@ -468,23 +489,33 @@ BLOCK_SHIFTS = {
 
 
 @pytest.mark.parametrize("make", BLOCK_SHIFTS.values(), ids=BLOCK_SHIFTS.keys())
-def test_classify_chain_takes_no_kernel_on_block_shifts(monkeypatch, make):
-    # every peripheral value other than 1 is simple and takes eig's
-    # eigenvector; the value 1 reads the factored sigma - I
+def test_classify_chain_takes_only_ritz_kernels_on_block_shifts(monkeypatch, make):
+    # every peripheral value is simple, and its eigenspace is the kernel of
+    # S - t for the k x k Ritz matrix S; fixed_points and invariant_state
+    # take that of S - I
     kernels = record_kernels(monkeypatch)
     rep = classify_chain(make())
     assert rep.ergodic and rep.k == len(rep.peripheral) > 1
-    assert kernels == []
+    assert [shape for _, shape in kernels] == [(rep.k, rep.k)] * (rep.k + 2)
 
 
-def test_classify_chain_takes_no_complex_kernel(monkeypatch, known_system):
-    # an ergodic map takes no kernel at all; off that path (averaging3, the
-    # direct sum, the ancilla: peripheral set {1}) only the real commutant
-    # kernels run
+def test_classify_chain_takes_no_kernel_of_the_whole_map(monkeypatch, known_system):
+    # every eigenspace is a kernel of the p x p Ritz matrix, complex only
+    # at a value off the real axis, and the commutants off the ergodic path
+    # (averaging3, the direct sum, the ancilla) are real; no kernel of an
+    # n^2 x n^2 matrix runs unless p = n^2, as at n^2 <= 8, the first
+    # sample width
     kernels = record_kernels(monkeypatch)
     rep = classify_chain(known_system)
-    assert all(dtype.kind == "f" for dtype, _ in kernels)
-    assert kernels == [] or not rep.ergodic
+    off_axis = sum(abs(z.imag) > 1e-8 for z in rep.peripheral)
+    assert sum(dtype.kind == "c" for dtype, _ in kernels) == off_axis
+    whole = known_system.n**2
+    assert whole <= 8 or all(shape != (whole, whole) for _, shape in kernels)
+
+
+def _one_solve_each(*sizes):
+    # each sigma_r that classify builds (n^2), then its one bordered solve
+    return [call for size in sizes for call in (("real_transfer", size), ("solve", size))]
 
 
 @pytest.mark.parametrize(
@@ -493,25 +524,25 @@ def test_classify_chain_takes_no_complex_kernel(monkeypatch, known_system):
         (
             lambda: random_system(3, 5, 21),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0,
+             "commutant": 0, "eig": 1, "kernel": 3, "factorizations": _one_solve_each(25),
              "eig_dims": [1]},
         ),
         (
             lambda: nonfaithful(2, 3, 2, 22),
             {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
-             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 2, "svd_vectors": 0,
+             "commutant": 0, "eig": 1, "kernel": 5, "factorizations": _one_solve_each(25, 9),
              "eig_dims": [1]},
         ),
         (
             lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1,
+             "commutant": 2, "eig": 1, "kernel": 5, "factorizations": _one_solve_each(25),
              "eig_dims": [2]},
         ),
         (
             lambda: ancilla(random_system(2, 2, 63), 3),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 1, "svd_vectors": 1,
+             "commutant": 2, "eig": 1, "kernel": 5, "factorizations": _one_solve_each(36),
              "eig_dims": [9]},
         ),
         (
@@ -521,13 +552,13 @@ def test_classify_chain_takes_no_complex_kernel(monkeypatch, known_system):
             # whose 4 Ritz values are its 4 fixed points
             lambda: ancilla(nonfaithful(2, 3, 2, 22), 2),
             {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
-             "commutant": 2, "eig": 1, "kernel": 2, "svd_values": 2, "svd_vectors": 2,
+             "commutant": 2, "eig": 1, "kernel": 7, "factorizations": _one_solve_each(100, 36),
              "eig_dims": [4]},
         ),
         (
             lambda: block_shift(3, 2, 3, 71),
             {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 0, "eig": 1, "kernel": 0, "svd_values": 1, "svd_vectors": 0,
+             "commutant": 0, "eig": 1, "kernel": 5, "factorizations": _one_solve_each(81),
              "eig_dims": [3]},
         ),
     ],
@@ -539,13 +570,12 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # does. Off the ergodic path the two
     # commutants are M' inside the fixed space and the centre of M' inside
     # M', and purity reads the one eig already taken: no commutant is solved
-    # over all of M_n. svd_values and svd_vectors count the SVDs of
-    # sigma_r - I or its transpose, for every sigma_r that classify builds,
-    # by whatever route they are taken, without and with singular vectors. An
-    # ergodic map takes no singular vector; a map with f > 1 (the direct sum,
-    # the ancilla) pays one values-only SVD on top of the full one, at most
-    # 0.7 ms at n <= 12 (1 BLAS thread). The block shift's peripheral values
-    # other than 1 are simple, so each takes eig's eigenvector and no kernel.
+    # over all of M_n. factorizations lists each sigma_r that classify
+    # builds, and the SVDs, eigs and solves of n^2 x n^2 matrices: one
+    # bordered solve per sigma_r, for the invariant state, and nothing else. The other
+    # kernels are of the p x p Ritz matrix: S - I for fixed_points and again
+    # for invariant_state, S - t for each peripheral cluster (k = 3 of them
+    # for the block shift), about 20 us each at p <= 9 (1 BLAS thread).
     # The one eig runs on the p x p Ritz matrix, never on the n^2 x n^2 map:
     # p is 1 for a primitive map, dim Fix = 2, 9 or 4 where the peripheral
     # set is {1}, and k = 3 for the block shift.
@@ -571,9 +601,8 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     for name in ("sigma_matrix", "commutant", "eig"):
         monkeypatch.setattr(fcstates.cpmap, name, counted(fcstates.cpmap, name))
     kernels = record_kernels(monkeypatch)
-    flags = record_transfer_svds(monkeypatch, fcstates.classify)
+    counts["factorizations"] = record_transfer_factorizations(monkeypatch, fcstates.classify)
     classify_chain(make())
     counts["kernel"] = len(kernels)
-    counts["svd_values"], counts["svd_vectors"] = flags.count(False), flags.count(True)
     assert counts == calls
     assert unrestricted == []

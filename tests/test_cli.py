@@ -33,7 +33,7 @@ from conftest import (
     eij,
     nonfaithful,
     pauli_channel,
-    record_transfer_svds,
+    record_transfer_factorizations,
 )
 
 
@@ -163,24 +163,22 @@ def test_invariant_state_residual_gate(capsys, monkeypatch, tmp_path, factor, co
     ops = [v * np.sqrt(1 + 9e-10) for v in fcstates.random_system(2, 4, 5).operators]
     system = PopescuSystem(tuple(ops))
     gate = 1e-10 * system.n + fcstates.validate(system)
-    exact = RealTransfer._ergodic_kernels.func
+    exact = RealTransfer.fixed_kernels
     rng = np.random.default_rng(3)
 
-    def moved(form):
-        left, right = exact(form)
-        h = right[:, 0]
+    def moved(form, tol):
+        fixed, dual = exact(form, tol)
+        h = dual[:, 0]
         w = rng.standard_normal(h.size)
-        w -= (w @ h) * h
-        w /= np.linalg.norm(w)
+        w -= (w @ h) / (h @ h) * h
+        w *= np.linalg.norm(h) / np.linalg.norm(w)
         # the state is h over its trace (the sum of its diagonal coordinates)
         # so the residual of the moved vector, scaled alike, is linear in eps
         per_unit = np.linalg.norm(form.matrix.T @ w - w) / np.sum(h[: form.n])
         eps = factor * gate / per_unit
-        return left, (h + eps * w)[:, None]
+        return fixed, (h + eps * w)[:, None]
 
-    prop = functools.cached_property(moved)
-    prop.__set_name__(RealTransfer, "_ergodic_kernels")
-    monkeypatch.setattr(RealTransfer, "_ergodic_kernels", prop)
+    monkeypatch.setattr(RealTransfer, "fixed_kernels", moved)
     assert main(["analyze", write_system(tmp_path, system)]) == code
     err = capsys.readouterr().err
     assert ("invariant state has residual" in err) is (code == 3)
@@ -311,15 +309,18 @@ def test_cluster_builds_one_transfer_matrix(capsys, monkeypatch, swap_path):
 
 
 @pytest.mark.parametrize("command", ["chain-eval", "cluster"])
-def test_ergodic_state_takes_no_singular_vectors(monkeypatch, tmp_path, command):
-    # the invariant state of an ergodic map is one LU solve after the
-    # singular values of sigma_r - I
+def test_ergodic_state_takes_one_solve(monkeypatch, tmp_path, command):
+    # the invariant state of an ergodic map is one LU solve of the bordered
+    # n^2 x n^2 matrix; its fixed space is the kernel of the 1 x 1 Ritz
+    # matrix S - I, and no other n^2 x n^2 matrix is factored
     path = write_system(tmp_path, fcstates.random_system(2, 6, 5))
-    flags = record_transfer_svds(monkeypatch, fcstates.cli, fcstates.cpmap, fcstates.chain)
+    calls = record_transfer_factorizations(
+        monkeypatch, fcstates.cli, fcstates.cpmap, fcstates.chain
+    )
     spec = json.dumps({"start_site": 1, "factors": [matrix_to_json(eij(0, 1, 2))]})
     args = [spec] if command == "chain-eval" else [spec, spec, "--n-max", "12"]
     assert main([command, path, *args]) == 0
-    assert flags == [False]
+    assert calls == [("real_transfer", 36), ("solve", 36)]
 
 
 def test_chain_eval_rejects_bad_factor_shape(capsys, swap_path):
@@ -346,10 +347,10 @@ def test_dilate(capsys, rank_one_path):
 def test_dual_swap(capsys, monkeypatch, swap_path):
     # the residuals and the spectral comparison read one dual system, and
     # the invariant state and the spectral comparison one transfer map of
-    # the system, with one factorization of sigma - I and one eigensolve:
-    # the dual's peripheral spectrum is read from the system's, so the dual
-    # parameter system is never built
-    builds, loaded, forms, factored, solved = [], [], [], [], []
+    # the system, with one bordered solve and one eigensolve: the dual's
+    # peripheral spectrum is read from the system's, so the dual parameter
+    # system is never built
+    builds, loaded, forms, solved = [], [], [], []
     original = fcstates.modular.dual_system
 
     def counted(*args, **kwargs):
@@ -374,18 +375,7 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
 
     for module in (fcstates.cli, fcstates.cpmap):
         monkeypatch.setattr(module, "real_transfer", building, raising=False)
-    # a values-only SVD and a full SVD of sigma - I each count as one
-    # factorization; the ergodic swap map takes only the first
-    for name in ("_singular_values_at_one", "_svd_at_one"):
-        factor = getattr(RealTransfer, name).func
-
-        def factoring(form, factor=factor):
-            factored.append(form.system)
-            return factor(form)
-
-        prop = functools.cached_property(factoring)
-        prop.__set_name__(RealTransfer, name)
-        monkeypatch.setattr(RealTransfer, name, prop)
+    factored = record_transfer_factorizations(monkeypatch, fcstates.cli, fcstates.cpmap)
     eig = fcstates.numerics.eig
 
     def solving(*args, **kwargs):
@@ -403,10 +393,15 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
     assert len(builds) == 1
     (system,) = loaded
     assert sum(s is system for s in forms) == 1
-    assert sum(s is system for s in factored) == 1
     # n^2 = 4 does not exceed the first sample width, 8, so the Ritz
-    # subspace is everything (p = n^2) and eig runs on sigma itself
+    # subspace is everything (p = n^2) and eig runs on sigma itself; its
+    # kernels are those of S - I for the state and the fixed space, and of
+    # S - t at the two peripheral values
     assert solved == [(4, 4)]
+    assert factored == [
+        ("real_transfer", 4), ("svd", 4), ("solve", 4), ("eig", 4), ("svd", 4), ("svd", 4),
+        ("svd", 4),
+    ]
     doc = json.loads(capsys.readouterr().out)
     assert list(doc) == [
         "completeness", "double_dual", "dual_invariance", "vector_consistency", "commutation",
@@ -419,6 +414,27 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
     # to its conjugate
     assert doc["parameter_isometry"] == doc["completeness"]
     assert doc["dual_peripheral"] == [[re, -im] for re, im in doc["peripheral"]]
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+@pytest.mark.parametrize("tol", ["0.6", "0", "0.5"])
+def test_a_peripheral_tolerance_outside_its_range_exits_one(capsys, tmp_path, command, tol):
+    # the certificate serves a tolerance in (0, 1/2), for analyze and dual
+    # alike
+    path = write_system(tmp_path, fcstates.random_system(2, 4, 3))
+    assert main([command, path]) == 0
+    capsys.readouterr()
+    assert main(["--tol-peripheral", tol, command, path]) == 1
+    assert "must lie in (0, 1/2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_the_spectral_set_tolerance_sets_the_kernels(capsys, tmp_path, command):
+    # a kernel threshold below roundoff misses the value 1 that eig finds,
+    # for dual as for analyze
+    path = write_system(tmp_path, fcstates.random_system(2, 4, 1))
+    assert main(["--tol-spectral-set", "1e-18", command, path]) == 3
+    assert "geometric 0, algebraic 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "dual"])

@@ -5,6 +5,7 @@ import fcstates.cpmap
 from fcstates import (
     EigenDecomposition,
     NumericalHealthError,
+    PopescuSystem,
     coinvariance_check,
     commutant,
     compress,
@@ -29,6 +30,7 @@ from fcstates.cpmap import (
     OperatorSubspace,
     _commutant_constraints_within,
     check_semisimple,
+    invariance_residual,
     real_form,
 )
 
@@ -36,6 +38,7 @@ from scipy.linalg import block_diag
 
 from conftest import (
     ancilla,
+    assert_fixed_kernels_match_svd_route,
     assert_peripheral_spectrum_matches_kernel_oracle,
     block_shift,
     direct_sum,
@@ -45,13 +48,19 @@ from conftest import (
     random_psd,
     random_unitary,
     record_kernels,
+    record_transfer_factorizations,
     scalar,
+    slow_mixer,
+    span_projector,
 )
 from oracles import (
+    bordered_ergodic_kernels,
     frontier_generated_algebra,
     kernel_eigenunitary,
     predual_matrix,
-    svd_fixed_kernels,
+    shifted,
+    squared_certificate,
+    svd_fixed_dimension,
     svd_invariant_state,
     vec_commutant,
     vec_commutant_constraints,
@@ -262,15 +271,6 @@ def _projector(sub: OperatorSubspace) -> np.ndarray:
     return q @ q.conj().T
 
 
-def _assert_kernels_match_svd_route(form, tol=1e-8):
-    fixed, predual_fixed = form.fixed_kernels(tol)
-    oracle_fixed, oracle_predual = svd_fixed_kernels(form, tol)
-    assert fixed.shape == oracle_fixed.shape and predual_fixed.shape == oracle_predual.shape
-    for basis, oracle in ((fixed, oracle_fixed), (predual_fixed, oracle_predual)):
-        assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]), 2) <= 1e-12
-        assert np.linalg.norm(basis @ basis.T - oracle @ oracle.T, 2) <= 1e-12
-
-
 def test_fixed_kernels_match_separate_kernels(known_system):
     n = known_system.n
     form = real_transfer(known_system)
@@ -278,13 +278,13 @@ def test_fixed_kernels_match_separate_kernels(known_system):
     assert fixed.shape == predual_fixed.shape
     separate = kernel(form.matrix.T - np.eye(n * n), 1e-8, scale=1.0)
     assert separate.shape == predual_fixed.shape
-    gap = predual_fixed @ predual_fixed.T - separate @ separate.T
+    gap = span_projector(predual_fixed) - separate @ separate.T
     assert np.linalg.norm(gap, 2) <= 1e-12
     oracle = _projector(vec_fixed_points(known_system))
     assert np.linalg.norm(_projector(fixed_points(form)) - oracle, 2) <= 1e-12
     state = invariant_state(form)
     assert np.linalg.norm(state.rho - vec_invariant_state(known_system).rho, 2) <= 1e-12
-    _assert_kernels_match_svd_route(form)
+    assert_fixed_kernels_match_svd_route(form)
     if fixed.shape[1] == 1:
         assert np.linalg.norm(state.rho - svd_invariant_state(form).rho, 2) <= 1e-12
 
@@ -306,21 +306,37 @@ ERGODIC_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("make", ERGODIC_FAMILIES.values(), ids=ERGODIC_FAMILIES.keys())
-def test_closed_form_kernels_match_svd_route_on_families(make):
-    form = real_transfer(make())
-    assert form.fixed_kernels(1e-8)[0].shape[1] == 1
-    _assert_kernels_match_svd_route(form)
+@pytest.mark.parametrize("name, make", ERGODIC_FAMILIES.items(), ids=ERGODIC_FAMILIES.keys())
+def test_ritz_kernels_match_the_closed_form_on_ergodic_families(monkeypatch, name, make):
+    # an ergodic map has the closed forms e, the coordinates of I/sqrt(n),
+    # and the bordered solve h of (sigma^T - I + e e^T) h = e. Worst gaps
+    # (1 BLAS thread): 1.0e-15 for F against e and 1.8e-15 for H against h,
+    # except pauli_channel(1e-6), whose second singular value 1e-6 leaves
+    # the SVD oracles 3.3e-11 from every route
+    system = make()
+    calls = record_transfer_factorizations(monkeypatch, fcstates.cpmap)
+    form = fcstates.cpmap.real_transfer(system)
+    fixed, predual_fixed = form.fixed_kernels(1e-8)
     state = invariant_state(form)
-    assert np.linalg.norm(state.rho - svd_invariant_state(form).rho, 2) <= 1e-12
-    # the closed form was taken, and no singular vector
-    assert "_svd_at_one" not in vars(form)
+    whole = form.ritz_matrix(1e-9)[0].shape[1] == form.n**2
+    monkeypatch.undo()
+    # one solve of the bordered n^2 x n^2 matrix per call of fixed_kernels,
+    # and no other factorization of that size unless p = n^2
+    solves = [("real_transfer", form.n**2)] + [("solve", form.n**2)] * 2
+    assert [c for c in calls if c[0] != "svd" or not whole] == solves
+    bound = 1e-9 if name == "pauli_channel(1e-6)" else 1e-12
+    e, h = bordered_ergodic_kernels(form)
+    assert fixed.shape == predual_fixed.shape == (form.n**2, 1)
+    assert np.linalg.norm(fixed @ fixed.T - e @ e.T, 2) <= bound
+    assert np.linalg.norm(span_projector(predual_fixed) - h @ h.T, 2) <= bound
+    assert_fixed_kernels_match_svd_route(form, bound=bound)
+    assert np.linalg.norm(state.rho - svd_invariant_state(form).rho, 2) <= bound
 
 
-def test_closed_form_survives_a_small_second_singular_value():
+def test_bordered_solve_survives_a_small_second_singular_value():
     # sigma - I of pauli_channel(p) has singular values 0, p, p, 2p
     form = real_transfer(pauli_channel(1e-6))
-    s = np.linalg.svd(form.shifted(1.0), compute_uv=False)
+    s = np.linalg.svd(shifted(form, 1.0), compute_uv=False)
     assert s[-2] == pytest.approx(1e-6, rel=1e-6)
     (h,) = form.fixed_kernels(1e-8)[1].T
     assert np.linalg.norm(form.matrix.T @ h - h) <= 1e-15
@@ -337,32 +353,58 @@ def test_closed_form_survives_a_small_second_singular_value():
     ],
     ids=["random n=4", "random n=9", "random n=16", "block_shift(3,2,3)", "compressed nonfaithful"],
 )
-def test_threshold_above_the_second_singular_value_takes_the_svd_route(make):
-    system = make()
-    s = np.linalg.svd(real_transfer(system).shifted(1.0), compute_uv=False)
+def test_a_threshold_above_the_second_singular_value_counts_only_ritz_directions(make):
+    # at 2 s[-2] the SVD of sigma - I keeps its two smallest singular
+    # values; the fixed space is read from S - I, and the certificate puts
+    # every eigenvalue outside X inside the circle, so the near-null
+    # direction of sigma - I outside X is not counted
+    form = real_transfer(make())
+    s = np.linalg.svd(shifted(form, 1.0), compute_uv=False)
     assert s[-1] <= 1e-8 < s[-2]
-    # at 2 s[-2] the two smallest singular values are kept, so f >= 2
+    ritz = form.ritz_matrix(1e-9)[1]
+    near_null = np.linalg.svd(ritz - np.eye(ritz.shape[0]), compute_uv=False)
     for tol in (1e-8, 2.0 * s[-2]):
-        form = real_transfer(system)
         fixed, predual_fixed = form.fixed_kernels(tol)
-        assert ("_svd_at_one" in vars(form)) == (tol != 1e-8)
-        assert fixed.shape[1] == predual_fixed.shape[1] == int(np.sum(s <= tol))
-        shifted = form.shifted(1.0)
-        for basis, oracle in (
-            (fixed, kernel(shifted, tol, scale=1.0)),
-            (predual_fixed, kernel(shifted.T, tol, scale=1.0)),
-        ):
-            assert np.linalg.norm(basis @ basis.T - oracle @ oracle.T, 2) <= 1e-12
+        assert fixed.shape[1] == predual_fixed.shape[1] == 1
+        assert (svd_fixed_dimension(form, tol) >= 2) == (tol != 1e-8)
+        assert fixed.shape[1] == int(np.sum(near_null <= tol))
+        assert np.linalg.norm(fixed.T @ predual_fixed - 1.0) <= 1e-13
+        assert np.linalg.norm(form.matrix.T @ predual_fixed - predual_fixed) <= 1e-14
 
 
 def test_threshold_below_the_smallest_singular_value_aborts():
-    # no fixed point is kept, while eig puts the value 1 on the circle
+    # no fixed point is kept, while eig puts the value 1 on the circle; the
+    # singular value is that of the 1 x 1 matrix S - I, roundoff
     form = real_transfer(random_system(2, 4, 1))
-    smallest = np.linalg.svd(form.shifted(1.0), compute_uv=False)[-1]
+    ritz = form.ritz_matrix(1e-9)[1]
+    smallest = np.linalg.svd(ritz - np.eye(ritz.shape[0]), compute_uv=False)[-1]
     assert smallest > 0
     assert form.fixed_kernels(0.5 * smallest)[1].shape[1] == 0
     with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
         check_semisimple(peripheral_spectrum(form, set_tol=0.5 * smallest))
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (lambda: ancilla(random_system(2, 4, 5), 3), 1e-12),
+        *((lambda eps=eps: slow_mixer(eps), 1e-9) for eps in (1e-2, 1e-4, 1e-6)),
+    ],
+    ids=["random(2,4,5) x I3", "slow_mixer(1e-2)", "slow_mixer(1e-4)", "slow_mixer(1e-6)"],
+)
+def test_fixed_points_and_state_match_oracles(make, bound):
+    # dim Fix = 9 above the first sample width, and second eigenvalues
+    # 1 - O(eps): worst gaps 4.0e-15 on the ancilla, and 2.1e-10 on the slow
+    # mixers, where the gap eps leaves the SVD oracle itself eps_mach / eps
+    # from the fixed space (1 BLAS thread)
+    system = make()
+    form = real_transfer(system)
+    assert_fixed_kernels_match_svd_route(form, bound=bound)
+    oracle = _projector(vec_fixed_points(system))
+    assert np.linalg.norm(_projector(fixed_points(form)) - oracle, 2) <= bound
+    state = invariant_state(form)
+    assert np.linalg.norm(state.rho - vec_invariant_state(system).rho, 2) <= bound
+    assert invariance_residual(system, state.rho) <= 1e-14
 
 
 def test_generated_algebra_dimensions(swap2, rank_one2, scalar_half):
@@ -546,34 +588,34 @@ def test_peripheral_kernel_miss_reports_geometric_zero():
 
 
 @pytest.mark.parametrize("factor, expected", [(2.0, (0, 1, False)), (0.5, (1, 1, True))])
-def test_peripheral_eigenvector_residual_gate_at_its_threshold(monkeypatch, factor, expected):
-    # eig's eigenvector at t = e^{2 pi i/3}, a value whose cluster has one
-    # member, is moved off its eigenspace until its relative residual
-    # ||sigma x - t x|| / ||x|| is factor * set_tol
+def test_peripheral_eigenspace_kernel_at_its_threshold(monkeypatch, factor, expected):
+    # eig's value at t = e^{2 pi i/3}, a value whose cluster has one member,
+    # is turned along the circle until the least singular value of S - t,
+    # for the 3 x 3 Ritz matrix S, is factor * set_tol
     sys_ = block_shift(3, 2, 2, 64)
     t = np.exp(2j * np.pi / 3)
     set_tol = 1e-8
-    rng = np.random.default_rng(5)
     exact_eig = fcstates.cpmap.eig
-    residuals = []
+    least = []
 
-    def moved_eig(a):
+    def turned_eig(a):
         dec = exact_eig(a)
         j = int(np.argmin(np.abs(dec.eigenvalues - t)))
-        x = dec.eigenvectors[:, j]
-        w = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
-        w -= np.vdot(x, w) * x
-        w /= np.linalg.norm(w)
-        y = x + factor * set_tol / np.linalg.norm(a @ w - dec.eigenvalues[j] * w) * w
-        y /= np.linalg.norm(y)
-        residuals.append(np.linalg.norm(a @ y - dec.eigenvalues[j] * y))
-        vecs = dec.eigenvectors.astype(complex)
-        vecs[:, j] = y
-        return EigenDecomposition(dec.eigenvalues, vecs, dec.residual)
 
-    monkeypatch.setattr(fcstates.cpmap, "eig", moved_eig)
+        def gap(angle):
+            value = dec.eigenvalues[j] * np.exp(1j * angle)
+            return np.linalg.svd(a - value * np.eye(a.shape[0]), compute_uv=False)[-1]
+
+        # the least singular value grows linearly with the angle
+        angle = factor * set_tol * 1e-6 / gap(1e-6)
+        least.append(gap(angle))
+        vals = dec.eigenvalues.astype(complex)
+        vals[j] *= np.exp(1j * angle)
+        return EigenDecomposition(vals, dec.eigenvectors, dec.residual)
+
+    monkeypatch.setattr(fcstates.cpmap, "eig", turned_eig)
     peri = peripheral_spectrum(sys_, set_tol=set_tol)
-    assert residuals[0] == pytest.approx(factor * set_tol, rel=1e-3)
+    assert least[0] == pytest.approx(factor * set_tol, rel=1e-3)
     (p,) = [p for p in peri if abs(p.value - t) <= 1e-6]
     semisimple = p.multiplicity == p.algebraic
     assert (p.multiplicity, p.algebraic, semisimple) == expected
@@ -641,13 +683,17 @@ EIGENUNITARY_CASES = {
 @pytest.mark.parametrize("make, t", EIGENUNITARY_CASES.values(), ids=EIGENUNITARY_CASES.keys())
 def test_eigenunitary_matches_kernel_oracle(monkeypatch, make, t):
     # the operator at conj(t) comes from the peripheral spectrum, rescaled:
-    # no kernel is taken, and the unitary is the oracle's own kernel vector
+    # the only kernels are those of the p x p Ritz matrix S - t, one per
+    # peripheral value, and the unitary is the oracle's own kernel vector
     system = make()
     state = invariant_state(system)
     want = kernel_eigenunitary(system, state, t)
     kernels = record_kernels(monkeypatch)
-    got = peripheral_eigenunitary(real_transfer(system), state, t)
-    assert kernels == []
+    form = real_transfer(system)
+    got = peripheral_eigenunitary(form, state, t)
+    p = form.ritz_matrix(1e-9)[0].shape[1]
+    assert p < system.n**2
+    assert [shape for _, shape in kernels] == [(p, p)] * p
     assert np.linalg.norm(got - want, 2) <= 1e-8
 
 
@@ -718,34 +764,128 @@ def test_ritz_sample_squares_through_slow_mixing(eps):
     # sigma = (1 - eps) id + eps sigma_V on 3 x 3 matrices: the second
     # eigenvalue is 1 - O(eps), and squaring runs until it has decayed,
     # leaving the one fixed point, not the whole space
-    v = random_system(2, 3, 9)
-    system = fcstates.PopescuSystem.from_operators(
-        [np.sqrt(1 - eps) * np.eye(3)] + [np.sqrt(eps) * w for w in v.operators]
-    )
+    system = slow_mixer(eps)
     assert _ritz_dimension(system) == 1
     assert_peripheral_spectrum_matches_kernel_oracle(system)
     (p,) = peripheral_spectrum(system)
     assert abs(p.value - 1.0) <= 1e-12
 
 
-def test_a_certificate_that_cannot_close_aborts():
+def _sampled(monkeypatch, basis, squarings):
+    # the sampling returns the given basis with the power P = sigma^m,
+    # m = 2^squarings, from which the certificate is read
+    def sampled(form):
+        power = form.matrix
+        for _ in range(squarings):
+            power = power @ power
+        return basis, power, 2**squarings
+
+    monkeypatch.setattr(fcstates.cpmap.RealTransfer, "_sampled_basis", sampled)
+
+
+def _identity_direction(n):
+    e = np.zeros((n * n, 1))
+    e[:n, 0] = 1.0 / np.sqrt(n)
+    return e
+
+
+def test_a_certificate_that_cannot_close_aborts(monkeypatch):
     # the sampled subspace is replaced by the fixed direction of a block
     # shift alone, which misses its values t and conj(t) on the circle:
-    # they stay unimodular in the complement, no power of it falls to norm
-    # 1/2, and no spectrum is reported
-    form = real_transfer(block_shift(3, 2, 2, 64))
-    e = np.zeros((form.n**2, 1))
-    e[: form.n, 0] = 1.0 / np.sqrt(form.n)
-    form.__dict__["_dominant_subspace"] = (e, e.T @ form.matrix @ e)
-    with pytest.raises(NumericalHealthError, match=r"not certified below 1 - 1\.0e-09.*i <= 29"):
-        peripheral_spectrum(form)
-    with pytest.raises(NumericalHealthError, match=r"i <= 19"):
-        peripheral_spectrum(form, tol=1e-6)
-    # at tol = 0 the squarings are unbounded; at tol = 1/2 no power of the
-    # complement bounds an eigenvalue below 1 - tol
+    # they stay unimodular in the complement, so c >= ||T^m||_F >= sqrt(2)
+    # at every power, and no fixed space, state or spectrum is reported
+    system = block_shift(3, 2, 2, 64)
+    for squarings in (0, 7, 20):
+        _sampled(monkeypatch, _identity_direction(system.n), squarings)
+        form = real_transfer(system)
+        assert form._dominant_subspace[2] >= np.sqrt(2)
+        for stage in (fixed_points, invariant_state):
+            with pytest.raises(NumericalHealthError, match="fixed space of sigma is not certified"):
+                stage(form)
+        with pytest.raises(NumericalHealthError, match=r"not certified below 1 - 1\.0e-09"):
+            peripheral_spectrum(form)
+        with pytest.raises(NumericalHealthError, match=r"not certified below 1 - 1\.0e-06"):
+            peripheral_spectrum(form, tol=1e-6)
+    # the squaring loop that the certificate replaces fails as well
+    assert squared_certificate(form, _identity_direction(system.n), 1e-9) is None
+    # tol = 0 leaves no room below 1, and at tol = 1/2 the peripheral set
+    # would reach eigenvalues of modulus 1/2
     for tol in (0.0, 0.5):
         with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\)"):
             peripheral_spectrum(form, tol=tol)
+
+
+@pytest.mark.parametrize("squarings, closes", [(2, False), (3, True), (4, True), (5, True)])
+def test_the_certificate_bounds_every_other_eigenvalue(monkeypatch, squarings, closes):
+    # the sampled fixed direction of random_system(2, 4, 5), read at powers
+    # below the 2^7 that its sampling reaches: c = 1.02, 0.36, 0.059 and
+    # 0.0018, and c^(1/m) = 1.006, 0.880, 0.838 and 0.821 against the
+    # second modulus 0.809 of the dense eig
+    system = random_system(2, 4, 5)
+    basis = real_transfer(system)._dominant_subspace[0]
+    _sampled(monkeypatch, basis, squarings)
+    form = real_transfer(system)
+    _, _, certificate, m = form._dominant_subspace
+    assert (certificate < 1.0) is closes
+    if not closes:
+        for stage in (fixed_points, invariant_state):
+            with pytest.raises(NumericalHealthError, match="fixed space of sigma is not certified"):
+                stage(form)
+        return
+    bound = certificate ** (1.0 / m)
+    assert np.sort(np.abs(np.linalg.eigvals(form.matrix)))[-2] <= bound < 0.9
+    # c < 1 certifies the fixed space; the peripheral set needs
+    # c^(1/m) < 1 - tol
+    assert fixed_points(form).dim == 1
+    assert form.ritz_matrix(0.99 * (1.0 - bound))[0] is basis
+    with pytest.raises(NumericalHealthError, match="not certified below"):
+        form.ritz_matrix(1.01 * (1.0 - bound))
+
+
+def test_a_certificate_whose_drift_bound_fails_aborts(monkeypatch):
+    # the drift bound 2 m n ||R||_F on ||sigma^m - A^m|| needs
+    # m sqrt(n) ||R||_F <= 1/2 and m ||sum_i V_i V_i* - I|| <= 1/16
+    system = random_system(2, 4, 5)
+    basis = real_transfer(system)._dominant_subspace[0]
+    w = np.random.default_rng(7).standard_normal(basis.shape)
+    w -= basis @ (basis.T @ w)
+    moved = basis + 1e-12 * w / np.linalg.norm(w)
+    moved /= np.linalg.norm(moved)
+    # an invariance residual of about 1e-12 passes the gate at 1e-10 and
+    # the bound at m = 2^30, and fails it at m = 2^40
+    _sampled(monkeypatch, moved, 30)
+    assert fixed_points(real_transfer(system)).dim == 1
+    _sampled(monkeypatch, moved, 40)
+    with pytest.raises(NumericalHealthError, match=r"no certificate at sigma\^1099511627776"):
+        fixed_points(real_transfer(system))
+    # a system unital to 9e-10 passes at m = 2^25 (m r = 0.03) and fails
+    # at m = 2^27 (m r = 0.12)
+    scaled = PopescuSystem(tuple(v * np.sqrt(1 + 9e-10) for v in system.operators))
+    _sampled(monkeypatch, basis, 25)
+    assert fixed_points(real_transfer(scaled)).dim == 1
+    _sampled(monkeypatch, basis, 27)
+    with pytest.raises(NumericalHealthError, match=r"m \|\|sum_i V_i V_i\* - I\|\| = 1\.2"):
+        invariant_state(real_transfer(scaled))
+
+
+def test_a_fixed_basis_that_sigma_does_not_fix_aborts():
+    # the held Ritz pair is replaced by one that claims the Ritz value 1,
+    # certified by c = 1/2, on a direction F. The identity map fixes every
+    # direction, so F = I/sqrt(3) spans too little and the bordered matrix
+    # sigma^T - I + F F^T = F F^T is singular
+    form = real_transfer(PopescuSystem.from_operators([0.6 * np.eye(3), 0.8 * np.eye(3)]))
+    form.__dict__["_dominant_subspace"] = (_identity_direction(3), np.ones((1, 1)), 0.5, 1)
+    with pytest.raises(NumericalHealthError, match=r"sigma\^T - I \+ F F\^T is singular"):
+        invariant_state(form)
+    # two directions claimed fixed where sigma fixes one: the predual's
+    # fixed space is one-dimensional, so (sigma^T - I) H is far above
+    # tol ||H||_F. One direction would pass, as the bordered solve then
+    # gives the invariant state over its pairing with F, whatever F is
+    form = real_transfer(random_system(2, 4, 5))
+    x = np.linalg.qr(np.random.default_rng(8).standard_normal((16, 2)))[0]
+    form.__dict__["_dominant_subspace"] = (x, np.eye(2), 0.5, 1)
+    with pytest.raises(NumericalHealthError, match="the bordered solve H has residual"):
+        invariant_state(form)
 
 
 def test_a_subspace_that_is_not_invariant_aborts(monkeypatch):

@@ -5,10 +5,10 @@ Conjugating every operator by a unitary U conjugates sigma by U, so the
 fixed spaces keep their dimension and the invariant state moves to
 U rho U*. Mixing the operators by a d x d unitary, V_i -> sum_j u_ij V_j,
 leaves sigma itself unchanged. Systems are drawn over n in 2..8 and
-d in {2, 3}, half of them direct sums of two random blocks, so that both the
-ergodic closed form and the full-SVD route of
-:meth:`RealTransfer.fixed_kernels` run. The examples are derandomized, so
-the suite stays deterministic.
+d in {2, 3}, half of them direct sums of two random blocks, so that
+:meth:`RealTransfer.fixed_kernels` reads one- and two-dimensional kernels of
+the Ritz matrix and solves its bordered system with one and two right-hand
+sides. The examples are derandomized, so the suite stays deterministic.
 """
 
 import numpy as np

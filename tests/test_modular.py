@@ -345,18 +345,19 @@ def test_compare_duals_rejects_a_corrupted_dual_parameter():
 
 
 def test_compare_duals_multiplicity_mismatch_aborts(monkeypatch, tmp_path, capsys):
-    # the kernel of sigma - I taken at a threshold just below its smallest
-    # singular value finds no fixed point, where eig puts the value 1 on the
-    # circle; both sides would read multiplicity 0 and match
+    # the kernel of S - I, for the 1 x 1 Ritz matrix S, taken at a threshold
+    # just below its singular value finds no fixed point, where eig puts the
+    # value 1 on the circle; both sides would read multiplicity 0 and match
     system = random_system(2, 4, 1)
     state = invariant_state(system)
     dual = dual_system(system, state)
     _assert_dual_matches(dual)
     original = fcstates.modular.peripheral_spectrum
 
-    def at_boundary(form):
-        smallest = np.linalg.svd(form.shifted(1.0), compute_uv=False)[-1]
-        return original(form, set_tol=0.5 * smallest)
+    def at_boundary(form, tol, set_tol):
+        ritz = form.ritz_matrix(tol)[1]
+        smallest = np.linalg.svd(ritz - np.eye(ritz.shape[0]), compute_uv=False)[-1]
+        return original(form, tol, 0.5 * smallest)
 
     monkeypatch.setattr(fcstates.modular, "peripheral_spectrum", at_boundary)
     with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
