@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import exp, isqrt, log1p, sqrt
 
 import numpy as np
@@ -113,11 +113,17 @@ def unvec(v: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
 _HALF_SQRT2 = np.sqrt(0.5)
 
 
+@cache
 def _hermitian_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vec positions of the diagonal entries (j, j), and of the entries (j, k)
-    and (k, j) for j < k, in the order of the Hermitian basis."""
+    and (k, j) for j < k, in the order of the Hermitian basis.
+
+    Built once per n and shared, so the arrays are read-only."""
     j, k = np.triu_indices(n, 1)
-    return np.arange(n) * (n + 1), j + k * n, k + j * n
+    index = np.arange(n) * (n + 1), j + k * n, k + j * n
+    for a in index:
+        a.flags.writeable = False
+    return index
 
 
 def _to_hermitian(v: np.ndarray) -> np.ndarray:

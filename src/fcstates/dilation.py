@@ -16,7 +16,8 @@ E_L = [V_J*]_{|J| = L} and the compressed shifts S_i = e_i (x) I (x) [V_1 ... V_
 This space is invariant under the exact adjoints S_i*, so all adjoint-side
 identities hold exactly, and the isometry relations hold below the
 truncation boundary: the top word level is a boundary where no claims are
-made.
+made. :func:`cuntz_residuals` checks them there in Frobenius norm, which
+reads every entry of each residual and bounds its spectral norm from above.
 
 The same data in scalar form is the moment function C(I, J), either from a
 unit vector (C = <V_I* Omega, V_J* Omega>) or from a density state
@@ -154,8 +155,8 @@ def build(system: PopescuSystem, level: int) -> TruncatedDilation:
 class CuntzResiduals:
     """Deviations from the d-isometry relations below the truncation boundary."""
 
-    isometry_residual: float  # max_ij ||(S_i* S_j - delta_ij I)|restricted||
-    completeness_residual: float  # ||(sum_i S_i S_i* - I)|restricted||
+    isometry_residual: float  # max_ij ||(S_i* S_j - delta_ij I) w||_F
+    completeness_residual: float  # ||(sum_i S_i S_i* - I) w||_F
 
 
 def cuntz_residuals(dil: TruncatedDilation) -> CuntzResiduals:
@@ -167,7 +168,15 @@ def cuntz_residuals(dil: TruncatedDilation) -> CuntzResiduals:
     are S_i* (S_i w) - w and sum_i S_i (S_i* w) - w, formed by
     :meth:`TruncatedDilation.apply` and :meth:`TruncatedDilation.apply_adjoint`
     at q n m multiply-adds per application, 4d of them in all, followed by
-    d + 1 spectral norms of q x m matrices. No q x q array is formed.
+    d + 1 Frobenius norms of q x m matrices at q m each. No q x q array is
+    formed, and no SVD is taken.
+
+    The Frobenius norm reads every entry of the residual, so a slot or a
+    word block that either method gets wrong shows at its size; it bounds
+    the spectral norm from above (||A||_2 <= ||A||_F <= sqrt(m) ||A||_2), so
+    a system within a bound on these values is within it in operator norm.
+    Every residual here has the form I_{d^{L-1}} (x) B (B is dn x n), and
+    then it is d^{(L-1)/2} ||B||_F.
 
     The blocks S_i* S_j w with i != j are exactly zero, not merely small:
     S_j writes only slot j of the first letter and S_i* reads only slot i,
@@ -180,9 +189,9 @@ def cuntz_residuals(dil: TruncatedDilation) -> CuntzResiduals:
     comp_w = -w
     for i in range(dil.system.d):
         r = dil.apply_adjoint(i, dil.apply(i, w)) - w
-        iso = max(iso, float(np.linalg.norm(r, 2)))
+        iso = max(iso, float(np.linalg.norm(r)))
         comp_w += dil.apply(i, dil.apply_adjoint(i, w))
-    comp = float(np.linalg.norm(comp_w, 2))
+    comp = float(np.linalg.norm(comp_w))
     return CuntzResiduals(iso, comp)
 
 

@@ -456,11 +456,13 @@ def dense_shifts(dil: TruncatedDilation) -> tuple[np.ndarray, ...]:
     return tuple(np.kron(np.eye(d)[:, i : i + 1], middle) for i in range(d))
 
 
-def product_cuntz_residuals(dil: TruncatedDilation) -> tuple[float, float]:
+def product_cuntz_residuals(dil: TruncatedDilation, ord="fro") -> tuple[float, float]:
     """Isometry and completeness residuals from the q x q operator products.
 
     max_ij ||(S_i* S_j - delta_ij I) w|| and ||(sum_i S_i S_i* - I) w|| with
-    w = ``level_subspace(L-1)``, over every pair (i, j).
+    w = ``level_subspace(L-1)``, over every pair (i, j), in the matrix norm
+    ``ord``: Frobenius, as the library reports them, or ``ord=2`` for the
+    spectral norms, which bound them from below.
     """
     w = dil.level_subspace(dil.level - 1)
     q = dil.dim
@@ -469,9 +471,9 @@ def product_cuntz_residuals(dil: TruncatedDilation) -> tuple[float, float]:
     for i, si in enumerate(shifts):
         for j, sj in enumerate(shifts):
             delta = np.eye(q) if i == j else np.zeros((q, q))
-            iso = max(iso, float(np.linalg.norm((si.conj().T @ sj - delta) @ w, 2)))
+            iso = max(iso, float(np.linalg.norm((si.conj().T @ sj - delta) @ w, ord)))
     comp_op = sum(s @ s.conj().T for s in shifts) - np.eye(q)
-    return iso, float(np.linalg.norm(comp_op @ w, 2))
+    return iso, float(np.linalg.norm(comp_op @ w, ord))
 
 
 def matvec_dilation_moments(dil: TruncatedDilation, omega, max_len: int) -> np.ndarray:

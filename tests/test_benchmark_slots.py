@@ -14,13 +14,20 @@ on every slot. Every ``analyze`` op must print a state invariance residual
 of at most 1e-14, which a predual fixed space read from the squared power
 of sigma would exceed. The 87 ops take about 2.2 s with the guard and
 2.0 s without (Intel Xeon, 1 BLAS thread).
+
+The seven ``dilation_moments`` slots run the same way, and each guards the
+Cuntz check: ``cuntz_residuals`` takes Frobenius norms, so no SVD runs
+inside it. ``np.linalg.norm(x, 2)`` reaches the SVD through the module
+global ``numpy.linalg._linalg.svd``, which is where the guard records it.
 """
 
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.linalg import _linalg
 
 import fcstates
 
@@ -54,3 +61,43 @@ def test_benchmark_slot_meets_its_known_answers(monkeypatch, tmp_path, name, slo
     assert all(kind == "solve" for kind, _ in calls if kind != "real_transfer")
     if slot.command == "analyze":
         assert json.loads(output[1])["residuals"]["state_invariance"] <= 1e-14
+
+
+DILATION_SLOTS = list(enumerate(workloads.WORKLOADS["dilation_moments"].slots))
+
+
+def record_svds_in_cuntz_residuals(monkeypatch) -> list[tuple[int, ...]]:
+    """Shapes of the SVDs taken inside ``fcstates.cuntz_residuals``."""
+    shapes = []
+    svd, residuals = _linalg.svd, fcstates.cuntz_residuals
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def recording_residuals(dil):
+        with monkeypatch.context() as inside:
+            inside.setattr(_linalg, "svd", recording_svd)
+            return residuals(dil)
+
+    monkeypatch.setattr(fcstates, "cuntz_residuals", recording_residuals)
+    return shapes
+
+
+def test_the_svd_guard_sees_a_spectral_norm(monkeypatch):
+    monkeypatch.setattr(fcstates, "cuntz_residuals", lambda x: np.linalg.norm(x, 2))
+    shapes = record_svds_in_cuntz_residuals(monkeypatch)
+    assert fcstates.cuntz_residuals(np.ones((4, 3))) == pytest.approx(np.sqrt(12))
+    assert shapes == [(4, 3)]
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+@pytest.mark.parametrize("slot_no, slot", DILATION_SLOTS, ids=[s.label for _, s in DILATION_SLOTS])
+def test_dilation_slot_meets_its_known_answers(monkeypatch, tmp_path, slot_no, slot, seed):
+    case = slot.make(workloads.op_rng(seed, 0, slot_no))
+    run = workloads.prepare(slot, case, tmp_path / "system.json")
+    svds = record_svds_in_cuntz_residuals(monkeypatch)
+    output = run()
+    monkeypatch.undo()
+    assert workloads.check(slot, case, output) == []
+    assert svds == []

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -124,7 +125,9 @@ def test_cuntz_residuals_match_product_oracle(known_system):
 def test_cuntz_residuals_of_a_corrupted_dilation_match_product_oracle(d):
     # row -> 1.1 row + noise breaks both relations by O(0.1), so agreement is
     # not the trivial agreement of two roundoff-level numbers; the oracle
-    # reads the same corrupted row through its dense shifts
+    # reads the same corrupted row through its dense shifts. The reported
+    # Frobenius norms lie between the spectral norms and sqrt(m) times them
+    # (m = q/d, the columns of the restriction)
     rng = np.random.default_rng(d)
     sys_ = random_system(d, 2, 70 + d)
     for level in (1, 2, 3):
@@ -135,9 +138,53 @@ def test_cuntz_residuals_of_a_corrupted_dilation_match_product_oracle(d):
         bad = TruncatedDilation(sys_, level, row, dil.base_embedding)
         res = cuntz_residuals(bad)
         iso, comp = product_cuntz_residuals(bad)
-        assert min(iso, comp) >= 0.05
+        spectral = product_cuntz_residuals(bad, ord=2)
+        assert min(spectral) >= 0.05
         assert abs(res.isometry_residual - iso) <= 1e-12 * iso
         assert abs(res.completeness_residual - comp) <= 1e-12 * comp
+        root_m = np.sqrt(bad.dim // d)
+        for got, lower in zip((res.isometry_residual, res.completeness_residual), spectral):
+            assert lower * (1 - 1e-12) <= got <= root_m * lower * (1 + 1e-12)
+
+
+@dataclass(frozen=True)
+class _BadAdjoint(TruncatedDilation):
+    """S_slot* scaled by 1 + eps, on the rows of one word block K' or on all."""
+
+    slot: int
+    block: int | None
+    eps: float
+
+    def apply_adjoint(self, i: int, x: np.ndarray) -> np.ndarray:
+        out = super().apply_adjoint(i, x)
+        if i == self.slot:
+            rows = out.reshape(-1, self.system.d * self.system.n, x.shape[1])
+            rows[slice(None) if self.block is None else self.block] *= 1 + self.eps
+        return out
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["whole_slot", "one_block"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cuntz_residuals_show_one_bad_slot_at_its_size(d, block):
+    # S_i* wrong by eps in one slot i (or on one word block K' of its output,
+    # the rows K' (x) C^{dn}) and right everywhere else. The isometry residual
+    # of slot i is then eps times the rows of w it scales, and the
+    # completeness residual eps times the rows of w on the words iK' that S_i
+    # writes them back to: each reads the corruption at its size, not roundoff
+    n, level, eps, slot = 2, 3, 1e-3, d - 1
+    dil = build(random_system(d, n, 90 + d), level)
+    bad = _BadAdjoint(dil.system, level, dil.row, dil.base_embedding, slot, block, eps)
+    res = cuntz_residuals(bad)
+    w = dil.level_subspace(level - 1)
+    m = w.shape[1]
+    assert abs(res.isometry_residual - eps * np.sqrt(n if block is not None else m)) <= 1e-12
+    written = w.reshape(d, d ** (level - 1), n, m)[slot]
+    if block is not None:
+        written = written[block]
+    assert abs(res.completeness_residual - eps * np.linalg.norm(written)) <= 1e-12
+    assert min(res.isometry_residual, res.completeness_residual) >= 0.1 * eps
+    clean = cuntz_residuals(dil)
+    assert max(clean.isometry_residual, clean.completeness_residual) <= 1e-13
 
 
 def _traced_peak(call) -> int:
