@@ -71,6 +71,7 @@ __all__ = [
     "generated_algebra",
     "invariant_state",
     "coinvariance_check",
+    "invariance_bound",
     "invariance_residual",
     "peripheral_spectrum",
     "check_semisimple",
@@ -639,10 +640,9 @@ def invariant_state(
     then rho = H F^T r_0, r_0 the coordinates of rho_0, whatever the
     dimension of the fixed space.
 
-    The state must satisfy ||sigma_*(rho) - rho|| <= 1e-10 n + r, where r is
-    the residual ||sum_i V_i V_i* - I|| that :func:`validate` reports: a
-    system that is unital only to r has a transfer map that is trace
-    preserving only to r, so its state can be invariant only to that order.
+    A unital map fixes I, so an empty fixed space raises
+    :class:`NumericalHealthError`, as does a state with
+    ||sigma_*(rho) - rho||_F above :func:`invariance_bound`.
     """
     form = _as_real_transfer(system)
     n = form.n
@@ -655,6 +655,10 @@ def invariant_state(
             raise ValueError("rho0 must have nonzero trace")
         rho0 = rho0 / tr
     fixed, dual = form.fixed_kernels(DEFAULT_SUBSPACE_TOL)
+    if not fixed.shape[1]:
+        raise _missing_one(
+            f"S - I has no kernel at threshold {DEFAULT_SUBSPACE_TOL:.1e}", form.system
+        )
     v = dual @ (fixed.T @ _to_hermitian(vec(rho0)))
     rho = unvec(_from_hermitian(v), (n, n))
     rho = 0.5 * (rho + rho.conj().T)
@@ -667,7 +671,7 @@ def invariant_state(
     rho = (vecs * (vals / vals.sum())[None, :]) @ vecs.conj().T
     h = _to_hermitian(vec(rho)).real
     resid = float(np.linalg.norm(form.matrix.T @ h - h))
-    gate = 1e-10 * n + validate(form.system)
+    gate = invariance_bound(form.system)
     if resid > gate:
         raise NumericalHealthError(
             f"invariant state has residual {resid:.3e}, above its bound {gate:.3e}"
@@ -706,6 +710,25 @@ def coinvariance_check(system: PopescuSystem, p, tol: float = DEFAULT_SUBSPACE_T
             "projection is too close to the tolerance boundary"
         )
     return cond1
+
+
+def invariance_bound(system: PopescuSystem) -> float:
+    """The largest invariance residual ||sigma_*(rho) - rho|| an invariant
+    state of the system may show: 1e-10 n + r, where r is the residual
+    ||sum_i V_i V_i* - I|| that :func:`validate` reports. A system that is
+    unital only to r has a transfer map that is trace preserving only to r,
+    so its state can be invariant only to that order."""
+    return 1e-10 * system.n + validate(system)
+
+
+def _missing_one(what: str, system: PopescuSystem) -> NumericalHealthError:
+    """The error for a transfer map that misses the value 1 of a unital map:
+    the system is unital only to its validation residual, which can move
+    the value off the circle or out of a kernel."""
+    return NumericalHealthError(
+        f"sigma misses the value 1 of a unital map ({what}); the system is unital only "
+        f"to {validate(system):.3e}"
+    )
 
 
 def invariance_residual(system: PopescuSystem, rho: np.ndarray) -> float:
@@ -761,16 +784,20 @@ def peripheral_spectrum(
     eigensolver puts off the circle when the geometric one is, and a kernel
     threshold that misses the value (geometric 0, with eig's eigenvector
     X y as the representative operator). :func:`check_semisimple` treats
-    each as a failure. Results are sorted by phase angle starting at 1.
+    each as a failure. An empty peripheral set is a map that misses the
+    value 1, and raises :class:`NumericalHealthError`. Results are sorted by
+    phase angle starting at 1.
     """
     form = _as_real_transfer(system)
     n = form.n
     basis, ritz = form.ritz_matrix(tol)
     dec = eig(ritz)
     on_circle = [complex(z) for z in dec.eigenvalues if abs(1.0 - abs(z)) <= tol]
+    if not on_circle:
+        raise _missing_one(f"no eigenvalue lies within {tol:.1e} of the unit circle", form.system)
     out = []
     clusters = value_clusters(on_circle, set_tol)
-    one = min(clusters, key=lambda c: abs(c[0] - 1.0), default=(None, 0))[0]
+    one = min(clusters, key=lambda c: abs(c[0] - 1.0))[0]
     for value, algebraic in clusters:
         shift = 1.0 if value == one else value if value.imag else value.real
         space = kernel(ritz - shift * np.eye(ritz.shape[0]), set_tol, scale=1.0)

@@ -532,8 +532,9 @@ def kron_dual_generators(system: PopescuSystem, state: DensityState) -> list[np.
 def kron_duality_residuals(system: PopescuSystem, state: DensityState) -> dict[str, float]:
     """Every duality residual by the Kronecker route, in spectral norm.
 
-    ``collapse`` is max_j ||composed_j - (W_j^T kron I)||; the other keys
-    are the fields of :class:`fcstates.modular.DualityReport`.
+    ``commutation`` is max_ij ||[composed_i, I kron V_j]||, which the
+    closed form takes as exact; the other keys are the fields of
+    :class:`fcstates.modular.DualityReport` and ``parameter_isometry``.
     """
     n = system.n
     dh, dmh, k = kron_modular(state)
@@ -544,7 +545,6 @@ def kron_duality_residuals(system: PopescuSystem, state: DensityState) -> dict[s
     left = [np.kron(eye, v) for v in system.operators]
     norm2 = lambda m: float(np.linalg.norm(m, 2))  # noqa: E731
     return {
-        "collapse": max(norm2(m - np.kron(w.T, eye)) for m, w in zip(ops, params)),
         "completeness": norm2(sum(m @ m.conj().T for m in ops) - eye2),
         # the modular data of the commutant is (J, Delta^{-1})
         "double_dual": max(

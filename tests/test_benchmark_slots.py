@@ -15,6 +15,12 @@ of at most 1e-14, which a predual fixed space read from the squared power
 of sigma would exceed. The 87 ops take about 2.2 s with the guard and
 2.0 s without (Intel Xeon, 1 BLAS thread).
 
+Each ``state_dual`` slot of the ``dual`` command also guards the dual
+layer's memory: ``dual_system`` and ``verify_duality`` hold d n x n
+parameters and take n x n norms, so their traced peak allocation stays
+below 16 n^4 bytes, one complex n^2 x n^2 array (sigma_r itself is that
+size, so only the two calls are traced).
+
 The seven ``dilation_moments`` slots run the same way, and each guards the
 Cuntz check: ``cuntz_residuals`` takes Frobenius norms, so no SVD runs
 inside it. ``np.linalg.norm(x, 2)`` reaches the SVD through the module
@@ -23,6 +29,7 @@ global ``numpy.linalg._linalg.svd``, which is where the guard records it.
 
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +68,43 @@ def test_benchmark_slot_meets_its_known_answers(monkeypatch, tmp_path, name, slo
     assert all(kind == "solve" for kind, _ in calls if kind != "real_transfer")
     if slot.command == "analyze":
         assert json.loads(output[1])["residuals"]["state_invariance"] <= 1e-14
+
+
+DUAL_SLOTS = [(slot_no, slot) for _, slot_no, slot in SLOTS if slot.command == "dual"]
+
+
+def record_peaks(monkeypatch, module, *names) -> list[int]:
+    """The traced peak allocation, in bytes, of each call of the named
+    functions of the module, measured around that call alone."""
+    peaks = []
+
+    def traced(original):
+        def tracing(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        return tracing
+
+    for name in names:
+        monkeypatch.setattr(module, name, traced(getattr(module, name)))
+    return peaks
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+@pytest.mark.parametrize("slot_no, slot", DUAL_SLOTS, ids=[s.label for _, s in DUAL_SLOTS])
+def test_dual_slot_allocates_no_n4_array(monkeypatch, tmp_path, slot_no, slot, seed):
+    case = slot.make(workloads.op_rng(seed, 0, slot_no))
+    run = workloads.prepare(slot, case, tmp_path / "system.json")
+    peaks = record_peaks(monkeypatch, fcstates.cli, "dual_system", "verify_duality")
+    output = run()
+    monkeypatch.undo()
+    assert workloads.check(slot, case, output) == []
+    assert len(peaks) == 2
+    assert max(peaks) < 16 * case.system.n**4
 
 
 DILATION_SLOTS = list(enumerate(workloads.WORKLOADS["dilation_moments"].slots))

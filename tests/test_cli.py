@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,12 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, swap2, system_fields
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _scaled_path(tmp_path, excess):
+    # random_system(2, 4, 5) with sum V_i V_i* = (1 + excess) I
+    ops = [v * np.sqrt(1 + excess) for v in fcstates.random_system(2, 4, 5).operators]
+    return write_system(tmp_path, PopescuSystem(tuple(ops)))
+
+
 @pytest.mark.parametrize("command", ["validate", "analyze", "chain-eval", "cluster", "dual"])
 def test_a_system_that_validates_is_analyzed(capsys, tmp_path, command):
     # residuals 4e-10 and 9e-10 of sum V_i V_i* = I pass validation
@@ -149,9 +156,7 @@ def test_a_system_that_validates_is_analyzed(capsys, tmp_path, command):
     spec = json.dumps({"start_site": 1, "factors": [_SITE_FACTOR]})
     extra = {"chain-eval": [spec], "cluster": [spec, spec]}.get(command, [])
     for excess in (4e-10, 9e-10):
-        ops = [v * np.sqrt(1 + excess) for v in fcstates.random_system(2, 4, 5).operators]
-        path = write_system(tmp_path, PopescuSystem(tuple(ops)))
-        assert main([command, path, *extra]) == 0, excess
+        assert main([command, _scaled_path(tmp_path, excess), *extra]) == 0, excess
         assert capsys.readouterr().err == ""
 
 
@@ -182,6 +187,42 @@ def test_invariant_state_residual_gate(capsys, monkeypatch, tmp_path, factor, co
     assert main(["analyze", write_system(tmp_path, system)]) == code
     err = capsys.readouterr().err
     assert ("invariant state has residual" in err) is (code == 3)
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+@pytest.mark.parametrize(
+    "excess, missed",
+    [
+        # 1 + 2e-9 lies off the circle at --tol-peripheral 1e-9: no peripheral value
+        (2e-9, "no eigenvalue lies within 1.0e-09 of the unit circle"),
+        # 1 + 2e-8 lies outside the kernel of S - I at 1e-8: no invariant state
+        (2e-8, "S - I has no kernel at threshold 1.0e-08"),
+    ],
+)
+def test_a_missing_value_one_exits_numerical(capsys, tmp_path, command, excess, missed):
+    # a unital map has the value 1; a system unital only to the validation
+    # residual can lose it, which is a numerical failure with one line on
+    # stderr naming the tolerance and the residual, never a NaN state or an
+    # empty peripheral set
+    path = _scaled_path(tmp_path, excess)
+    assert main(["--tol-validate", "1e-6", "validate", path]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--tol-validate", "1e-6", command, path]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert missed in err and f"unital only to {excess:.3e}" in err
+
+
+def test_dual_accepts_the_state_that_invariant_state_accepts(capsys, tmp_path):
+    # the invariant state of a system unital only to 5e-9 has residual
+    # 1.25e-9, inside the bound of invariant_state, which the GNS
+    # construction shares; at --tol-peripheral 1e-8 the value 1 + 5e-9 is
+    # on the circle
+    path = _scaled_path(tmp_path, 5e-9)
+    assert main(["--tol-validate", "1e-6", "--tol-peripheral", "1e-8", "dual", path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_analyze_swap(capsys, swap_path):
@@ -409,6 +450,9 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
         "peripheral", "dual_peripheral",
     ]
     assert doc["ergodic_match"] is True and doc["psp_match"] is True
+    # the dual generators are right multiplications, which commute with
+    # left multiplication exactly
+    assert doc["commutation"] == 0.0
     assert doc["double_dual"] <= 1e-9
     # completeness is the parameter isometry residual, and each value moves
     # to its conjugate
