@@ -5,26 +5,26 @@ Three questions are answered about a system:
 * purity of the induced state on the d-isometry algebra, which is
   equivalent to ergodicity of the transfer map (trivial fixed space);
 * the order k of the finite circle subgroup formed by the peripheral
-  spectrum of the compressed system, which counts the mutually disjoint
-  irreducible pieces of the gauge-invariant restriction;
+  spectrum, which counts the mutually disjoint irreducible pieces of the
+  gauge-invariant restriction;
 * purity/factoriality of the induced translation-invariant state on the
   two-sided chain, decided by the peripheral spectrum of the transfer map
   restricted to the algebra M generated by the operators, under the
   hypotheses (M is a factor, fixed space equals its commutant, state
   faithful).
 
-Every verdict after ergodicity is read off one system: the given one when
-its invariant state (the Cesaro limit from I/n) is faithful, and otherwise
-its compression to the support p of that state, taken once. p is the
-largest co-invariant subspace that carries a faithful invariant state, so
-on it two facts hold as theorems: the compressed state is faithful, and
-X -> pXp maps the fixed space of sigma onto that of the compression, so
-the two have one dimension. A unital CP map with a faithful invariant
-state has Fix(sigma) = M'. The last two chain hypotheses therefore hold on
-the compressed system, and only "M is a factor" is decided. The peripheral
-eigenvectors of the trace-preserving predual live on p, where it acts as
-the predual of the compression, so the compressed map has the peripheral
-set of the given one, and that set is reported.
+Every spectral verdict is read off one transfer map, the system's own,
+and its one certified Ritz pair: the fixed space, the invariant state (the
+Cesaro limit from I/n) and the peripheral spectrum. The spectrum needs no
+compression when the state is not faithful. Its support p is the largest
+co-invariant subspace that carries a faithful invariant state, and the
+peripheral eigenvectors of the trace-preserving predual live on p, where
+it acts as the predual of the compression; so the compression has the
+peripheral set of the given map (Evans-Hoegh-Krohn), and on p the state
+is faithful and the gauge order k is at most rank p. The peripheral
+spectrum of a unital CP map is semisimple, and
+:func:`~fcstates.cpmap.peripheral_spectrum` raises unless each eigenspace
+has the dimension of its eig cluster.
 
 Both chain verdicts come from two objects: the commutant M' and the
 peripheral set of sigma. An X that commutes with every V_i and V_i*
@@ -32,20 +32,22 @@ satisfies sigma(X) = X sum_i V_i V_i* = X, so M' lies in the fixed space
 of sigma. When the map is ergodic its fixed space is C.1, hence M' = C.1,
 M = M'' = M_n, and sigma restricted to M is sigma itself: M is a factor,
 and the chain verdicts are read from the peripheral spectrum already
-computed for k. Off that path (direct sums, ancillas) M' is solved inside
-the fixed space, and M is a factor iff the centre Z(M) = M cap M' = Z(M'),
-the commutant of M' inside M', is C.1. With one central block,
-sigma = sigma_W (x) id on M = M_{n_1} (x) I, so the peripheral set already
-reported decides purity there too. Neither M'' nor the restriction of
-sigma to it is formed.
+computed for k. Off that path (direct sums, ancillas) the chain is that of
+the support: the system is compressed there, only when the state is not
+faithful, and a unital CP map with a faithful invariant state has
+Fix = M'. M' is solved inside the fixed space of the compression, and M
+is a factor iff the centre Z(M) = M cap M' = Z(M'), the commutant of M'
+inside M', is C.1. With one central block, sigma = sigma_W (x) id on
+M = M_{n_1} (x) I, so the peripheral set already reported decides purity
+there too. Neither M'' nor the restriction of sigma to it is formed.
 
-Three outcomes cannot occur in exact arithmetic, so each aborts with
-:class:`NumericalHealthError` instead of flipping a verdict: a compression
-whose fixed space has another dimension than the map's, or whose state is
-not faithful; a commutant smaller than the fixed space; and two
-eigenvalues that eig clusters at one peripheral value of an ergodic map,
-whose peripheral values are simple. Each means a kernel or an eigensolver
-at its tolerance boundary.
+Two outcomes cannot occur in exact arithmetic, so each aborts with
+:class:`NumericalHealthError` instead of flipping a verdict: a commutant
+whose dimension is not that of the fixed space of sigma (X -> pXp maps
+Fix(sigma) onto the fixed space of the compression), and two eigenvalues
+that eig clusters at one peripheral value of an ergodic map, whose
+peripheral values are simple. Each means a kernel or an eigensolver at its
+tolerance boundary.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from dataclasses import dataclass, field, replace
 
 from .cpmap import (
     DensityState,
-    check_semisimple,
     commutant,
     fixed_points,
     gauge_group_order,
@@ -78,8 +79,8 @@ class ClassificationReport:
 
     ``ergodic`` is also purity on the d-isometry algebra. ``m_is_factor``, set
     by :func:`classify_chain`, is the one chain hypothesis decided; the other
-    two are theorems on the compressed system. ``chain_pure`` is also the
-    factoriality of the chain state, or HYPOTHESES_NOT_MET.
+    two are theorems on the support of the invariant state. ``chain_pure``
+    is also the factoriality of the chain state, or HYPOTHESES_NOT_MET.
     """
 
     validate_residual: float
@@ -93,9 +94,7 @@ class ClassificationReport:
 
 
 def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
-    """:func:`classify_od`, also returning the transfer map and fixed space
-    of the system it classified: the given one when its state is faithful,
-    its compression to the support of the state otherwise."""
+    """:func:`classify_od`, also returning the fixed space of the system."""
     notes: list[str] = []
     residual = validate(system)
     form = real_transfer(system)
@@ -110,34 +109,21 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
     if not state.faithful:
         notes.append(
             f"invariant state has rank {state.rank} < {state.n}; "
-            "compressed to its support"
+            "verdicts after ergodicity are read on its support"
         )
-        form = real_transfer(compress(system, state.support))
-        cfixed, cstate = fixed_points(form, tol), invariant_state(form)
-        if cfixed.dim != fixed.dim or not cstate.faithful:
-            raise NumericalHealthError(
-                f"the compression to the support of the invariant state has a "
-                f"{cfixed.dim}-dimensional fixed space where the map has a "
-                f"{fixed.dim}-dimensional one, and a state of rank {cstate.rank} on "
-                f"{cstate.n} dimensions; compression keeps ergodicity and the dimension "
-                "of the fixed space, and its state is faithful, so a kernel is at the "
-                "tolerance boundary; classification is aborted"
-            )
-        fixed = cfixed
     peripherals = peripheral_spectrum(form, tol_peripheral, tol)
-    clustered = [p for p in peripherals if p.algebraic > 1]
+    clustered = [p for p in peripherals if p.multiplicity > 1]
     if ergodic and clustered:
         raise NumericalHealthError(
-            f"eig places {clustered[0].algebraic} eigenvalues at the peripheral value "
-            f"{clustered[0].value:.6f} of an ergodic map with a faithful state, where "
-            "every peripheral eigenspace is one-dimensional; the eigensolver is at "
-            "its tolerance boundary; classification is aborted"
+            f"eig places {clustered[0].multiplicity} eigenvalues at the peripheral value "
+            f"{clustered[0].value:.6f} of an ergodic map, where every peripheral "
+            "eigenspace is one-dimensional; the eigensolver is at its tolerance "
+            "boundary; classification is aborted"
         )
-    check_semisimple(peripherals)
     if ergodic:
-        # the state is faithful and the map ergodic, so the k spectral
-        # projections of the eigenunitary are nonzero and k <= n
-        k = gauge_group_order([p.value for p in peripherals], tol=tol, max_denominator=form.n)
+        # the state is faithful on its support of rank r, where the k
+        # spectral projections of the eigenunitary are nonzero, so k <= r
+        k = gauge_group_order([p.value for p in peripherals], tol=tol, max_denominator=state.rank)
     else:
         notes.append("transfer map is not ergodic; k undefined, peripheral set informational")
         k = None
@@ -149,7 +135,7 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
         k=k,
         notes=tuple(notes),
     )
-    return report, form, fixed
+    return report, fixed
 
 
 def classify_od(
@@ -157,26 +143,24 @@ def classify_od(
     tol: float = 1e-8,
     tol_peripheral: float = 1e-9,
 ) -> ClassificationReport:
-    """Ergodicity, purity, and gauge-subgroup order of the compressed system.
+    """Ergodicity, purity, and gauge-subgroup order, from one transfer map.
 
     Ergodicity (a trivial fixed-point space of the transfer map) is
     equivalent to purity of the induced state: the self-intertwiner space of
-    the dilation is that same fixed space, so one kernel decides both. When
-    the invariant state is not faithful the system is compressed once to
-    its support, and the peripheral spectrum is taken there; the
-    compression must keep the dimension of the fixed space and have a
-    faithful state. When the map is ergodic, k is the order of the circle
-    subgroup formed by that peripheral spectrum; otherwise k is undefined
-    and the peripheral set is informational. In both cases the geometric
-    and algebraic multiplicities of every peripheral value must agree.
+    the dilation is that same fixed space, so one kernel decides both. The
+    peripheral spectrum is taken on the same map, whether or not the
+    invariant state is faithful; a value whose eigenspace and eig cluster
+    differ in dimension raises (:func:`~fcstates.cpmap.peripheral_spectrum`).
+    When the map is ergodic, k is the order of the circle subgroup formed
+    by that peripheral spectrum, snapped with denominators up to the rank r
+    of the state; otherwise k is undefined and the peripheral set is
+    informational.
 
-    The ergodic map, compressed, has a faithful state, so each peripheral
-    value t is simple: its eigenspace is spanned by a power of one
-    eigenunitary, and the eig of the Ritz matrix (see
-    :func:`~fcstates.cpmap.peripheral_spectrum`) places one eigenvalue at t.
-    Its eigenspace is X times the kernel of the p x p matrix S - t, so no
-    n^2 x n^2 kernel is taken; a value that eig places twice aborts with
-    :class:`NumericalHealthError`.
+    An ergodic map is irreducible on the support of its state, so each
+    peripheral value t is simple: its eigenspace is spanned by a power of
+    one eigenunitary, and the eig of the Ritz matrix places one eigenvalue
+    at t. A value that eig places twice, with a kernel of S - t that reads
+    two directions, aborts with :class:`NumericalHealthError`.
     """
     return _classify_od(system, tol, tol_peripheral)[0]
 
@@ -188,38 +172,46 @@ def classify_chain(
 ) -> ClassificationReport:
     """Full report: adds the two-sided chain verdicts to :func:`classify_od`.
 
-    The chain verdicts are taken on the system that :func:`classify_od`
-    classified, compressed to the support of the invariant state when that
-    state is not faithful. Its state is faithful, and its fixed space is M'
-    (a smaller commutant aborts as a kernel at the tolerance boundary), so
-    those two hypotheses hold, and the one decided, ``m_is_factor``, is that
-    the generated algebra M is a factor. When it is, the chain state is pure
-    iff the peripheral spectrum of the transfer map restricted to M is {1},
-    and purity coincides with factoriality in this finite-dimensional
-    setting.
+    The chain verdicts are those of the system on the support of its
+    invariant state, where the state is faithful and the fixed space is M'
+    (a commutant of another dimension aborts as a kernel at the tolerance
+    boundary), so those two hypotheses hold, and the one decided,
+    ``m_is_factor``, is that the generated algebra M is a factor. When it
+    is, the chain state is pure iff the peripheral spectrum of the transfer
+    map restricted to M is {1}, and purity coincides with factoriality in
+    this finite-dimensional setting.
 
     M' lies in the fixed space, since sigma(X) = X sum_i V_i V_i* = X for
     X in M'. So when the map is ergodic, M' = C.1 and M = M'' = M_n is a
     factor, and the restricted spectrum is the peripheral spectrum already
     computed for k, so the chain state is pure iff k = 1.
 
-    Otherwise M' is solved inside the fixed space. The centre of M is
-    M cap M' = Z(M'), so M is a factor iff the commutant of M' inside M' is
-    C.1; M itself is never formed. With one central block,
-    K = C^{n_1} (x) C^{m_1}, V_i = W_i (x) I, M = M_{n_1} (x) I and
-    sigma = sigma_W (x) id, so sigma restricted to M has the peripheral set
-    of sigma, the one :func:`classify_od` reported.
+    Otherwise M' is solved inside a fixed space: that of sigma when the
+    state is faithful, else that of the compression to the support p of
+    the state, the one transfer map built beside the system's. M' of the
+    compression lies in its fixed space, so a fixed space read too large
+    still gives M', and one read too small gives a commutant below
+    dim Fix(sigma), which aborts. The centre of M is M cap M' = Z(M'), so M
+    is a factor iff the commutant of M' inside M' is C.1; M itself is never
+    formed. With one central block, K = C^{n_1} (x) C^{m_1},
+    V_i = W_i (x) I, M = M_{n_1} (x) I and sigma = sigma_W (x) id, so sigma
+    restricted to M has the peripheral set of sigma, the one
+    :func:`classify_od` reported.
     """
-    base, form, fixed = _classify_od(system, tol, tol_peripheral)
+    base, fixed = _classify_od(system, tol, tol_peripheral)
     factor = True  # an ergodic map has M = M_n
     if not base.ergodic:
-        comm = commutant(form.system.operators, tol, within=fixed)
+        state, within = base.invariant_state, fixed
+        if not state.faithful:
+            system = compress(system, state.support)
+            within = fixed_points(real_transfer(system), tol)
+        comm = commutant(system.operators, tol, within=within)
         if comm.dim != fixed.dim:
             raise NumericalHealthError(
-                f"the commutant of the operators ({comm.dim}-dimensional) is smaller "
-                f"than the fixed space ({fixed.dim}-dimensional) although the state "
-                "is faithful, where the two are equal; a kernel is at the tolerance "
-                "boundary; classification is aborted"
+                f"the commutant of the operators on the support of the state "
+                f"({comm.dim}-dimensional) differs from the fixed space of sigma "
+                f"({fixed.dim}-dimensional), where the two have one dimension; a kernel "
+                "is at the tolerance boundary; classification is aborted"
             )
         factor = commutant(comm.basis, tol, within=comm).dim == 1
     if not factor:

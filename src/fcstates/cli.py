@@ -163,7 +163,7 @@ def report_to_json(report: ClassificationReport, system: PopescuSystem, raw: byt
         text = None if phase is None else f"{phase.numerator}/{phase.denominator}"
         peripheral.append({"value": _complex_pair(z), "phase": text})
     # ergodicity is purity on O_d; Fix(sigma) = M' and a faithful state hold
-    # on the compressed system; when M is a factor, chain factoriality is purity
+    # on the support of the state; when M is a factor, chain factoriality is purity
     factor = report.m_is_factor
     return {
         "tool": "fcstates",
@@ -276,12 +276,7 @@ def _cmd_dilate(args) -> int:
 def _cmd_dual(args) -> int:
     system, _ = load_system(args.path, args.tol_validate)
     form = real_transfer(system)
-    state = invariant_state(form)
-    if not state.faithful:
-        raise ValidationError(
-            "invariant state is not faithful; compress to its support before dualizing"
-        )
-    dual = dual_system(system, state)
+    dual = dual_system(system, invariant_state(form))
     rep = verify_duality(dual)
     cmp_ = compare_duals(dual, args.tol_spectral_set, form, args.tol_peripheral)
     # completeness is the parameter isometry residual (verify_duality); the

@@ -74,7 +74,6 @@ __all__ = [
     "invariance_bound",
     "invariance_residual",
     "peripheral_spectrum",
-    "check_semisimple",
     "peripheral_eigenunitary",
     "root_of_unity_phase",
     "gauge_group_order",
@@ -213,7 +212,7 @@ class RealTransfer:
     def _sampled_basis(self) -> tuple[np.ndarray, np.ndarray, int] | None:
         """The orthonormalized P U_p of :meth:`ritz_matrix`, the power
         P = sigma^m that gave it and m, or None when no sample narrower than
-        n^2 shows a gap."""
+        n^2 shows a gap that P U_p keeps."""
         size = self.matrix.shape[0]
         rng = np.random.default_rng(_RITZ_SEED)
         power, squarings = self.matrix, 0  # power = sigma^(2^squarings)
@@ -226,8 +225,12 @@ class RealTransfer:
                 p = int(np.sum(s > _RITZ_GAP * s[0]))
                 if p < width and s[p - 1] >= _RITZ_KEEP * s[0]:
                     # one more application of the power squares the share of
-                    # the dropped directions in the kept ones
-                    return np.linalg.qr(power @ u[:, :p])[0], power, 2**squarings
+                    # the dropped directions in the kept ones, unless it
+                    # loses rank: a gap made by a nilpotent part of sigma
+                    kept = power @ u[:, :p]
+                    s_kept = np.linalg.svd(kept, compute_uv=False)
+                    if s_kept[-1] > _RITZ_GAP * s_kept[0]:
+                        return np.linalg.qr(kept)[0], power, 2**squarings
                 ratios = s / s[0]
                 if squarings == _RITZ_MAX_SQUARINGS or any(
                     np.max(np.abs(ratios - r)) <= 1e-9 for r in seen
@@ -281,14 +284,19 @@ class RealTransfer:
         singular vectors. That one more application of P leaves a dropped
         direction a share of at most (1e-10 / 1e-4)^2 in a kept one, and
         roundoff of size eps s_1 moves a kept singular vector by about as
-        much, 1e-12. A sample that stops changing without a gap (its
-        normalized singular values repeat within 1e-9 those of an earlier
-        squaring, as when P has converged to a projection of rank at least
-        b, or cycles through the powers of a root of unity), or that has
-        none after 40 squarings, is redrawn with 2b columns, squaring on
-        from the same P. At b = n^2, X = I and S is sigma itself, with no
-        certificate: a map with every eigenvalue on the circle
-        (V_i = c_i U) is solved whole.
+        much, 1e-12. A gap can also be made by exact zeros: a nilpotent part
+        of sigma (scaled partial permutations V_i, with rank sigma^2 <
+        rank sigma) leaves P U_p of lower rank than p, and its QR would pad
+        X with junk columns. So P U_p is taken only when its least singular
+        value exceeds 1e-10 times its largest; otherwise squaring goes on
+        until the nilpotent part is gone. A sample that stops changing
+        without a gap (its normalized singular values repeat within 1e-9
+        those of an earlier squaring, as when P has converged to a
+        projection of rank at least b, or cycles through the powers of a
+        root of unity), or that has none after 40 squarings, is redrawn
+        with 2b columns, squaring on from the same P. At b = n^2, X = I and
+        S is sigma itself, with no certificate: a map with every eigenvalue
+        on the circle (V_i = c_i U) is solved whole.
 
         *Invariance.* R = sigma X - X S must have ||R||_F =: g at most 1e-10
         times the largest column norm of sigma, the bound
@@ -743,9 +751,8 @@ class PeripheralEigenvalue:
     """A unimodular eigenvalue of the forward transfer map."""
 
     value: complex
-    multiplicity: int  # geometric: the dimension of the eigenspace found at set_tol (may be 0)
+    multiplicity: int  # the dimension of its eigenspace, and the size of its eig cluster
     operator: np.ndarray  # representative eigen-operator, unit trace norm
-    algebraic: int = 1  # the number of eigenvalues eig places in this value's cluster
 
 
 def _canonical_phase(x: np.ndarray) -> np.ndarray:
@@ -771,28 +778,30 @@ def peripheral_spectrum(
     places every other eigenvalue of sigma below 1 - ``tol`` in modulus. p
     is the number of eigenvalues that survive repeated squaring, n^2 only
     when all of them do. The eigenvalues within ``tol`` of the circle are
-    clustered by :func:`value_clusters` at ``set_tol``. The algebraic
-    multiplicity of a value is the size of its cluster, and the geometric
-    one the dimension of its eigenspace: X times the kernel of S - value at
-    threshold ``set_tol``, real for a real value. Every such eigenvector of
-    sigma lies in X, and ||sigma X y - value X y|| = ||(S - value) y|| up to
-    the invariance residual. A unital map has the value 1, and the cluster
-    nearest it takes the kernel of S - I, the fixed space of
-    :func:`fixed_points`, so the two agree at every threshold. The two
-    multiplicities differ for a unimodular Jordan block when the
-    algebraic one is larger, a kernel that counts eigenvalues the
-    eigensolver puts off the circle when the geometric one is, and a kernel
-    threshold that misses the value (geometric 0, with eig's eigenvector
-    X y as the representative operator). :func:`check_semisimple` treats
-    each as a failure. An empty peripheral set is a map that misses the
-    value 1, and raises :class:`NumericalHealthError`. Results are sorted by
+    clustered by :func:`value_clusters` at ``set_tol``. The eigenspace of a
+    value is X times the kernel of S - value at threshold ``set_tol``, real
+    for a real value. Every such eigenvector of sigma lies in X, and
+    ||sigma X y - value X y|| = ||(S - value) y|| up to the invariance
+    residual. A unital map has the value 1, and the cluster nearest it
+    takes the kernel of S - I, the fixed space of :func:`fixed_points`, so
+    the two agree at every threshold.
+
+    The peripheral spectrum of a unital CP map is semisimple: sigma is a
+    contraction in operator norm, so it has no Jordan block on the circle.
+    So the dimension of each eigenspace must equal the size of its eig
+    cluster, and that one number is reported as the multiplicity. A
+    mismatch raises :class:`NumericalHealthError`: a larger cluster is a
+    Jordan block, which the hypotheses exclude, a larger kernel counts
+    eigenvalues that eig puts off the circle, and an empty one is a kernel
+    threshold that misses the value; each is a kernel and a spectrum that
+    disagree at the tolerance boundary. An empty peripheral set is a map
+    that misses the value 1, and raises as well. Results are sorted by
     phase angle starting at 1.
     """
     form = _as_real_transfer(system)
     n = form.n
     basis, ritz = form.ritz_matrix(tol)
-    dec = eig(ritz)
-    on_circle = [complex(z) for z in dec.eigenvalues if abs(1.0 - abs(z)) <= tol]
+    on_circle = [complex(z) for z in eig(ritz).eigenvalues if abs(1.0 - abs(z)) <= tol]
     if not on_circle:
         raise _missing_one(f"no eigenvalue lies within {tol:.1e} of the unit circle", form.system)
     out = []
@@ -801,44 +810,24 @@ def peripheral_spectrum(
     for value, algebraic in clusters:
         shift = 1.0 if value == one else value if value.imag else value.real
         space = kernel(ritz - shift * np.eye(ritz.shape[0]), set_tol, scale=1.0)
-        geometric = space.shape[1]
-        nearest = dec.eigenvectors[:, int(np.argmin(np.abs(dec.eigenvalues - value)))]
-        op = unvec(_from_hermitian(basis @ (space[:, 0] if geometric else nearest)), (n, n))
-        tn = np.linalg.norm(op, "nuc")
-        if tn > 0:
-            op = op / tn
+        if space.shape[1] != algebraic:
+            raise NumericalHealthError(
+                f"geometric and algebraic multiplicities differ at the unimodular "
+                f"eigenvalue {value:.6f} (geometric {space.shape[1]}, algebraic "
+                f"{algebraic}): a Jordan block, which the hypotheses exclude, or a kernel "
+                "and a spectrum that disagree at the tolerance boundary; the verdict is "
+                "aborted"
+            )
+        op = unvec(_from_hermitian(basis @ space[:, 0]), (n, n))
         out.append(
             PeripheralEigenvalue(
                 value=value,
-                multiplicity=geometric,
-                operator=_canonical_phase(op),
-                algebraic=algebraic,
+                multiplicity=algebraic,
+                operator=_canonical_phase(op / np.linalg.norm(op, "nuc")),
             )
         )
     out.sort(key=lambda p: (abs(np.angle(p.value)), np.angle(p.value)))
     return out
-
-
-def check_semisimple(peripherals: list[PeripheralEigenvalue]) -> None:
-    """Raise unless every peripheral value has equal geometric and algebraic
-    multiplicities (see :func:`peripheral_spectrum`).
-
-    A unital CP map has no Jordan block on the unit circle, so a mismatch is
-    a kernel and a spectrum that disagree at the tolerance boundary; a
-    kernel that misses the value 1 would otherwise read as multiplicity 0.
-    """
-    bad = [
-        f"{p.value:.6f} (geometric {p.multiplicity}, algebraic {p.algebraic})"
-        for p in peripherals
-        if p.multiplicity != p.algebraic
-    ]
-    if bad:
-        raise NumericalHealthError(
-            f"geometric and algebraic multiplicities differ at unimodular eigenvalue(s) "
-            f"{', '.join(bad)}: a Jordan block, which the hypotheses exclude, or a "
-            "kernel and a spectrum that disagree at the tolerance boundary; "
-            "the verdict is aborted"
-        )
 
 
 def peripheral_eigenunitary(
@@ -872,7 +861,6 @@ def peripheral_eigenunitary(
     if inv_resid > max(tol, 1e-9):
         raise ValueError(f"state is not invariant: residual {inv_resid:.3e}")
     peri = peripheral_spectrum(form, set_tol=tol)
-    check_semisimple(peri)
     if peri[0].multiplicity != 1:
         raise ValueError("transfer map is not ergodic; eigenunitary is not unique")
     match = [p for p in peri if abs(p.value - np.conj(t)) <= tol]

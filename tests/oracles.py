@@ -69,7 +69,6 @@ from fcstates.cpmap import (
     DEFAULT_SET_TOL,
     DensityState,
     OperatorSubspace,
-    PeripheralEigenvalue,
     RealTransfer,
     Superoperator,
     _as_real_transfer,
@@ -273,15 +272,27 @@ def peripheral_eigenspace(
     return kernel(shifted(form, value), set_tol, scale=1.0)
 
 
+@dataclass(frozen=True)
+class OraclePeripheralValue:
+    """A unimodular eigenvalue as the oracle records it: both multiplicities,
+    which the library requires to agree and reports as one."""
+
+    value: complex
+    multiplicity: int  # geometric: the dimension of the eigenspace found at set_tol (may be 0)
+    operator: np.ndarray  # representative eigen-operator, unit trace norm
+    algebraic: int  # the number of eigenvalues eig places in this value's cluster
+
+
 def kernel_peripheral_spectrum(
     system: PopescuSystem | RealTransfer,
     tol: float = DEFAULT_PERIPHERAL_TOL,
     set_tol: float = DEFAULT_SET_TOL,
-) -> list[PeripheralEigenvalue]:
+) -> list[OraclePeripheralValue]:
     """The peripheral spectrum with the kernel of sigma - value at threshold
     ``set_tol`` for every value off 1, whatever its cluster size; the value
     1 reads the fixed kernels. A kernel that misses its value reports
-    geometric multiplicity 0 with eig's eigenvector as the operator."""
+    geometric multiplicity 0 with eig's eigenvector as the operator, and
+    nothing is raised on a mismatch."""
     form = _as_real_transfer(system)
     n = form.n
     dec = eig(form.matrix)
@@ -296,7 +307,7 @@ def kernel_peripheral_spectrum(
         op = unvec(_from_hermitian(space[:, 0]), (n, n))
         op = op / np.linalg.norm(op, "nuc")
         out.append(
-            PeripheralEigenvalue(
+            OraclePeripheralValue(
                 value=value,
                 multiplicity=geometric,
                 operator=_canonical_phase(op),

@@ -6,11 +6,13 @@ The benchmark's own tests check its generators only at n <= 6. Here each
 benchmark's ``prepare`` and ``check``, exactly as a benchmark op runs; the
 modules are imported, and nothing under ``perfbench/`` is written.
 
-Each op also guards the spectral route. Every transfer matrix sigma_r
-(n^2 x n^2) that an op builds takes exactly one n^2 x n^2 LU solve, the
-bordered system of its invariant state, and no SVD or eig of that size:
-every other spectral object is read from the p x p Ritz matrix, p < n^2
-on every slot. Every ``analyze`` op must print a state invariance residual
+Each op also guards the spectral route. An op builds exactly one transfer
+matrix sigma_r (n^2 x n^2), the system's own: no slot is both not ergodic
+and not faithful, the one case that compresses, and a state that is not
+faithful is read on the same map. sigma_r takes exactly one n^2 x n^2 LU
+solve, the bordered system of its invariant state, and no SVD or eig of
+that size: every other spectral object is read from the p x p Ritz
+matrix, p < n^2 on every slot. Every ``analyze`` op must print a state invariance residual
 of at most 1e-14, which a predual fixed space read from the squared power
 of sigma would exceed. The 87 ops take about 2.2 s with the guard and
 2.0 s without (Intel Xeon, 1 BLAS thread).
@@ -63,7 +65,7 @@ def test_benchmark_slot_meets_its_known_answers(monkeypatch, tmp_path, name, slo
     monkeypatch.undo()
     assert workloads.check(slot, case, output) == []
     built = sorted(size for kind, size in calls if kind == "real_transfer")
-    assert built
+    assert len(built) == 1
     assert sorted(size for kind, size in calls if kind != "real_transfer") == built
     assert all(kind == "solve" for kind, _ in calls if kind != "real_transfer")
     if slot.command == "analyze":

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 import fcstates.classify
 import fcstates.cpmap
 from fcstates import (
-    DensityState,
     EigenDecomposition,
     NumericalHealthError,
     PopescuSystem,
@@ -21,6 +21,7 @@ from fcstates import (
 )
 from fcstates.classify import HYPOTHESES_NOT_MET
 from fcstates.cpmap import OperatorSubspace, real_transfer
+from fcstates.popescu import compress
 from fcstates.cli import main, report_to_json, system_to_json
 
 from conftest import (
@@ -32,6 +33,7 @@ from conftest import (
     direct_sum,
     nonfaithful,
     pauli_channel,
+    permutative_cycles,
     record_kernels,
     record_transfer_factorizations,
 )
@@ -119,7 +121,8 @@ def test_classify_chain_scalar(scalar_half, tmp_path, capsys):
 
 def test_classify_chain_rank_one_compresses(rank_one2):
     rep = classify_chain(rank_one2)
-    assert any("compressed" in note for note in rep.notes)
+    note = "invariant state has rank 1 < 2; verdicts after ergodicity are read on its support"
+    assert note in rep.notes
     assert rep.chain_pure is True
     assert rep.k == 1
 
@@ -189,14 +192,21 @@ def test_k_equals_peripheral_cardinality(swap2, rank_one2):
             assert rep.k == len(rep.peripheral)
 
 
-def test_unimodular_jordan_block_aborts():
-    from fcstates import NumericalHealthError, PeripheralEigenvalue
-    from fcstates.cpmap import check_semisimple
+def test_unimodular_jordan_block_aborts(monkeypatch, swap2):
+    # eig is made to place both values of the swap on the circle, 1 and -1,
+    # at 1, as a Jordan block at 1 would: a cluster of two beside the
+    # one-dimensional kernel of S - I
+    original = fcstates.cpmap.eig
 
-    # geometric multiplicity 1 below algebraic multiplicity 2
-    fake = [PeripheralEigenvalue(1.0 + 0j, 1, np.eye(2), algebraic=2)]
-    with pytest.raises(NumericalHealthError, match="Jordan"):
-        check_semisimple(fake)
+    def jordan(a):
+        dec = original(a)
+        vals = dec.eigenvalues.astype(complex)
+        vals[np.abs(np.abs(vals) - 1.0) <= 1e-9] = 1.0
+        return EigenDecomposition(vals, dec.eigenvectors, dec.residual)
+
+    monkeypatch.setattr(fcstates.cpmap, "eig", jordan)
+    with pytest.raises(NumericalHealthError, match="geometric 1, algebraic 2.*Jordan"):
+        classify_chain(swap2)
 
 
 def cyclic_system(m: int) -> PopescuSystem:
@@ -219,6 +229,39 @@ def test_cyclic_systems_have_gauge_order_m(m):
     assert spectral_sets_match(rep.peripheral, roots, 1e-9)
 
 
+PERMUTATIVE = [
+    (big_n, cycle, system)
+    for big_n in range(3, 32, 2)
+    for cycle, system in permutative_cycles(big_n)
+]
+# the cycles whose sigma has a nilpotent part that leaves the first sampled
+# P U_p of lower rank than its gap (rank sigma^2 = 6, rank sigma^4 = 4 at
+# N = 15, cycle -7), named by N and their largest element
+NILPOTENT_GAPS = [(7, -1), (7, -3), (15, -1), (15, -7), (21, -3), (21, -9), (31, -3), (31, -7)]
+
+
+@pytest.mark.parametrize(
+    "big_n, cycle, system",
+    PERMUTATIVE,
+    ids=[f"N={big_n}:{cycle[0]}" for big_n, cycle, _ in PERMUTATIVE],
+)
+def test_permutative_cycles_have_gauge_order_their_length(big_n, cycle, system):
+    # 64 systems at n <= 28, each ergodic with k the length of its cycle
+    rep = classify_chain(system)
+    assert rep.ergodic and rep.k == len(cycle)
+    assert rep.m_is_factor is True
+    assert rep.chain_pure is (len(cycle) == 1)
+
+
+@pytest.mark.parametrize("big_n, start", NILPOTENT_GAPS, ids=[f"N={a}:{b}" for a, b in NILPOTENT_GAPS])
+def test_a_gap_made_by_a_nilpotent_part_is_squared_past(big_n, start):
+    (system,) = [system for cycle, system in permutative_cycles(big_n) if cycle[0] == start]
+    form = real_transfer(system)
+    assert np.linalg.matrix_rank(form.matrix) < form.matrix.shape[0]
+    assert_fixed_kernels_match_svd_route(form)
+    assert_peripheral_spectrum_matches_kernel_oracle(system)
+
+
 def test_multiplicity_mismatch_at_the_tolerance_boundary_aborts():
     # at p = 3e-9 the kernel counts 4 fixed points while eig places one
     # eigenvalue on the circle: the verdict must fail, not read "not ergodic"
@@ -232,66 +275,51 @@ def test_multiplicity_mismatch_at_the_tolerance_boundary_aborts():
     assert rep.ergodic and rep.k == 1
 
 
-def _compressed_kernel_at_the_boundary(system):
-    # the compressed map's fixed space is read as the SVD of sigma - I reads
-    # it at a threshold just above its second singular value, as when that
-    # value sits at tol; the Ritz route, whose certificate puts that
-    # direction inside the circle, cannot count it
-    original = fcstates.classify.fixed_points
-
-    def at_boundary(form, tol):
-        if form.n < system.n:
-            tol = 2.0 * np.linalg.svd(shifted(form, 1.0), compute_uv=False)[-2]
-            return OperatorSubspace.from_hermitian(svd_fixed_kernels(form, tol)[0], form.n)
-        return original(form, tol)
-
-    return fcstates.classify, "fixed_points", at_boundary
-
-
-def _compressed_kernel_past_the_boundary(system):
+def _compressed_kernel_past_the_boundary(monkeypatch, system):
     # off the ergodic path: the compressed map's fixed space is read as the
     # SVD of sigma - I reads it at a threshold just above its smallest
     # nonzero singular value, which the ancilla repeats four times
-    # (sigma = sigma_W (x) id on M_3 (x) M_2)
-    original = fcstates.classify.fixed_points
+    # (sigma = sigma_W (x) id on M_3 (x) M_2); returns the dimensions read
+    original, read = fcstates.classify.fixed_points, []
 
     def at_boundary(form, tol):
         if form.n < system.n:
             s = np.linalg.svd(shifted(form, 1.0), compute_uv=False)
             tol = 2.0 * s[-1 - np.sum(s <= tol)]
-            return OperatorSubspace.from_hermitian(svd_fixed_kernels(form, tol)[0], form.n)
+            fixed = OperatorSubspace.from_hermitian(svd_fixed_kernels(form, tol)[0], form.n)
+            read.append(fixed.dim)
+            return fixed
         return original(form, tol)
 
-    return fcstates.classify, "fixed_points", at_boundary
+    monkeypatch.setattr(fcstates.classify, "fixed_points", at_boundary)
+    return read
 
 
-def _compressed_state_at_the_boundary(system):
-    # the compressed state's least eigenvalue falls below the support
-    # threshold, as when it sits at that threshold
-    original = fcstates.classify.invariant_state
+def _compressed_kernel_short_of_the_boundary(monkeypatch, system):
+    # the compressed map's fixed space is read one direction short, as a
+    # kernel threshold that falls among its near-zero singular values reads it
+    original = fcstates.classify.fixed_points
 
-    def at_boundary(form):
-        state = original(form)
-        if form.n == system.n:
-            return state
-        vals, vecs = np.linalg.eigh(state.rho)
-        vals[0] = 0.0
-        return DensityState.from_matrix((vecs * vals) @ vecs.conj().T / vals.sum())
+    def at_boundary(form, tol):
+        fixed = original(form, tol)
+        if form.n < system.n:
+            return OperatorSubspace(fixed.basis[:-1], fixed.shape)
+        return fixed
 
-    return fcstates.classify, "invariant_state", at_boundary
+    monkeypatch.setattr(fcstates.classify, "fixed_points", at_boundary)
 
 
-def _commutant_kernel_at_the_boundary(system):
+def _commutant_kernel_at_the_boundary(monkeypatch, system):
     # M' is solved inside the fixed space at a threshold below roundoff
     original = fcstates.classify.commutant
 
     def at_boundary(generators, tol, within=None):
         return original(generators, 1e-30 if within is not None else tol, within)
 
-    return fcstates.classify, "commutant", at_boundary
+    monkeypatch.setattr(fcstates.classify, "commutant", at_boundary)
 
 
-def _peripheral_value_doubled(system):
+def _peripheral_value_doubled(monkeypatch, system):
     # eig is made to place its eigenvalue farthest from t = e^{2 pi i/3} at t
     # as well, so that value's cluster has two members; eig solves the Ritz
     # matrix, whose eigenvalues here are the three on the circle
@@ -304,77 +332,101 @@ def _peripheral_value_doubled(system):
         vals[np.argmax(np.abs(vals - t))] = vals[np.argmin(np.abs(vals - t))]
         return EigenDecomposition(vals, dec.eigenvectors, dec.residual)
 
-    return fcstates.cpmap, "eig", doubled
+    monkeypatch.setattr(fcstates.cpmap, "eig", doubled)
+
+
+def _peripheral_value_doubled_in_the_kernel_too(monkeypatch, system):
+    # as above, and the kernel of S - t (the one complex kernel left) reads
+    # its two least right singular directions, so that the eigenspace
+    # matches its cluster of two
+    _peripheral_value_doubled(monkeypatch, system)
+    original = fcstates.cpmap.kernel
+
+    def widened(a, tol, scale):
+        if np.iscomplexobj(a):
+            return np.linalg.svd(a)[2][-2:].conj().T
+        return original(a, tol, scale=scale)
+
+    monkeypatch.setattr(fcstates.cpmap, "kernel", widened)
 
 
 @pytest.mark.parametrize(
     "make, boundary, message",
     [
         (
-            lambda: nonfaithful(2, 3, 2, 22),
-            _compressed_kernel_at_the_boundary,
-            "compression keeps ergodicity",
-        ),
-        (
             lambda: ancilla(nonfaithful(2, 3, 2, 22), 2),
-            _compressed_kernel_past_the_boundary,
-            "16-dimensional fixed space where the map has a 4-dimensional one",
-        ),
-        (
-            lambda: nonfaithful(2, 3, 2, 22),
-            _compressed_state_at_the_boundary,
-            "a state of rank 2 on 3 dimensions",
+            _compressed_kernel_short_of_the_boundary,
+            "commutant of the operators on the support of the state \\(3-dimensional\\) "
+            "differs from the fixed space of sigma \\(4-dimensional\\)",
         ),
         (
             lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
             _commutant_kernel_at_the_boundary,
-            "smaller than the fixed space",
+            "differs from the fixed space of sigma",
         ),
         (
             lambda: block_shift(3, 2, 3, 71),
             _peripheral_value_doubled,
+            "geometric 1, algebraic 2",
+        ),
+        (
+            lambda: block_shift(3, 2, 3, 71),
+            _peripheral_value_doubled_in_the_kernel_too,
             "eig places 2 eigenvalues at the peripheral value",
         ),
     ],
     ids=[
-        "lost_ergodicity",
-        "compression_changes_fixed_dimension",
-        "compressed_state_not_faithful",
+        "compressed_fixed_space_too_small",
         "commutant_below_fixed_space",
         "doubled_peripheral_value",
+        "doubled_peripheral_value_and_eigenspace",
     ],
 )
 def test_unreachable_chain_outcomes_abort(monkeypatch, tmp_path, capsys, make, boundary, message):
-    # compression to the support of the state keeps the dimension of the
-    # fixed space and gives a faithful state, Fix(sigma) = M' under
-    # a faithful state, and an ergodic map with a faithful state has simple
-    # peripheral values: each outcome is a kernel or an eigensolver at the
-    # tolerance boundary, so classification aborts, and analyze exits 3
+    # Fix(sigma) = M' on the support of the state, whose compression keeps
+    # the dimension of the fixed space, and an ergodic map has semisimple,
+    # simple peripheral values: each outcome is a kernel or an eigensolver
+    # at the tolerance boundary, so classification aborts, and analyze
+    # exits 3
     system = make()
     hyp, _, _ = commutant_chain_verdicts(system)
     assert hyp.fixed_equals_m_prime and hyp.phi_faithful
     assert classify_chain(system).m_is_factor == hyp.m_is_factor
-    monkeypatch.setattr(*boundary(system))
+    boundary(monkeypatch, system)
     with pytest.raises(NumericalHealthError, match=message):
         classify_chain(system)
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(system_to_json(system)))
     assert main(["analyze", str(path)]) == 3
     doc = json.loads(capsys.readouterr().out)
-    assert message in doc["notes"][0]
+    assert re.search(message, doc["notes"][0])
+
+
+def test_a_compressed_fixed_space_read_too_large_still_gives_m_prime(monkeypatch):
+    # the compressed map's fixed space, read 16-dimensional where it has 4
+    # dimensions, only widens the space that M' is solved in: M' of the
+    # compression lies in its fixed space, so the commutant and the verdicts
+    # are the oracle's
+    system = ancilla(nonfaithful(2, 3, 2, 22), 2)
+    hyp, pure, _ = commutant_chain_verdicts(system)
+    read = _compressed_kernel_past_the_boundary(monkeypatch, system)
+    rep = classify_chain(system)
+    assert read == [16]
+    assert (rep.m_is_factor, rep.chain_pure) == (hyp.m_is_factor, pure) == (True, True)
 
 
 @pytest.mark.parametrize("name", ["averaging3", "nonfaithful(2,3,2)xI2", "nonfaithful(2,3,2)+A"])
 def test_peripheral_set_of_a_compressed_system_is_the_systems(request, name):
-    # off the ergodic path the peripheral set is taken on the compression to
-    # the support of the state, where the predual's peripheral eigenvectors
-    # live, so it is the peripheral set of the system as given
+    # the predual's peripheral eigenvectors live on the support of the
+    # state, so the compression there has the peripheral set of the system
+    # as given, the one reported from the system's own map
     system = OFF_ERGODIC[name][0]() if name in OFF_ERGODIC else request.getfixturevalue(name)
     rep = classify_chain(system)
     assert not rep.ergodic and not rep.invariant_state.faithful
-    want = [p.value for p in kernel_peripheral_spectrum(system)]
-    assert len(rep.peripheral) == len(want)
-    assert all(abs(a - b) <= 1e-8 for a, b in zip(rep.peripheral, want))
+    compressed = compress(system, rep.invariant_state.support)
+    for want in (kernel_peripheral_spectrum(system), kernel_peripheral_spectrum(compressed)):
+        assert len(rep.peripheral) == len(want)
+        assert all(abs(a - q.value) <= 1e-8 for a, q in zip(rep.peripheral, want))
 
 
 def _assert_chain_verdicts_match_oracle(system):
@@ -529,8 +581,8 @@ def _one_solve_each(*sizes):
         ),
         (
             lambda: nonfaithful(2, 3, 2, 22),
-            {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
-             "commutant": 0, "eig": 1, "kernel": 5, "factorizations": _one_solve_each(25, 9),
+            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 0, "eig": 1, "kernel": 3, "factorizations": _one_solve_each(25),
              "eig_dims": [1]},
         ),
         (
@@ -546,13 +598,15 @@ def _one_solve_each(*sizes):
              "eig_dims": [9]},
         ),
         (
-            # off the ergodic path the system is compressed once, and the
-            # peripheral set and both commutants are taken on the 6 x 6
-            # compression: eig runs on the Ritz matrix of its 36 x 36 map,
-            # whose 4 Ritz values are its 4 fixed points
+            # off the ergodic path with a state that is not faithful, the
+            # system is compressed once, and both commutants are taken on
+            # the 6 x 6 compression, inside the fixed space of its 36 x 36
+            # map, which takes no solve; eig runs on the Ritz matrix of the
+            # 100 x 100 map, whose 4 Ritz values are its 4 fixed points
             lambda: ancilla(nonfaithful(2, 3, 2, 22), 2),
-            {"fixed_points": 2, "compress": 1, "invariant_state": 2, "sigma_matrix": 2,
-             "commutant": 2, "eig": 1, "kernel": 7, "factorizations": _one_solve_each(100, 36),
+            {"fixed_points": 2, "compress": 1, "invariant_state": 1, "sigma_matrix": 2,
+             "commutant": 2, "eig": 1, "kernel": 6,
+             "factorizations": [*_one_solve_each(100), ("real_transfer", 36)],
              "eig_dims": [4]},
         ),
         (
@@ -572,7 +626,9 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # M', and purity reads the one eig already taken: no commutant is solved
     # over all of M_n. factorizations lists each sigma_r that classify
     # builds, and the SVDs, eigs and solves of n^2 x n^2 matrices: one
-    # bordered solve per sigma_r, for the invariant state, and nothing else. The other
+    # bordered solve, for the invariant state of the system's own sigma_r,
+    # and nothing else; a compression's sigma_r gives only its fixed
+    # space. The other
     # kernels are of the p x p Ritz matrix: S - I for fixed_points and again
     # for invariant_state, S - t for each peripheral cluster (k = 3 of them
     # for the block shift), about 20 us each at p <= 9 (1 BLAS thread).

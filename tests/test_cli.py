@@ -519,9 +519,10 @@ def test_main_builds_its_parser_once(capsys, monkeypatch, swap_path):
 
 
 def test_analyze_validates_each_system_once(capsys, monkeypatch, tmp_path):
-    # a system with a non-faithful state is analyzed on itself and on its
-    # compression; each residual of the defining relation is computed once
-    path = write_system(tmp_path, nonfaithful(2, 3, 2, 22))
+    # a map that is not ergodic, with a state that is not faithful, is
+    # analyzed on itself and its commutant on its compression; each residual
+    # of the defining relation is computed once
+    path = write_system(tmp_path, ancilla(nonfaithful(2, 3, 2, 22), 2))
     computed = []
     residual = PopescuSystem.residual.func
 
@@ -533,11 +534,13 @@ def test_analyze_validates_each_system_once(capsys, monkeypatch, tmp_path):
     prop.__set_name__(PopescuSystem, "residual")
     monkeypatch.setattr(PopescuSystem, "residual", prop)
     assert main(["analyze", path]) == 0
-    assert sorted(computed) == [3, 5]
+    assert sorted(computed) == [6, 10]
 
 
 def test_dual_rejects_non_faithful(capsys, rank_one_path):
+    # the GNS construction decides faithfulness, and names the support rank
     assert main(["dual", rank_one_path]) == 1
+    assert "support rank 1 of 2" in capsys.readouterr().err
 
 
 def test_intertwine(capsys, swap_path, rank_one_path):

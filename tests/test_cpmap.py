@@ -29,7 +29,6 @@ from fcstates.cpmap import (
     DensityState,
     OperatorSubspace,
     _commutant_constraints_within,
-    check_semisimple,
     invariance_residual,
     real_form,
 )
@@ -381,7 +380,7 @@ def test_threshold_below_the_smallest_singular_value_aborts():
     assert smallest > 0
     assert form.fixed_kernels(0.5 * smallest)[1].shape[1] == 0
     with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
-        check_semisimple(peripheral_spectrum(form, set_tol=0.5 * smallest))
+        peripheral_spectrum(form, set_tol=0.5 * smallest)
 
 
 @pytest.mark.parametrize(
@@ -543,7 +542,7 @@ def test_coinvariance_block_projection():
 def test_peripheral_swap(swap2):
     peri = peripheral_spectrum(swap2)
     assert spectral_sets_match([p.value for p in peri], [1.0, -1.0], 1e-9)
-    assert all(p.multiplicity == p.algebraic == 1 for p in peri)
+    assert all(p.multiplicity == 1 for p in peri)
 
 
 def test_peripheral_scalar(scalar_half):
@@ -576,19 +575,18 @@ def test_peripheral_algebraic_multiplicity_counts_the_whole_cluster(monkeypatch)
 
     monkeypatch.setattr(fcstates.cpmap, "eig", chained_eig)
     (p,) = peripheral_spectrum(sys_, set_tol=1e-8)
-    assert (p.multiplicity, p.algebraic) == (3, 3)
+    assert p.multiplicity == 3
 
 
-def test_peripheral_kernel_miss_reports_geometric_zero():
-    # a kernel threshold below roundoff misses the value 1 that eig finds;
-    # the eigenvector still serves as the representative operator
-    (p,) = peripheral_spectrum(random_system(2, 4, 1), set_tol=1e-18)
-    assert (p.multiplicity, p.algebraic) == (0, 1)
-    assert abs(np.linalg.norm(p.operator, "nuc") - 1.0) <= 1e-10
+def test_peripheral_kernel_miss_aborts():
+    # a kernel threshold below roundoff misses the value 1 that eig finds:
+    # an empty eigenspace beside a cluster of one
+    with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
+        peripheral_spectrum(random_system(2, 4, 1), set_tol=1e-18)
 
 
-@pytest.mark.parametrize("factor, expected", [(2.0, (0, 1, False)), (0.5, (1, 1, True))])
-def test_peripheral_eigenspace_kernel_at_its_threshold(monkeypatch, factor, expected):
+@pytest.mark.parametrize("factor, semisimple", [(2.0, False), (0.5, True)])
+def test_peripheral_eigenspace_kernel_at_its_threshold(monkeypatch, factor, semisimple):
     # eig's value at t = e^{2 pi i/3}, a value whose cluster has one member,
     # is turned along the circle until the least singular value of S - t,
     # for the 3 x 3 Ritz matrix S, is factor * set_tol
@@ -614,17 +612,16 @@ def test_peripheral_eigenspace_kernel_at_its_threshold(monkeypatch, factor, expe
         return EigenDecomposition(vals, dec.eigenvectors, dec.residual)
 
     monkeypatch.setattr(fcstates.cpmap, "eig", turned_eig)
+    if not semisimple:
+        with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
+            peripheral_spectrum(sys_, set_tol=set_tol)
+        assert least[0] == pytest.approx(factor * set_tol, rel=1e-3)
+        return
     peri = peripheral_spectrum(sys_, set_tol=set_tol)
     assert least[0] == pytest.approx(factor * set_tol, rel=1e-3)
     (p,) = [p for p in peri if abs(p.value - t) <= 1e-6]
-    semisimple = p.multiplicity == p.algebraic
-    assert (p.multiplicity, p.algebraic, semisimple) == expected
+    assert p.multiplicity == 1
     assert abs(np.linalg.norm(p.operator, "nuc") - 1.0) <= 1e-10
-    if semisimple:
-        check_semisimple(peri)
-    else:
-        with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
-            check_semisimple(peri)
 
 
 def test_eigenunitary_swap(swap2):
@@ -724,7 +721,7 @@ def test_ritz_sample_widens_past_its_first_block():
     assert _ritz_dimension(system) == 9 > fcstates.cpmap._RITZ_BLOCK
     assert_peripheral_spectrum_matches_kernel_oracle(system)
     (p,) = peripheral_spectrum(system)
-    assert (p.multiplicity, p.algebraic) == (9, 9)
+    assert p.multiplicity == 9
 
 
 def test_ritz_sample_widens_past_a_cycling_power():
@@ -755,8 +752,8 @@ def test_ritz_subspace_is_everything_when_every_value_is_on_the_circle(monkeypat
     assert_peripheral_spectrum_matches_kernel_oracle(system)
     assert dims[0] == (9, 9)
     peri = peripheral_spectrum(system)
-    assert sum(p.algebraic for p in peri) == 9
-    assert (peri[0].multiplicity, peri[0].algebraic) == (3, 3)  # the diagonal of U's basis
+    assert sum(p.multiplicity for p in peri) == 9
+    assert peri[0].multiplicity == 3  # the diagonal of U's basis
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])

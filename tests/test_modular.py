@@ -351,7 +351,8 @@ def test_compare_duals_rejects_a_corrupted_dual_parameter():
 def test_compare_duals_multiplicity_mismatch_aborts(monkeypatch, tmp_path, capsys):
     # the kernel of S - I, for the 1 x 1 Ritz matrix S, taken at a threshold
     # just below its singular value finds no fixed point, where eig puts the
-    # value 1 on the circle; both sides would read multiplicity 0 and match
+    # value 1 on the circle; both sides would read the one peripheral
+    # spectrum, so it must raise itself
     system = random_system(2, 4, 1)
     state = invariant_state(system)
     dual = dual_system(system, state)
