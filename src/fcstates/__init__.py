@@ -17,7 +17,6 @@ from .cpmap import (
     OperatorSubspace,
     PeripheralEigenvalue,
     RealTransfer,
-    Superoperator,
     coinvariance_check,
     commutant,
     fixed_points,
@@ -60,7 +59,6 @@ __all__ = [
     "words_up_to",
     "random_system",
     "compress",
-    "Superoperator",
     "RealTransfer",
     "OperatorSubspace",
     "DensityState",

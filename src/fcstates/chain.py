@@ -14,9 +14,13 @@ With U_i* = sum_j A_ij V_j*, E_A(B) = sum_i V_i B U_i*, and its adjoint in
 the pairing trace(R B) is R -> sum_i U_i* R V_i: both act on n x n matrices
 at O(d n^3 + d^2 n^2) per site. The factors of x fold rho into a row matrix
 R_x, those of y fold I into B_y, and omega(x shift^{width(x) + s}(y)) =
-trace(R_x sigma^s(B_y)), with sigma stepped by the system's real transfer
-matrix (:meth:`RealTransfer.pairings`), which :func:`two_point` and
-:func:`clustering_defect` accept in place of the system.
+trace(R_x sigma^s(B_y)), with sigma stepped by the real transfer matrix
+that the system holds (:meth:`RealTransfer.pairings` of
+:attr:`PopescuSystem.transfer <fcstates.popescu.PopescuSystem.transfer>`).
+
+Every evaluation first checks that the state is invariant, within the
+bound :func:`~fcstates.cpmap.invariance_bound` that
+:func:`~fcstates.cpmap.invariant_state` gates.
 
 Observables at arbitrary (including negative) sites are handled purely by
 translation invariance; non-consecutive sites must be padded with explicit
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmap import DensityState, RealTransfer, _as_real_transfer, invariance_residual
+from .cpmap import DensityState, invariance_bound, invariance_residual
 from .numerics import as_matrix
 from .popescu import PopescuSystem
 
@@ -68,15 +72,19 @@ class LocalObservable:
         return len(self.factors)
 
 
-def _check_inputs(system: PopescuSystem, state: DensityState, tol: float, *observables) -> None:
-    """Every factor must be d x d and the state invariant under the predual."""
+def _check_inputs(system: PopescuSystem, state: DensityState, *observables) -> None:
+    """Every factor must be d x d and the state invariant under the predual,
+    within :func:`~fcstates.cpmap.invariance_bound`."""
     for obs in observables:
         shape = obs.factors[0].shape
         if shape != (system.d, system.d):
             raise ValueError(f"site observable must be {system.d}x{system.d}, got {shape}")
-    resid = invariance_residual(system, state.rho)
-    if resid > tol:
-        raise ValueError(f"state is not invariant: ||sigma_*(rho) - rho|| = {resid:.3e}")
+    resid, bound = invariance_residual(system, state.rho), invariance_bound(system)
+    if resid > bound:
+        raise ValueError(
+            f"state is not invariant: ||sigma_*(rho) - rho|| = {resid:.3e}, above its bound "
+            f"{bound:.3e}"
+        )
 
 
 def _column(system: PopescuSystem, factors) -> np.ndarray:
@@ -98,37 +106,29 @@ def _row(system: PopescuSystem, rho: np.ndarray, factors) -> np.ndarray:
     return r
 
 
-def expectation(
-    system: PopescuSystem,
-    state: DensityState,
-    obs: LocalObservable,
-    tol: float = 1e-8,
-) -> complex:
+def expectation(system: PopescuSystem, state: DensityState, obs: LocalObservable) -> complex:
     """Expectation of a local observable in the translation-invariant state.
 
     By translation invariance the start site is irrelevant; the factors fold
     rho into the row matrix R, and the value is trace(R).
     """
-    _check_inputs(system, state, tol, obs)
+    _check_inputs(system, state, obs)
     return complex(np.trace(_row(system, state.rho, obs.factors)))
 
 
 def two_point(
-    system: PopescuSystem | RealTransfer,
+    system: PopescuSystem,
     state: DensityState,
     x: LocalObservable,
     y: LocalObservable,
     gap: int,
-    tol: float = 1e-8,
 ) -> complex:
     """omega(x * shift^{gap + width(x)}(y)): x, then ``gap`` empty sites, then y."""
     if gap < 0:
         raise ValueError("gap must be nonnegative")
-    form = _as_real_transfer(system)
-    system = form.system
-    _check_inputs(system, state, tol, x, y)
+    _check_inputs(system, state, x, y)
     row = _row(system, state.rho, x.factors)
-    return complex(form.pairings(row, _column(system, y.factors), gap)[-1])
+    return complex(system.transfer.pairings(row, _column(system, y.factors), gap)[-1])
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ class ClusteringReport:
 
 
 def clustering_defect(
-    system: PopescuSystem | RealTransfer,
+    system: PopescuSystem,
     state: DensityState,
     x: LocalObservable,
     y: LocalObservable,
@@ -162,9 +162,7 @@ def clustering_defect(
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    form = _as_real_transfer(system)
-    system = form.system
-    _check_inputs(system, state, 1e-8, x, y)
+    _check_inputs(system, state, x, y)
     rho = state.rho
     wx, wy = x.width, y.width
     row = _row(system, rho, x.factors)
@@ -181,7 +179,7 @@ def clustering_defect(
             factors.append(f)
         values.append(np.trace(_row(system, rho, factors)))
     if n_max >= wx:
-        values.extend(form.pairings(row, _column(system, y.factors), n_max - wx))
+        values.extend(system.transfer.pairings(row, _column(system, y.factors), n_max - wx))
     defects = np.abs(np.array(values) - target)
     # the decay verdict looks at the tail only; n = 0 overlaps are excluded
     # whenever anything later is available

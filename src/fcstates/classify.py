@@ -61,7 +61,6 @@ from .cpmap import (
     gauge_group_order,
     invariant_state,
     peripheral_spectrum,
-    real_transfer,
 )
 from .errors import NumericalHealthError
 # eig is unused here, but perfbench's tracer test asserts classify.eig
@@ -97,10 +96,9 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
     """:func:`classify_od`, also returning the fixed space of the system."""
     notes: list[str] = []
     residual = validate(system)
-    form = real_transfer(system)
-    fixed = fixed_points(form, tol)
+    fixed = fixed_points(system, tol)
     ergodic = fixed.dim == 1
-    state = invariant_state(form)
+    state = invariant_state(system)
     if not ergodic:
         notes.append(
             "predual fixed space has dimension > 1; reported state is the "
@@ -111,7 +109,7 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
             f"invariant state has rank {state.rank} < {state.n}; "
             "verdicts after ergodicity are read on its support"
         )
-    peripherals = peripheral_spectrum(form, tol_peripheral, tol)
+    peripherals = peripheral_spectrum(system, tol_peripheral, tol)
     clustered = [p for p in peripherals if p.multiplicity > 1]
     if ergodic and clustered:
         raise NumericalHealthError(
@@ -204,7 +202,7 @@ def classify_chain(
         state, within = base.invariant_state, fixed
         if not state.faithful:
             system = compress(system, state.support)
-            within = fixed_points(real_transfer(system), tol)
+            within = fixed_points(system, tol)
         comm = commutant(system.operators, tol, within=within)
         if comm.dim != fixed.dim:
             raise NumericalHealthError(

@@ -29,7 +29,6 @@ from .cpmap import (
     invariance_residual,
     invariant_state,
     mixed_fixed_points,
-    real_transfer,
     root_of_unity_phase,
 )
 from .dilation import build, cuntz_residuals
@@ -239,11 +238,10 @@ def _cmd_chain_eval(args) -> int:
 
 def _cmd_cluster(args) -> int:
     system, _ = load_system(args.path, args.tol_validate)
-    form = real_transfer(system)
-    state = invariant_state(form)
+    state = invariant_state(system)
     x = parse_observable(args.x)
     y = parse_observable(args.y)
-    rep = clustering_defect(form, state, x, y, n_max=args.n_max, tol=args.decay_tol)
+    rep = clustering_defect(system, state, x, y, n_max=args.n_max, tol=args.decay_tol)
     print(
         json.dumps(
             {
@@ -275,10 +273,9 @@ def _cmd_dilate(args) -> int:
 
 def _cmd_dual(args) -> int:
     system, _ = load_system(args.path, args.tol_validate)
-    form = real_transfer(system)
-    dual = dual_system(system, invariant_state(form))
+    dual = dual_system(system, invariant_state(system))
     rep = verify_duality(dual)
-    cmp_ = compare_duals(dual, args.tol_spectral_set, form, args.tol_peripheral)
+    cmp_ = compare_duals(dual, args.tol_spectral_set, args.tol_peripheral)
     # completeness is the parameter isometry residual (verify_duality); the
     # dual generators are right multiplications, which commute with left
     # multiplication exactly (fcstates.modular); and compare_duals returns

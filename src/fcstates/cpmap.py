@@ -24,11 +24,13 @@ a real matrix, with the same eigenvalues and singular values as in vec
 coordinates because the change of basis B is unitary. :func:`real_form`
 computes B* M B by an index gather, each basis vector having at most two
 nonzero vec entries. The real matrix of sigma is :class:`RealTransfer`; that
-of sigma_* is its transpose. Fixed points, the invariant state, the
-peripheral spectrum and commutants are computed there in real arithmetic,
-and the subspaces they return have Hermitian bases. A complex matrix is
-stepped there as two real columns, its Hermitian and anti-Hermitian parts
-(:meth:`RealTransfer.pairings`).
+of sigma_* is its transpose. Each system holds its own, built on first use
+(:attr:`PopescuSystem.transfer <fcstates.popescu.PopescuSystem.transfer>`),
+and every stage here takes the system and reads that one map. Fixed
+points, the invariant state, the peripheral spectrum and commutants are
+computed there in real arithmetic, and the subspaces they return have
+Hermitian bases. A complex matrix is stepped there as two real columns,
+its Hermitian and anti-Hermitian parts (:meth:`RealTransfer.pairings`).
 
 Every spectral question needs only the eigenvalues on or near the unit
 circle, so each is answered by Rayleigh-Ritz on a p-dimensional invariant
@@ -58,7 +60,6 @@ __all__ = [
     "vec",
     "unvec",
     "real_form",
-    "Superoperator",
     "RealTransfer",
     "OperatorSubspace",
     "DensityState",
@@ -167,23 +168,13 @@ def real_form(m: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class Superoperator:
-    """An n^2 x n^2 matrix acting on column-stacked n x n matrices."""
-
-    matrix: np.ndarray
-    n: int
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(x), (self.n, self.n))
-
-
-def sigma_matrix(system: PopescuSystem) -> Superoperator:
-    """Forward transfer map X -> sum_i V_i X V_i* in matrix form.
+def sigma_matrix(system: PopescuSystem) -> np.ndarray:
+    """The n^2 x n^2 matrix of the forward transfer map X -> sum_i V_i X V_i*
+    in vec coordinates.
 
     It is unital to within the system's validation residual, which
     :func:`~fcstates.popescu.validate` decides when the system is built."""
-    return Superoperator(sum(np.kron(v.conj(), v) for v in system.operators), system.n)
+    return sum(np.kron(v.conj(), v) for v in system.operators)
 
 
 @dataclass(frozen=True)
@@ -191,23 +182,26 @@ class RealTransfer:
     """The forward map sigma of one system, in Hermitian coordinates.
 
     ``matrix[a, b] = trace(H_a sigma(H_b))`` for the Hermitian basis H, a
-    real n^2 x n^2 matrix; the predual sigma_* is its transpose. Build it
-    once per system with :func:`real_transfer` and pass it to the stages
-    (:func:`fixed_points`, :func:`invariant_state`,
-    :func:`peripheral_spectrum`) in place of the system. They read one
-    held object: the Ritz pair (X, S = X^T sigma X) of a certified
-    invariant subspace that holds the value 1 and every peripheral
-    eigenspace (:meth:`ritz_matrix`), so each of those is a kernel of the
-    p x p matrix S - t mapped by X. Only the fixed space of the predual
-    takes an n^2 x n^2 factorization, one LU solve (:meth:`fixed_kernels`).
+    real n^2 x n^2 matrix; the predual sigma_* is its transpose.
+    ``residual`` is the system's ||sum_i V_i V_i* - I||, which the
+    certificate of :meth:`ritz_matrix` reads. A system holds its own as
+    :attr:`PopescuSystem.transfer <fcstates.popescu.PopescuSystem.transfer>`,
+    and the stages (:func:`fixed_points`, :func:`invariant_state`,
+    :func:`peripheral_spectrum`) read one held object from it: the Ritz
+    pair (X, S = X^T sigma X) of a certified invariant subspace that holds
+    the value 1 and every peripheral eigenspace (:meth:`ritz_matrix`), so
+    each of those is a kernel of the p x p matrix S - t mapped by X. Only
+    the fixed space of the predual takes an n^2 x n^2 factorization, one LU
+    solve (:meth:`fixed_kernels`). The map holds no reference to its
+    system, so it is freed with it.
     """
 
-    system: PopescuSystem
     matrix: np.ndarray
+    residual: float
 
     @property
     def n(self) -> int:
-        return self.system.n
+        return isqrt(self.matrix.shape[0])
 
     def _sampled_basis(self) -> tuple[np.ndarray, np.ndarray, int] | None:
         """The orthonormalized P U_p of :meth:`ritz_matrix`, the power
@@ -258,7 +252,7 @@ class RealTransfer:
                 f"the sampled {basis.shape[1]}-dimensional peripheral subspace has "
                 f"invariance residual {drift / scale:.3e}, above {_RITZ_GAP:.0e}"
             )
-        n, unital = self.n, validate(self.system)
+        n, unital = self.n, self.residual
         if m * sqrt(n) * drift > 0.5 or m * unital > 1 / 16:
             raise NumericalHealthError(
                 f"no certificate at sigma^{m}: m sqrt(n) ||R||_F = {m * sqrt(n) * drift:.3e} "
@@ -417,12 +411,10 @@ class RealTransfer:
 
 
 def real_transfer(system: PopescuSystem) -> RealTransfer:
-    """sigma of the system as a real matrix in Hermitian coordinates."""
-    return RealTransfer(system, real_form(sigma_matrix(system).matrix))
-
-
-def _as_real_transfer(system: PopescuSystem | RealTransfer) -> RealTransfer:
-    return system if isinstance(system, RealTransfer) else real_transfer(system)
+    """sigma of the system as a real matrix in Hermitian coordinates, built
+    anew on each call; the stages read the one the system holds,
+    :attr:`PopescuSystem.transfer <fcstates.popescu.PopescuSystem.transfer>`."""
+    return RealTransfer(real_form(sigma_matrix(system)), validate(system))
 
 
 @dataclass(frozen=True)
@@ -520,9 +512,7 @@ class DensityState:
         return int(round(np.trace(self.support).real))
 
 
-def fixed_points(
-    system: PopescuSystem | RealTransfer, tol: float = DEFAULT_SUBSPACE_TOL
-) -> OperatorSubspace:
+def fixed_points(system: PopescuSystem, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace:
     """Orthonormal basis of {X : sigma(X) = X} of Hermitian matrices.
 
     The fixed set is *-closed and contains the commutant of the generators,
@@ -534,8 +524,7 @@ def fixed_points(
     where the certificate puts every eigenvalue inside the circle, is not
     counted.
     """
-    form = _as_real_transfer(system)
-    return OperatorSubspace.from_hermitian(form._fixed_basis(tol), form.n)
+    return OperatorSubspace.from_hermitian(system.transfer._fixed_basis(tol), system.n)
 
 
 def is_algebra(sub: OperatorSubspace, tol: float = DEFAULT_SUBSPACE_TOL) -> bool:
@@ -623,9 +612,7 @@ def generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:
     return commutant(commutant(generators, tol).basis, tol)
 
 
-def invariant_state(
-    system: PopescuSystem | RealTransfer, rho0: np.ndarray | None = None
-) -> DensityState:
+def invariant_state(system: PopescuSystem, rho0: np.ndarray | None = None) -> DensityState:
     """The sigma-invariant state reached from rho_0, as the exact Cesaro limit.
 
     The Cesaro mean of sigma_*^k(rho_0), from rho_0 = I/n or the given
@@ -652,8 +639,7 @@ def invariant_state(
     :class:`NumericalHealthError`, as does a state with
     ||sigma_*(rho) - rho||_F above :func:`invariance_bound`.
     """
-    form = _as_real_transfer(system)
-    n = form.n
+    form, n = system.transfer, system.n
     if rho0 is None:
         rho0 = np.eye(n) / n
     else:
@@ -664,9 +650,7 @@ def invariant_state(
         rho0 = rho0 / tr
     fixed, dual = form.fixed_kernels(DEFAULT_SUBSPACE_TOL)
     if not fixed.shape[1]:
-        raise _missing_one(
-            f"S - I has no kernel at threshold {DEFAULT_SUBSPACE_TOL:.1e}", form.system
-        )
+        raise _missing_one(f"S - I has no kernel at threshold {DEFAULT_SUBSPACE_TOL:.1e}", system)
     v = dual @ (fixed.T @ _to_hermitian(vec(rho0)))
     rho = unvec(_from_hermitian(v), (n, n))
     rho = 0.5 * (rho + rho.conj().T)
@@ -679,7 +663,7 @@ def invariant_state(
     rho = (vecs * (vals / vals.sum())[None, :]) @ vecs.conj().T
     h = _to_hermitian(vec(rho)).real
     resid = float(np.linalg.norm(form.matrix.T @ h - h))
-    gate = invariance_bound(form.system)
+    gate = invariance_bound(system)
     if resid > gate:
         raise NumericalHealthError(
             f"invariant state has residual {resid:.3e}, above its bound {gate:.3e}"
@@ -767,7 +751,7 @@ def _canonical_phase(x: np.ndarray) -> np.ndarray:
 
 
 def peripheral_spectrum(
-    system: PopescuSystem | RealTransfer,
+    system: PopescuSystem,
     tol: float = DEFAULT_PERIPHERAL_TOL,
     set_tol: float = DEFAULT_SET_TOL,
 ) -> list[PeripheralEigenvalue]:
@@ -798,12 +782,11 @@ def peripheral_spectrum(
     that misses the value 1, and raises as well. Results are sorted by
     phase angle starting at 1.
     """
-    form = _as_real_transfer(system)
-    n = form.n
-    basis, ritz = form.ritz_matrix(tol)
+    n = system.n
+    basis, ritz = system.transfer.ritz_matrix(tol)
     on_circle = [complex(z) for z in eig(ritz).eigenvalues if abs(1.0 - abs(z)) <= tol]
     if not on_circle:
-        raise _missing_one(f"no eigenvalue lies within {tol:.1e} of the unit circle", form.system)
+        raise _missing_one(f"no eigenvalue lies within {tol:.1e} of the unit circle", system)
     out = []
     clusters = value_clusters(on_circle, set_tol)
     one = min(clusters, key=lambda c: abs(c[0] - 1.0))[0]
@@ -831,7 +814,7 @@ def peripheral_spectrum(
 
 
 def peripheral_eigenunitary(
-    system: PopescuSystem | RealTransfer,
+    system: PopescuSystem,
     state: DensityState,
     t: complex,
     tol: float = DEFAULT_SUBSPACE_TOL,
@@ -842,25 +825,27 @@ def peripheral_eigenunitary(
     eigenvalue has a one-dimensional eigenspace spanned by a unitary, and
     that unitary scales the generators: U V_i U* = t V_i. Both facts are
     verified on the returned operator; failure signals a hypothesis
-    violation (e.g. a non-faithful state).
+    violation (e.g. a non-faithful state). The state must be invariant
+    within :func:`invariance_bound`, the bound that
+    :func:`invariant_state` gates.
 
     U is the operator that :func:`peripheral_spectrum`, at ``set_tol`` =
     ``tol``, reports for the value within ``tol`` of conj(t), rescaled: X
     times the kernel of the Ritz matrix S - conj(t), so no n^2 x n^2
     kernel is taken. The map is ergodic when the value 1 has multiplicity
-    1 there. Pass the transfer map when it is at hand: its certified Ritz
-    pair, from which every eigenspace is read, is held there.
+    1 there. The certified Ritz pair, from which every eigenspace is read,
+    is that of the map the system holds.
     """
     if abs(abs(t) - 1.0) > 1e-6:
         raise ValueError(f"t = {t} is not unimodular")
     if not state.faithful:
         raise ValueError("eigenunitary extraction requires a faithful invariant state")
-    form = _as_real_transfer(system)
-    system = form.system
-    inv_resid = invariance_residual(system, state.rho)
-    if inv_resid > max(tol, 1e-9):
-        raise ValueError(f"state is not invariant: residual {inv_resid:.3e}")
-    peri = peripheral_spectrum(form, set_tol=tol)
+    inv_resid, bound = invariance_residual(system, state.rho), invariance_bound(system)
+    if inv_resid > bound:
+        raise ValueError(
+            f"state is not invariant: residual {inv_resid:.3e}, above its bound {bound:.3e}"
+        )
+    peri = peripheral_spectrum(system, set_tol=tol)
     if peri[0].multiplicity != 1:
         raise ValueError("transfer map is not ergodic; eigenunitary is not unique")
     match = [p for p in peri if abs(p.value - np.conj(t)) <= tol]

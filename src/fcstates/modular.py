@@ -50,12 +50,10 @@ import numpy as np
 from .cpmap import (
     DEFAULT_PERIPHERAL_TOL,
     DensityState,
-    RealTransfer,
     fixed_points,
     invariance_bound,
     invariance_residual,
     peripheral_spectrum,
-    real_transfer,
 )
 from .errors import NumericalHealthError
 from .numerics import eig  # noqa: F401  (bound here for perfbench's span tracer)
@@ -252,7 +250,6 @@ class DualComparison:
 def compare_duals(
     dual: DualSystem,
     tol: float = 1e-8,
-    form: RealTransfer | None = None,
     tol_peripheral: float = DEFAULT_PERIPHERAL_TOL,
 ) -> DualComparison:
     """Ergodicity and peripheral-spectrum agreement of the dual pair, from
@@ -282,16 +279,13 @@ def compare_duals(
     a moved pair above the threshold here. When the function returns, the two agree on ergodicity and on
     the peripheral set, so no match flag is returned. As in
     :func:`~fcstates.classify.classify_chain`, ``tol_peripheral`` places a
-    value on the circle and ``tol`` is the set and kernel tolerance.
-    ``form`` is the transfer map of the dualized system when the caller
-    already holds it (with its certified Ritz pair); it is built otherwise.
+    value on the circle and ``tol`` is the set and kernel tolerance. The
+    spectrum and the fixed space are read on the transfer map that the
+    dualized system holds, with its certified Ritz pair, so a system whose
+    state was solved is not sampled again.
     """
-    if form is None:
-        form = real_transfer(dual.system)
-    elif form.system is not dual.system:
-        raise ValueError("form is not the transfer map of the dualized system")
-    peri = peripheral_spectrum(form, tol_peripheral, tol)
-    fixed = fixed_points(form, tol).basis
+    peri = peripheral_spectrum(dual.system, tol_peripheral, tol)
+    fixed = fixed_points(dual.system, tol).basis
     values = tuple(p.value for p in peri)
     lam = np.array(values + (1.0,) * len(fixed))[:, None, None]
     rs = dual.modular.phi_vector

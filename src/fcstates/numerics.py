@@ -8,9 +8,9 @@ ordering is not canonical, so sets are compared by an optimal matching in
 the complex plane).
 
 User inputs are coerced to complex by :func:`as_matrix`. The solvers
-:func:`eig`, :func:`kernel` and :func:`orthonormal_columns` keep a real
-input real, so real matrices, such as superoperators written in a basis of
-Hermitian matrices, are factored in real arithmetic.
+:func:`eig` and :func:`kernel` keep a real input real, so real matrices,
+such as superoperators written in a basis of Hermitian matrices, are
+factored in real arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "kernel",
     "herm_sqrt",
     "herm_inv_sqrt",
-    "orthonormal_columns",
     "spectral_sets_match",
     "distinct_values",
     "value_clusters",
@@ -164,25 +163,6 @@ def herm_inv_sqrt(rho, tol: float = 1e-10) -> np.ndarray:
             f"matrix is singular at tolerance {tol:.3e} (min eigenvalue {vals[0]:.3e})"
         )
     return (vecs / np.sqrt(vals)[None, :]) @ vecs.conj().T
-
-
-def orthonormal_columns(a, tol: float = 1e-10, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the column span of ``a``.
-
-    Directions with singular value at most ``tol * scale`` are discarded;
-    ``scale`` defaults to the largest singular value. Pass the natural scale
-    of the problem when ``a`` may consist entirely of roundoff noise (e.g.
-    residuals after projection), where a relative threshold keeps junk.
-    The basis is real when ``a`` is real.
-    """
-    a = _as_real_or_complex(a)
-    if a.shape[1] == 0:
-        return a.copy()
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if scale is None:
-        scale = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol * scale)) if scale > 0 else 0
-    return u[:, :rank]
 
 
 def spectral_sets_match(a, b, tol: float = 1e-8) -> bool:

@@ -41,8 +41,9 @@ class PopescuSystem:
 
     Construct through :meth:`from_operators`, which enforces the defining
     relation; the raw constructor is reserved for internal callers that have
-    already validated. The residual of the relation is computed once and
-    held (:attr:`residual`).
+    already validated. The residual of the relation and the real matrix of
+    the transfer map are each computed once and held (:attr:`residual`,
+    :attr:`transfer`).
     """
 
     operators: tuple[np.ndarray, ...]
@@ -83,6 +84,15 @@ class PopescuSystem:
         """||sum_i V_i V_i* - I||, the residual of the defining relation."""
         acc = sum(v @ v.conj().T for v in self.operators)
         return float(np.linalg.norm(acc - np.eye(self.n), 2))
+
+    @cached_property
+    def transfer(self):
+        """The transfer map sigma(X) = sum_i V_i X V_i* as a real matrix in
+        Hermitian coordinates (:class:`~fcstates.cpmap.RealTransfer`), with
+        its certified Ritz pair: every spectral stage reads this one map."""
+        from . import cpmap  # looked up per call, so a wrapper on real_transfer sees each build
+
+        return cpmap.real_transfer(self)
 
 
 def validate(system: PopescuSystem) -> float:

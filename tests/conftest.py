@@ -6,7 +6,7 @@ from scipy.linalg import block_diag
 
 import fcstates.cpmap
 from fcstates import PopescuSystem, peripheral_spectrum, random_system
-from fcstates.cpmap import OperatorSubspace, _to_hermitian, real_transfer, vec
+from fcstates.cpmap import OperatorSubspace, _to_hermitian, vec
 
 from oracles import (
     kernel_peripheral_spectrum,
@@ -64,10 +64,15 @@ def scalar_half() -> PopescuSystem:
     return scalar(1 / np.sqrt(2), 1 / np.sqrt(2))
 
 
-def record_transfer_factorizations(monkeypatch, *modules) -> list[tuple[str, int]]:
+def record_transfer_factorizations(monkeypatch) -> list[tuple[str, int]]:
     """Record (name, size) of every ``np.linalg`` svd, eig and solve of a
-    square matrix of the size n^2 of a real transfer matrix that the given
-    modules build, and ("real_transfer", n^2) for each build."""
+    square matrix of the size n^2 of a real transfer matrix built while
+    recording, and ("real_transfer", n^2) for each build.
+
+    Every build goes through ``fcstates.cpmap.real_transfer``, which
+    :attr:`PopescuSystem.transfer` looks up when a system first needs its
+    map, so only systems that have not built theirs yet are counted: run
+    the code under test on a system made in the test itself."""
     sizes, calls = set(), []
     build = fcstates.cpmap.real_transfer
 
@@ -87,8 +92,7 @@ def record_transfer_factorizations(monkeypatch, *modules) -> list[tuple[str, int
 
         return recording
 
-    for module in modules:
-        monkeypatch.setattr(module, "real_transfer", building, raising=False)
+    monkeypatch.setattr(fcstates.cpmap, "real_transfer", building)
     for name in ("svd", "eig", "solve"):
         monkeypatch.setattr(np.linalg, name, recorder(name))
     return calls
@@ -110,16 +114,17 @@ def record_kernels(monkeypatch) -> list[tuple[np.dtype, tuple[int, ...]]]:
 
 def assert_peripheral_spectrum_matches_kernel_oracle(system):
     """The peripheral spectrum against the dense-eig oracle
-    :func:`oracles.kernel_peripheral_spectrum`, on one transfer map."""
+    :func:`oracles.kernel_peripheral_spectrum`, on the system's one
+    transfer map."""
     # the library solves the Ritz matrix of a certified subspace and the
     # oracle the whole matrix, so a value may move by roundoff: 1e-12 is
     # 10^4 below set_tol. A simple value's eigenspace is a line, so the two
     # representatives agree; a kernel's first basis vector is not canonical,
     # so at a larger cluster the representative must lie in the oracle's
     # eigenspace, and the eigenspaces taken at the two values must agree
-    form = real_transfer(system)
-    got = peripheral_spectrum(form)
-    want = kernel_peripheral_spectrum(form)
+    form = system.transfer
+    got = peripheral_spectrum(system)
+    want = kernel_peripheral_spectrum(system)
     assert [p.multiplicity for p in got] == [q.multiplicity for q in want]
     assert all(q.multiplicity == q.algebraic for q in want)
     for p, q in zip(got, want):
@@ -140,9 +145,9 @@ def span_projector(basis: np.ndarray) -> np.ndarray:
     return q @ q.T
 
 
-def assert_fixed_kernels_match_svd_route(form, tol=1e-8, bound=1e-12):
-    """The fixed spaces and the certificate of one transfer map against the
-    routes they replace (``tests/oracles.py``).
+def assert_fixed_kernels_match_svd_route(system, tol=1e-8, bound=1e-12):
+    """The fixed spaces and the certificate of the system's transfer map
+    against the routes they replace (``tests/oracles.py``).
 
     F is orthonormal and H dual to it, F^T H = I; each spans the kernel that
     one full SVD of sigma - I gives, of the dimension that its singular
@@ -154,6 +159,7 @@ def assert_fixed_kernels_match_svd_route(form, tol=1e-8, bound=1e-12):
     route eps_mach / eps from the fixed spaces (1 BLAS thread). Where X is
     sampled, the squaring loop certifies it as well.
     """
+    form = system.transfer
     fixed, predual_fixed = form.fixed_kernels(tol)
     assert fixed.shape == predual_fixed.shape
     assert fixed.shape[1] == svd_fixed_dimension(form, tol)

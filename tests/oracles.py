@@ -70,8 +70,6 @@ from fcstates.cpmap import (
     DensityState,
     OperatorSubspace,
     RealTransfer,
-    Superoperator,
-    _as_real_transfer,
     _canonical_phase,
     _from_hermitian,
     fixed_points,
@@ -91,7 +89,6 @@ from fcstates.numerics import (
     herm_inv_sqrt,
     herm_sqrt,
     kernel,
-    orthonormal_columns,
     spectral_sets_match,
     value_clusters,
 )
@@ -100,7 +97,32 @@ from fcstates.modular import DualSystem
 from fcstates.popescu import PopescuSystem, compress, v_word, words_up_to
 
 
-def predual_matrix(system: PopescuSystem) -> Superoperator:
+def apply_map(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 matrix ``m`` of a map in vec coordinates, applied to
+    the n x n matrix ``x``."""
+    return unvec(m @ vec(x), x.shape)
+
+
+def orthonormal_columns(a, tol: float = 1e-10, scale: float | None = None) -> np.ndarray:
+    """Orthonormal basis (columns) of the column span of ``a``.
+
+    Directions with singular value at most ``tol * scale`` are discarded;
+    ``scale`` defaults to the largest singular value. Pass the natural scale
+    of the problem when ``a`` may consist entirely of roundoff noise (e.g.
+    residuals after projection), where a relative threshold keeps junk.
+    The basis is real when ``a`` is real.
+    """
+    a = np.asarray(a)
+    if a.shape[1] == 0:
+        return a.copy()
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    if scale is None:
+        scale = float(s[0]) if s.size else 0.0
+    rank = int(np.sum(s > tol * scale)) if scale > 0 else 0
+    return u[:, :rank]
+
+
+def predual_matrix(system: PopescuSystem) -> np.ndarray:
     """Predual map rho -> sum_i V_i* rho V_i in matrix form (trace preserving)."""
     m = sum(np.kron(v.T, v.conj().T) for v in system.operators)
     # trace preservation: trace(rho) = <vec(I), vec(rho)>, so vec(I) must be
@@ -108,7 +130,7 @@ def predual_matrix(system: PopescuSystem) -> Superoperator:
     i_vec = vec(np.eye(system.n))
     if np.linalg.norm(m.conj().T @ i_vec - i_vec) > 1e-10 * system.n:
         raise NumericalHealthError("predual superoperator is not trace-preserving")
-    return Superoperator(m, system.n)
+    return m
 
 
 def e_map(system: PopescuSystem, a) -> np.ndarray:
@@ -149,7 +171,7 @@ def padded_product(x, y, shift: int, d: int) -> list[np.ndarray]:
 
 def vec_fixed_points(system: PopescuSystem, tol: float = 1e-8) -> OperatorSubspace:
     """Kernel of sigma - I in vec coordinates (complex arithmetic)."""
-    m = sigma_matrix(system).matrix
+    m = sigma_matrix(system)
     null = kernel(m - np.eye(system.n**2), tol, scale=1.0)
     return OperatorSubspace.from_vectors(null, (system.n, system.n))
 
@@ -183,8 +205,8 @@ def vec_invariant_state(system: PopescuSystem, tol: float = 1e-8) -> DensityStat
     """
     n = system.n
     eye = np.eye(n * n)
-    right = kernel(predual_matrix(system).matrix - eye, tol, scale=1.0)
-    left = kernel(sigma_matrix(system).matrix - eye, tol, scale=1.0)
+    right = kernel(predual_matrix(system) - eye, tol, scale=1.0)
+    left = kernel(sigma_matrix(system) - eye, tol, scale=1.0)
     v = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ vec(np.eye(n) / n))
     rho = unvec(v, (n, n))
     rho = 0.5 * (rho + rho.conj().T)
@@ -284,7 +306,7 @@ class OraclePeripheralValue:
 
 
 def kernel_peripheral_spectrum(
-    system: PopescuSystem | RealTransfer,
+    system: PopescuSystem,
     tol: float = DEFAULT_PERIPHERAL_TOL,
     set_tol: float = DEFAULT_SET_TOL,
 ) -> list[OraclePeripheralValue]:
@@ -292,9 +314,9 @@ def kernel_peripheral_spectrum(
     ``set_tol`` for every value off 1, whatever its cluster size; the value
     1 reads the fixed kernels. A kernel that misses its value reports
     geometric multiplicity 0 with eig's eigenvector as the operator, and
-    nothing is raised on a mismatch."""
-    form = _as_real_transfer(system)
-    n = form.n
+    nothing is raised on a mismatch. Only the matrix of the system's
+    transfer map is read, not its Ritz pair."""
+    form, n = system.transfer, system.n
     dec = eig(form.matrix)
     on_circle = [complex(z) for z in dec.eigenvalues if abs(1.0 - abs(z)) <= tol]
     out = []
@@ -331,7 +353,7 @@ def kernel_eigenunitary(
     if invariance_residual(system, state.rho) > max(tol, 1e-9):
         raise ValueError("state is not invariant")
     form = real_transfer(system)
-    if fixed_points(form).dim != 1:
+    if fixed_points(system).dim != 1:
         raise ValueError("transfer map is not ergodic; eigenunitary is not unique")
     space = kernel(shifted(form, np.conj(t)), tol, scale=1.0)
     if space.shape[1] == 0:
@@ -392,7 +414,7 @@ def commutant_chain_verdicts(
     if not hyp.all_met():
         return hyp, HYPOTHESES_NOT_MET, None
     q = algebra.to_columns()
-    vals = np.linalg.eigvals(q.conj().T @ sigma_matrix(system).matrix @ q)
+    vals = np.linalg.eigvals(q.conj().T @ sigma_matrix(system) @ q)
     peri = distinct_values([z for z in vals if abs(1.0 - abs(z)) <= tol_peripheral], tol)
     pure = spectral_sets_match(peri, [1.0], tol)
     return hyp, pure, pure

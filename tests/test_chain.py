@@ -11,8 +11,8 @@ from fcstates import (
     fixed_points,
     generated_algebra,
     invariant_state,
+    peripheral_eigenunitary,
     random_system,
-    real_transfer,
     sigma_matrix,
     two_point,
     v_word,
@@ -29,8 +29,8 @@ def obs(*factors, start=1):
 
 def test_e_map_identity_is_transfer(swap2):
     sys_ = random_system(2, 3, 5)
-    assert np.allclose(e_map(sys_, np.eye(2)), sigma_matrix(sys_).matrix, atol=1e-12)
-    assert np.allclose(e_map(swap2, np.eye(2)), sigma_matrix(swap2).matrix, atol=1e-14)
+    assert np.allclose(e_map(sys_, np.eye(2)), sigma_matrix(sys_), atol=1e-12)
+    assert np.allclose(e_map(swap2, np.eye(2)), sigma_matrix(swap2), atol=1e-14)
 
 
 def test_e_map_matrix_units():
@@ -76,7 +76,7 @@ def _assert_chain_matches_dense_oracle(system, state, x, y, gap):
     shifted = dense_expectation(system, rho, padded_product(x.factors, y.factors, x.width + gap, d))
     assert abs(two_point(system, state, x, y, gap) - shifted) <= 1e-12
     n_max = x.width + gap
-    rep = clustering_defect(real_transfer(system), state, x, y, n_max=n_max)
+    rep = clustering_defect(system, state, x, y, n_max=n_max)
     oracle = [
         abs(dense_expectation(system, rho, padded_product(x.factors, y.factors, n, d)) - ex * ey)
         for n in range(n_max + 1)
@@ -94,19 +94,20 @@ def test_chain_matches_dense_oracle(known_system):
 
 
 def test_chain_layer_makes_no_kron_call(monkeypatch):
+    # the state builds the system's transfer map (a Kronecker sum) before
+    # the patch; every evaluation after it steps that held map
     sys_ = random_system(2, 5, 41)
-    form = real_transfer(sys_)
-    state = invariant_state(form)
+    state = invariant_state(sys_)
     x, y = obs(eij(0, 1, 2), np.eye(2)), obs(eij(1, 1, 2))
-    expected = two_point(form, state, x, y, gap=4)
+    expected = two_point(sys_, state, x, y, gap=4)
 
     def no_kron(*args, **kwargs):
         raise AssertionError("np.kron called")
 
     monkeypatch.setattr(np, "kron", no_kron)
     ex, ey = expectation(sys_, state, x), expectation(sys_, state, y)
-    assert two_point(form, state, x, y, gap=4) == expected
-    rep = clustering_defect(form, state, x, y, n_max=20)
+    assert two_point(sys_, state, x, y, gap=4) == expected
+    rep = clustering_defect(sys_, state, x, y, n_max=20)
     assert abs(rep.defects[6] - abs(expected - ex * ey)) <= 1e-14
 
 
@@ -145,6 +146,27 @@ def test_expectation_rejects_non_invariant(swap2):
     bad = DensityState.from_matrix(np.diag([0.9, 0.1]))
     with pytest.raises(ValueError):
         expectation(swap2, bad, obs(eij(0, 0, 2)))
+
+
+def test_chain_and_eigenunitary_gate_invariance_by_the_states_bound(swap2):
+    # sigma_* swaps the diagonal, so diag(1/2 + e, 1/2 - e) has residual
+    # 2e = 5.0e-9: below the fixed 1e-8 that the chain layer used to allow,
+    # and far above invariance_bound = 1e-10 n + r = 2e-10 (r = 0 here),
+    # the bound that invariant_state gates and every stage now shares
+    from fcstates.cpmap import DensityState, invariance_bound, invariance_residual
+
+    near = DensityState.from_matrix(np.diag([0.5 + 2.5e-9, 0.5 - 2.5e-9]))
+    assert invariance_residual(swap2, near.rho) == pytest.approx(5e-9, rel=1e-6)
+    assert invariance_bound(swap2) == pytest.approx(2e-10)
+    x = obs(eij(0, 0, 2))
+    for call in (
+        lambda: expectation(swap2, near, x),
+        lambda: two_point(swap2, near, x, x, gap=1),
+        lambda: clustering_defect(swap2, near, x, x, n_max=3),
+        lambda: peripheral_eigenunitary(swap2, near, -1.0),
+    ):
+        with pytest.raises(ValueError, match="not invariant.*above its bound 2.000e-10"):
+            call()
 
 
 def test_expectation_normalization_and_translation():

@@ -20,7 +20,7 @@ from fcstates import (
     spectral_sets_match,
 )
 from fcstates.classify import HYPOTHESES_NOT_MET
-from fcstates.cpmap import OperatorSubspace, real_transfer
+from fcstates.cpmap import OperatorSubspace
 from fcstates.popescu import compress
 from fcstates.cli import main, report_to_json, system_to_json
 
@@ -256,9 +256,9 @@ def test_permutative_cycles_have_gauge_order_their_length(big_n, cycle, system):
 @pytest.mark.parametrize("big_n, start", NILPOTENT_GAPS, ids=[f"N={a}:{b}" for a, b in NILPOTENT_GAPS])
 def test_a_gap_made_by_a_nilpotent_part_is_squared_past(big_n, start):
     (system,) = [system for cycle, system in permutative_cycles(big_n) if cycle[0] == start]
-    form = real_transfer(system)
+    form = system.transfer
     assert np.linalg.matrix_rank(form.matrix) < form.matrix.shape[0]
-    assert_fixed_kernels_match_svd_route(form)
+    assert_fixed_kernels_match_svd_route(system)
     assert_peripheral_spectrum_matches_kernel_oracle(system)
 
 
@@ -282,14 +282,15 @@ def _compressed_kernel_past_the_boundary(monkeypatch, system):
     # (sigma = sigma_W (x) id on M_3 (x) M_2); returns the dimensions read
     original, read = fcstates.classify.fixed_points, []
 
-    def at_boundary(form, tol):
-        if form.n < system.n:
+    def at_boundary(compressed, tol):
+        if compressed.n < system.n:
+            form = compressed.transfer
             s = np.linalg.svd(shifted(form, 1.0), compute_uv=False)
             tol = 2.0 * s[-1 - np.sum(s <= tol)]
             fixed = OperatorSubspace.from_hermitian(svd_fixed_kernels(form, tol)[0], form.n)
             read.append(fixed.dim)
             return fixed
-        return original(form, tol)
+        return original(compressed, tol)
 
     monkeypatch.setattr(fcstates.classify, "fixed_points", at_boundary)
     return read
@@ -300,9 +301,9 @@ def _compressed_kernel_short_of_the_boundary(monkeypatch, system):
     # kernel threshold that falls among its near-zero singular values reads it
     original = fcstates.classify.fixed_points
 
-    def at_boundary(form, tol):
-        fixed = original(form, tol)
-        if form.n < system.n:
+    def at_boundary(compressed, tol):
+        fixed = original(compressed, tol)
+        if compressed.n < system.n:
             return OperatorSubspace(fixed.basis[:-1], fixed.shape)
         return fixed
 
@@ -510,7 +511,7 @@ def test_fixed_kernels_match_svd_route_on_families(name, make):
     # worst gap 4.7e-15, and 3.3e-11 at pauli_channel(1e-6), whose second
     # singular value 1e-6 leaves the SVD oracles that far from every route
     bound = 1e-9 if name == "pauli_channel(1e-6)" else 1e-12
-    assert_fixed_kernels_match_svd_route(real_transfer(make()), bound=bound)
+    assert_fixed_kernels_match_svd_route(make(), bound=bound)
 
 
 @pytest.mark.parametrize("make", ORACLE_FAMILIES.values(), ids=ORACLE_FAMILIES.keys())
@@ -657,7 +658,7 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     for name in ("sigma_matrix", "commutant", "eig"):
         monkeypatch.setattr(fcstates.cpmap, name, counted(fcstates.cpmap, name))
     kernels = record_kernels(monkeypatch)
-    counts["factorizations"] = record_transfer_factorizations(monkeypatch, fcstates.classify)
+    counts["factorizations"] = record_transfer_factorizations(monkeypatch)
     classify_chain(make())
     counts["kernel"] = len(kernels)
     assert counts == calls

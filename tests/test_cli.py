@@ -339,9 +339,8 @@ def test_cluster_builds_one_transfer_matrix(capsys, monkeypatch, swap_path):
         sigmas.append(len(forms))
         return sigma(system)
 
-    for module in (fcstates.cli, fcstates.cpmap, fcstates.chain):
-        monkeypatch.setattr(module, "real_transfer", building, raising=False)
-        monkeypatch.setattr(module, "sigma_matrix", counting, raising=False)
+    monkeypatch.setattr(fcstates.cpmap, "real_transfer", building)
+    monkeypatch.setattr(fcstates.cpmap, "sigma_matrix", counting)
     spec = json.dumps({"start_site": 1, "factors": [matrix_to_json(eij(0, 0, 2))]})
     assert main(["cluster", swap_path, spec, spec, "--n-max", "12"]) == 0
     assert len(forms) == 1
@@ -355,9 +354,7 @@ def test_ergodic_state_takes_one_solve(monkeypatch, tmp_path, command):
     # n^2 x n^2 matrix; its fixed space is the kernel of the 1 x 1 Ritz
     # matrix S - I, and no other n^2 x n^2 matrix is factored
     path = write_system(tmp_path, fcstates.random_system(2, 6, 5))
-    calls = record_transfer_factorizations(
-        monkeypatch, fcstates.cli, fcstates.cpmap, fcstates.chain
-    )
+    calls = record_transfer_factorizations(monkeypatch)
     spec = json.dumps({"start_site": 1, "factors": [matrix_to_json(eij(0, 1, 2))]})
     args = [spec] if command == "chain-eval" else [spec, spec, "--n-max", "12"]
     assert main([command, path, *args]) == 0
@@ -414,9 +411,8 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
         forms.append(system)
         return build(system)
 
-    for module in (fcstates.cli, fcstates.cpmap):
-        monkeypatch.setattr(module, "real_transfer", building, raising=False)
-    factored = record_transfer_factorizations(monkeypatch, fcstates.cli, fcstates.cpmap)
+    monkeypatch.setattr(fcstates.cpmap, "real_transfer", building)
+    factored = record_transfer_factorizations(monkeypatch)
     eig = fcstates.numerics.eig
 
     def solving(*args, **kwargs):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from fcstates import (
     EigenDecomposition,
     NumericalHealthError,
     PopescuSystem,
+    classify_chain,
     coinvariance_check,
     commutant,
     compress,
@@ -53,6 +57,7 @@ from conftest import (
     span_projector,
 )
 from oracles import (
+    apply_map,
     bordered_ergodic_kernels,
     frontier_generated_algebra,
     kernel_eigenunitary,
@@ -83,42 +88,42 @@ def test_vec_convention():
 
 def test_sigma_on_matrix_units_swap(swap2):
     sop = sigma_matrix(swap2)
-    assert np.allclose(sop.apply(eij(0, 0, 2)), eij(1, 1, 2))
-    assert np.allclose(sop.apply(eij(1, 1, 2)), eij(0, 0, 2))
-    assert np.linalg.norm(sop.apply(eij(0, 1, 2))) < 1e-14
-    assert np.linalg.norm(sop.apply(eij(1, 0, 2))) < 1e-14
+    assert np.allclose(apply_map(sop, eij(0, 0, 2)), eij(1, 1, 2))
+    assert np.allclose(apply_map(sop, eij(1, 1, 2)), eij(0, 0, 2))
+    assert np.linalg.norm(apply_map(sop, eij(0, 1, 2))) < 1e-14
+    assert np.linalg.norm(apply_map(sop, eij(1, 0, 2))) < 1e-14
 
 
 def test_sigma_rank_one_action(rank_one2):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.allclose(sigma_matrix(rank_one2).apply(x), x[0, 0] * np.eye(2))
+    assert np.allclose(apply_map(sigma_matrix(rank_one2), x), x[0, 0] * np.eye(2))
 
 
 def test_sigma_averaging_action(averaging3):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     expected = np.diag([x[0, 0], x[1, 1], 0.5 * (x[0, 0] + x[1, 1])])
-    assert np.linalg.norm(sigma_matrix(averaging3).apply(x) - expected) <= 1e-12
+    assert np.linalg.norm(apply_map(sigma_matrix(averaging3), x) - expected) <= 1e-12
 
 
 def test_unitality_random_systems():
     for seed in range(6):
         sys_ = random_system(3, 3, seed)
         sop = sigma_matrix(sys_)
-        assert np.linalg.norm(sop.apply(np.eye(3)) - np.eye(3), 2) <= 1e-10
+        assert np.linalg.norm(apply_map(sop, np.eye(3)) - np.eye(3), 2) <= 1e-10
 
 
 def test_predual_trace_pairing():
     rng = np.random.default_rng(3)
     sys_ = random_system(2, 3, 23)
     sig, pre = sigma_matrix(sys_), predual_matrix(sys_)
-    assert np.allclose(pre.matrix, sig.matrix.conj().T, atol=1e-12)
+    assert np.allclose(pre, sig.conj().T, atol=1e-12)
     for _ in range(5):
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lhs = np.trace(sig.apply(x).conj().T @ rho)
-        rhs = np.trace(x.conj().T @ pre.apply(rho))
+        lhs = np.trace(apply_map(sig, x).conj().T @ rho)
+        rhs = np.trace(x.conj().T @ apply_map(pre, rho))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -127,7 +132,7 @@ def test_predual_trace_preserving():
     pre = predual_matrix(sys_)
     rng = np.random.default_rng(4)
     rho = random_psd(rng, 4)
-    assert abs(np.trace(pre.apply(rho)) - np.trace(rho)) <= 1e-10
+    assert abs(np.trace(apply_map(pre, rho)) - np.trace(rho)) <= 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +147,7 @@ def test_hermitian_basis_is_orthonormal_and_real_form_is_its_product():
     assert np.allclose(basis.hermitian_columns(), np.eye(n * n), rtol=0.0, atol=1e-15)
     # the index gather equals the dense change of basis B* M B
     b = basis.to_columns()
-    m = sigma_matrix(random_system(3, n, 5)).matrix
+    m = sigma_matrix(random_system(3, n, 5))
     dense = b.conj().T @ m @ b
     assert np.linalg.norm(dense.imag) <= 1e-14
     assert np.linalg.norm(real_form(m) - dense.real) <= 1e-14
@@ -157,10 +162,10 @@ def _all_matrices(n: int) -> OperatorSubspace:
 
 def test_real_forms_match_vec_oracles(known_system):
     n, ops = known_system.n, known_system.operators
-    sig = sigma_matrix(known_system).matrix
+    sig = sigma_matrix(known_system)
     sig_r = real_transfer(known_system).matrix
     assert sig_r.dtype == np.float64
-    assert np.linalg.norm(real_form(predual_matrix(known_system).matrix) - sig_r.T) <= 1e-14
+    assert np.linalg.norm(real_form(predual_matrix(known_system)) - sig_r.T) <= 1e-14
 
     def svals(m):
         return np.linalg.svd(m, compute_uv=False)
@@ -217,7 +222,7 @@ def test_commutant_inside_fixed_points():
         sys_ = random_system(2, 4, seed)
         sop = sigma_matrix(sys_)
         for b in commutant(sys_.operators).basis:
-            assert np.linalg.norm(sop.apply(b) - b) <= 1e-9
+            assert np.linalg.norm(apply_map(sop, b) - b) <= 1e-9
 
 
 def test_fixed_algebra_iff_commutant():
@@ -270,9 +275,39 @@ def _projector(sub: OperatorSubspace) -> np.ndarray:
     return q @ q.conj().T
 
 
+def test_the_stages_read_one_transfer_map_per_system(monkeypatch):
+    # the fixed space, the state and the peripheral spectrum of one system
+    # read the map it holds, built on the first of them
+    calls = record_transfer_factorizations(monkeypatch)
+    system = random_system(2, 4, 5)
+    fixed_points(system)
+    invariant_state(system)
+    peripheral_spectrum(system)
+    assert system.transfer is system.transfer
+    assert [call for call in calls if call[0] == "real_transfer"] == [("real_transfer", 16)]
+
+
+def test_a_system_and_its_transfer_map_are_freed_together():
+    # the map holds no reference to its system, so no reference cycle keeps
+    # either alive: with the cycle collector off, both go on del, also after
+    # a classification that compresses (the map is neither ergodic nor
+    # faithful) and builds a second map on the compression
+    system = ancilla(nonfaithful(2, 3, 2, 22), 2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        classify_chain(system)
+        refs = weakref.ref(system), weakref.ref(system.transfer)
+        del system
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_fixed_kernels_match_separate_kernels(known_system):
     n = known_system.n
-    form = real_transfer(known_system)
+    form = known_system.transfer
     fixed, predual_fixed = form.fixed_kernels(1e-8)
     assert fixed.shape == predual_fixed.shape
     separate = kernel(form.matrix.T - np.eye(n * n), 1e-8, scale=1.0)
@@ -280,10 +315,10 @@ def test_fixed_kernels_match_separate_kernels(known_system):
     gap = span_projector(predual_fixed) - separate @ separate.T
     assert np.linalg.norm(gap, 2) <= 1e-12
     oracle = _projector(vec_fixed_points(known_system))
-    assert np.linalg.norm(_projector(fixed_points(form)) - oracle, 2) <= 1e-12
-    state = invariant_state(form)
+    assert np.linalg.norm(_projector(fixed_points(known_system)) - oracle, 2) <= 1e-12
+    state = invariant_state(known_system)
     assert np.linalg.norm(state.rho - vec_invariant_state(known_system).rho, 2) <= 1e-12
-    assert_fixed_kernels_match_svd_route(form)
+    assert_fixed_kernels_match_svd_route(known_system)
     if fixed.shape[1] == 1:
         assert np.linalg.norm(state.rho - svd_invariant_state(form).rho, 2) <= 1e-12
 
@@ -313,10 +348,10 @@ def test_ritz_kernels_match_the_closed_form_on_ergodic_families(monkeypatch, nam
     # except pauli_channel(1e-6), whose second singular value 1e-6 leaves
     # the SVD oracles 3.3e-11 from every route
     system = make()
-    calls = record_transfer_factorizations(monkeypatch, fcstates.cpmap)
-    form = fcstates.cpmap.real_transfer(system)
+    calls = record_transfer_factorizations(monkeypatch)
+    form = system.transfer
     fixed, predual_fixed = form.fixed_kernels(1e-8)
-    state = invariant_state(form)
+    state = invariant_state(system)
     whole = form.ritz_matrix(1e-9)[0].shape[1] == form.n**2
     monkeypatch.undo()
     # one solve of the bordered n^2 x n^2 matrix per call of fixed_kernels,
@@ -328,7 +363,7 @@ def test_ritz_kernels_match_the_closed_form_on_ergodic_families(monkeypatch, nam
     assert fixed.shape == predual_fixed.shape == (form.n**2, 1)
     assert np.linalg.norm(fixed @ fixed.T - e @ e.T, 2) <= bound
     assert np.linalg.norm(span_projector(predual_fixed) - h @ h.T, 2) <= bound
-    assert_fixed_kernels_match_svd_route(form, bound=bound)
+    assert_fixed_kernels_match_svd_route(system, bound=bound)
     assert np.linalg.norm(state.rho - svd_invariant_state(form).rho, 2) <= bound
 
 
@@ -374,13 +409,13 @@ def test_a_threshold_above_the_second_singular_value_counts_only_ritz_directions
 def test_threshold_below_the_smallest_singular_value_aborts():
     # no fixed point is kept, while eig puts the value 1 on the circle; the
     # singular value is that of the 1 x 1 matrix S - I, roundoff
-    form = real_transfer(random_system(2, 4, 1))
-    ritz = form.ritz_matrix(1e-9)[1]
+    system = random_system(2, 4, 1)
+    ritz = system.transfer.ritz_matrix(1e-9)[1]
     smallest = np.linalg.svd(ritz - np.eye(ritz.shape[0]), compute_uv=False)[-1]
     assert smallest > 0
-    assert form.fixed_kernels(0.5 * smallest)[1].shape[1] == 0
+    assert system.transfer.fixed_kernels(0.5 * smallest)[1].shape[1] == 0
     with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
-        peripheral_spectrum(form, set_tol=0.5 * smallest)
+        peripheral_spectrum(system, set_tol=0.5 * smallest)
 
 
 @pytest.mark.parametrize(
@@ -397,11 +432,10 @@ def test_fixed_points_and_state_match_oracles(make, bound):
     # mixers, where the gap eps leaves the SVD oracle itself eps_mach / eps
     # from the fixed space (1 BLAS thread)
     system = make()
-    form = real_transfer(system)
-    assert_fixed_kernels_match_svd_route(form, bound=bound)
+    assert_fixed_kernels_match_svd_route(system, bound=bound)
     oracle = _projector(vec_fixed_points(system))
-    assert np.linalg.norm(_projector(fixed_points(form)) - oracle, 2) <= bound
-    state = invariant_state(form)
+    assert np.linalg.norm(_projector(fixed_points(system)) - oracle, 2) <= bound
+    state = invariant_state(system)
     assert np.linalg.norm(state.rho - vec_invariant_state(system).rho, 2) <= bound
     assert invariance_residual(system, state.rho) <= 1e-14
 
@@ -429,7 +463,7 @@ def test_generated_algebra_matches_frontier_oracle(known_system):
 
 def predual_fixed_dim(system) -> int:
     """Dimension of the kernel of sigma_* - I in vec coordinates."""
-    m = predual_matrix(system).matrix
+    m = predual_matrix(system)
     return kernel(m - np.eye(m.shape[0]), 1e-8, scale=1.0).shape[1]
 
 
@@ -686,9 +720,8 @@ def test_eigenunitary_matches_kernel_oracle(monkeypatch, make, t):
     state = invariant_state(system)
     want = kernel_eigenunitary(system, state, t)
     kernels = record_kernels(monkeypatch)
-    form = real_transfer(system)
-    got = peripheral_eigenunitary(form, state, t)
-    p = form.ritz_matrix(1e-9)[0].shape[1]
+    got = peripheral_eigenunitary(system, state, t)
+    p = system.transfer.ritz_matrix(1e-9)[0].shape[1]
     assert p < system.n**2
     assert [shape for _, shape in kernels] == [(p, p)] * p
     assert np.linalg.norm(got - want, 2) <= 1e-8
@@ -711,7 +744,7 @@ def test_eigenunitary_rejects_a_map_that_is_not_ergodic():
 # ----------------------------------------------------------------------
 
 def _ritz_dimension(system) -> int:
-    return real_transfer(system).ritz_matrix(1e-9)[0].shape[1]
+    return system.transfer.ritz_matrix(1e-9)[0].shape[1]
 
 
 def test_ritz_sample_widens_past_its_first_block():
@@ -746,7 +779,7 @@ def test_ritz_subspace_is_everything_when_every_value_is_on_the_circle(monkeypat
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(fcstates.cpmap, "eig", recording)
-    form = real_transfer(system)
+    form = system.transfer
     basis, ritz = form.ritz_matrix(1e-9)
     assert np.array_equal(basis, np.eye(9)) and ritz is form.matrix
     assert_peripheral_spectrum_matches_kernel_oracle(system)
@@ -770,7 +803,9 @@ def test_ritz_sample_squares_through_slow_mixing(eps):
 
 def _sampled(monkeypatch, basis, squarings):
     # the sampling returns the given basis with the power P = sigma^m,
-    # m = 2^squarings, from which the certificate is read
+    # m = 2^squarings, from which the certificate is read; only a map built
+    # after the patch samples this way, so each use takes a new system
+    # object (PopescuSystem(system.operators)), which builds its own
     def sampled(form):
         power = form.matrix
         for _ in range(squarings):
@@ -794,22 +829,22 @@ def test_a_certificate_that_cannot_close_aborts(monkeypatch):
     system = block_shift(3, 2, 2, 64)
     for squarings in (0, 7, 20):
         _sampled(monkeypatch, _identity_direction(system.n), squarings)
-        form = real_transfer(system)
-        assert form._dominant_subspace[2] >= np.sqrt(2)
+        sampled = PopescuSystem(system.operators)
+        assert sampled.transfer._dominant_subspace[2] >= np.sqrt(2)
         for stage in (fixed_points, invariant_state):
             with pytest.raises(NumericalHealthError, match="fixed space of sigma is not certified"):
-                stage(form)
+                stage(sampled)
         with pytest.raises(NumericalHealthError, match=r"not certified below 1 - 1\.0e-09"):
-            peripheral_spectrum(form)
+            peripheral_spectrum(sampled)
         with pytest.raises(NumericalHealthError, match=r"not certified below 1 - 1\.0e-06"):
-            peripheral_spectrum(form, tol=1e-6)
+            peripheral_spectrum(sampled, tol=1e-6)
     # the squaring loop that the certificate replaces fails as well
-    assert squared_certificate(form, _identity_direction(system.n), 1e-9) is None
+    assert squared_certificate(sampled.transfer, _identity_direction(system.n), 1e-9) is None
     # tol = 0 leaves no room below 1, and at tol = 1/2 the peripheral set
     # would reach eigenvalues of modulus 1/2
     for tol in (0.0, 0.5):
         with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\)"):
-            peripheral_spectrum(form, tol=tol)
+            peripheral_spectrum(sampled, tol=tol)
 
 
 @pytest.mark.parametrize("squarings, closes", [(2, False), (3, True), (4, True), (5, True)])
@@ -819,21 +854,22 @@ def test_the_certificate_bounds_every_other_eigenvalue(monkeypatch, squarings, c
     # 0.0018, and c^(1/m) = 1.006, 0.880, 0.838 and 0.821 against the
     # second modulus 0.809 of the dense eig
     system = random_system(2, 4, 5)
-    basis = real_transfer(system)._dominant_subspace[0]
+    basis = system.transfer._dominant_subspace[0]
     _sampled(monkeypatch, basis, squarings)
-    form = real_transfer(system)
+    sampled = PopescuSystem(system.operators)
+    form = sampled.transfer
     _, _, certificate, m = form._dominant_subspace
     assert (certificate < 1.0) is closes
     if not closes:
         for stage in (fixed_points, invariant_state):
             with pytest.raises(NumericalHealthError, match="fixed space of sigma is not certified"):
-                stage(form)
+                stage(sampled)
         return
     bound = certificate ** (1.0 / m)
     assert np.sort(np.abs(np.linalg.eigvals(form.matrix)))[-2] <= bound < 0.9
     # c < 1 certifies the fixed space; the peripheral set needs
     # c^(1/m) < 1 - tol
-    assert fixed_points(form).dim == 1
+    assert fixed_points(sampled).dim == 1
     assert form.ritz_matrix(0.99 * (1.0 - bound))[0] is basis
     with pytest.raises(NumericalHealthError, match="not certified below"):
         form.ritz_matrix(1.01 * (1.0 - bound))
@@ -843,7 +879,7 @@ def test_a_certificate_whose_drift_bound_fails_aborts(monkeypatch):
     # the drift bound 2 m n ||R||_F on ||sigma^m - A^m|| needs
     # m sqrt(n) ||R||_F <= 1/2 and m ||sum_i V_i V_i* - I|| <= 1/16
     system = random_system(2, 4, 5)
-    basis = real_transfer(system)._dominant_subspace[0]
+    basis = system.transfer._dominant_subspace[0]
     w = np.random.default_rng(7).standard_normal(basis.shape)
     w -= basis @ (basis.T @ w)
     moved = basis + 1e-12 * w / np.linalg.norm(w)
@@ -851,18 +887,18 @@ def test_a_certificate_whose_drift_bound_fails_aborts(monkeypatch):
     # an invariance residual of about 1e-12 passes the gate at 1e-10 and
     # the bound at m = 2^30, and fails it at m = 2^40
     _sampled(monkeypatch, moved, 30)
-    assert fixed_points(real_transfer(system)).dim == 1
+    assert fixed_points(PopescuSystem(system.operators)).dim == 1
     _sampled(monkeypatch, moved, 40)
     with pytest.raises(NumericalHealthError, match=r"no certificate at sigma\^1099511627776"):
-        fixed_points(real_transfer(system))
+        fixed_points(PopescuSystem(system.operators))
     # a system unital to 9e-10 passes at m = 2^25 (m r = 0.03) and fails
     # at m = 2^27 (m r = 0.12)
-    scaled = PopescuSystem(tuple(v * np.sqrt(1 + 9e-10) for v in system.operators))
+    scaled = tuple(v * np.sqrt(1 + 9e-10) for v in system.operators)
     _sampled(monkeypatch, basis, 25)
-    assert fixed_points(real_transfer(scaled)).dim == 1
+    assert fixed_points(PopescuSystem(scaled)).dim == 1
     _sampled(monkeypatch, basis, 27)
     with pytest.raises(NumericalHealthError, match=r"m \|\|sum_i V_i V_i\* - I\|\| = 1\.2"):
-        invariant_state(real_transfer(scaled))
+        invariant_state(PopescuSystem(scaled))
 
 
 def test_a_fixed_basis_that_sigma_does_not_fix_aborts():
@@ -870,30 +906,33 @@ def test_a_fixed_basis_that_sigma_does_not_fix_aborts():
     # certified by c = 1/2, on a direction F. The identity map fixes every
     # direction, so F = I/sqrt(3) spans too little and the bordered matrix
     # sigma^T - I + F F^T = F F^T is singular
-    form = real_transfer(PopescuSystem.from_operators([0.6 * np.eye(3), 0.8 * np.eye(3)]))
-    form.__dict__["_dominant_subspace"] = (_identity_direction(3), np.ones((1, 1)), 0.5, 1)
+    system = PopescuSystem.from_operators([0.6 * np.eye(3), 0.8 * np.eye(3)])
+    held = (_identity_direction(3), np.ones((1, 1)), 0.5, 1)
+    system.transfer.__dict__["_dominant_subspace"] = held
     with pytest.raises(NumericalHealthError, match=r"sigma\^T - I \+ F F\^T is singular"):
-        invariant_state(form)
+        invariant_state(system)
     # two directions claimed fixed where sigma fixes one: the predual's
     # fixed space is one-dimensional, so (sigma^T - I) H is far above
     # tol ||H||_F. One direction would pass, as the bordered solve then
     # gives the invariant state over its pairing with F, whatever F is
-    form = real_transfer(random_system(2, 4, 5))
+    system = random_system(2, 4, 5)
     x = np.linalg.qr(np.random.default_rng(8).standard_normal((16, 2)))[0]
-    form.__dict__["_dominant_subspace"] = (x, np.eye(2), 0.5, 1)
+    system.transfer.__dict__["_dominant_subspace"] = (x, np.eye(2), 0.5, 1)
     with pytest.raises(NumericalHealthError, match="the bordered solve H has residual"):
-        invariant_state(form)
+        invariant_state(system)
 
 
 def test_a_subspace_that_is_not_invariant_aborts(monkeypatch):
     # with no least size for a kept singular value, the sample keeps
     # decaying directions whose singular values lie near roundoff, and
-    # whose singular vectors roundoff moves: the invariance gate fails
+    # whose singular vectors roundoff moves: the invariance gate fails. The
+    # patch reaches only a map built after it, so a new system object is
+    # sampled
     system = random_system(2, 3, 1)
     assert_peripheral_spectrum_matches_kernel_oracle(system)
     monkeypatch.setattr(fcstates.cpmap, "_RITZ_KEEP", 0.0)
     with pytest.raises(NumericalHealthError, match="invariance residual .*, above 1e-10"):
-        peripheral_spectrum(system)
+        peripheral_spectrum(PopescuSystem(system.operators))
 
 
 def test_gauge_group_order_values():

@@ -15,7 +15,6 @@ from fcstates import (
     gns,
     invariant_state,
     random_system,
-    real_transfer,
     spectral_sets_match,
     verify_duality,
 )
@@ -203,16 +202,6 @@ def test_compare_duals_random_batch():
     assert found >= 5
 
 
-def test_compare_duals_reads_the_given_transfer_map(swap2):
-    sys_, state = faithful_random(700)
-    assert sys_ is not None
-    form = real_transfer(sys_)
-    dual = dual_system(sys_, invariant_state(form))
-    assert compare_duals(dual, form=form) == compare_duals(dual)
-    with pytest.raises(ValueError, match="dualized system"):
-        compare_duals(dual, form=real_transfer(swap2))
-
-
 def ill_conditioned(n: int, d: int = 2, seed: int = 0) -> tuple[PopescuSystem, DensityState]:
     """Diagonal phases conjugated by a random unitary Q, with the invariant
     state Q diag(geomspace(1e-7, 1, n)) Q* (normalized): cond(rho) = 1e7."""
@@ -359,10 +348,10 @@ def test_compare_duals_multiplicity_mismatch_aborts(monkeypatch, tmp_path, capsy
     _assert_dual_matches(dual)
     original = fcstates.modular.peripheral_spectrum
 
-    def at_boundary(form, tol, set_tol):
-        ritz = form.ritz_matrix(tol)[1]
+    def at_boundary(system, tol, set_tol):
+        ritz = system.transfer.ritz_matrix(tol)[1]
         smallest = np.linalg.svd(ritz - np.eye(ritz.shape[0]), compute_uv=False)[-1]
-        return original(form, tol, 0.5 * smallest)
+        return original(system, tol, 0.5 * smallest)
 
     monkeypatch.setattr(fcstates.modular, "peripheral_spectrum", at_boundary)
     with pytest.raises(NumericalHealthError, match="geometric 0, algebraic 1"):
