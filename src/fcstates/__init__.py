@@ -45,7 +45,7 @@ from .dilation import (
 )
 from .errors import NumericalHealthError, ValidationError
 from .modular import DualComparison, DualityReport, DualSystem, ModularData, compare_duals, dual_system, gns, verify_duality
-from .numerics import EigenDecomposition, eig, herm_inv_sqrt, herm_sqrt, kernel, spectral_sets_match
+from .numerics import EigenDecomposition, eig, kernel, spectral_sets_match
 from .popescu import PopescuSystem, Word, compress, random_system, v_word, validate, words_up_to
 
 __version__ = "0.1.0"
@@ -105,8 +105,6 @@ __all__ = [
     "EigenDecomposition",
     "eig",
     "kernel",
-    "herm_sqrt",
-    "herm_inv_sqrt",
     "spectral_sets_match",
     "ValidationError",
     "NumericalHealthError",

@@ -18,9 +18,8 @@ trace(R_x sigma^s(B_y)), with sigma stepped by the real transfer matrix
 that the system holds (:meth:`RealTransfer.pairings` of
 :attr:`PopescuSystem.transfer <fcstates.popescu.PopescuSystem.transfer>`).
 
-Every evaluation first checks that the state is invariant, within the
-bound :func:`~fcstates.cpmap.invariance_bound` that
-:func:`~fcstates.cpmap.invariant_state` gates.
+Every evaluation first checks that the state is invariant
+(:func:`~fcstates.cpmap.check_invariant`).
 
 Observables at arbitrary (including negative) sites are handled purely by
 translation invariance; non-consecutive sites must be padded with explicit
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmap import DensityState, invariance_bound, invariance_residual
+from .cpmap import DensityState, check_invariant
 from .numerics import as_matrix
 from .popescu import PopescuSystem
 
@@ -73,18 +72,13 @@ class LocalObservable:
 
 
 def _check_inputs(system: PopescuSystem, state: DensityState, *observables) -> None:
-    """Every factor must be d x d and the state invariant under the predual,
-    within :func:`~fcstates.cpmap.invariance_bound`."""
+    """Every factor must be d x d and the state invariant under the predual
+    (:func:`~fcstates.cpmap.check_invariant`)."""
     for obs in observables:
         shape = obs.factors[0].shape
         if shape != (system.d, system.d):
             raise ValueError(f"site observable must be {system.d}x{system.d}, got {shape}")
-    resid, bound = invariance_residual(system, state.rho), invariance_bound(system)
-    if resid > bound:
-        raise ValueError(
-            f"state is not invariant: ||sigma_*(rho) - rho|| = {resid:.3e}, above its bound "
-            f"{bound:.3e}"
-        )
+    check_invariant(system, state)
 
 
 def _column(system: PopescuSystem, factors) -> np.ndarray:

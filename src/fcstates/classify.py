@@ -35,7 +35,9 @@ and the chain verdicts are read from the peripheral spectrum already
 computed for k. Off that path (direct sums, ancillas) the chain is that of
 the support: the system is compressed there, only when the state is not
 faithful, and a unital CP map with a faithful invariant state has
-Fix = M'. M' is solved inside the fixed space of the compression, and M
+Fix = M'. M' is solved inside the fixed space of the compression, which
+X -> pXp maps Fix(sigma) onto, so it is read in the basis of p from the
+fixed space already computed, with no second transfer map; and M
 is a factor iff the centre Z(M) = M cap M' = Z(M'), the commutant of M'
 inside M', is C.1. With one central block, sigma = sigma_W (x) id on
 M = M_{n_1} (x) I, so the peripheral set already reported decides purity
@@ -54,8 +56,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .cpmap import (
     DensityState,
+    OperatorSubspace,
+    _to_hermitian,
     commutant,
     fixed_points,
     gauge_group_order,
@@ -136,6 +142,17 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
     return report, fixed
 
 
+def _fixed_on_support(fixed: OperatorSubspace, carrier: np.ndarray) -> OperatorSubspace:
+    """Fix(sigma_p) = p Fix(sigma) p (Carbone-Pautrat) in the n x r basis B
+    of the support p: B* F_j B over the basis F_j of Fix(sigma), made
+    orthonormal by one QR of their Hermitian coordinates. The QR keeps every
+    column, so a lost rank shows as a commutant of another dimension."""
+    r = carrier.shape[1]
+    images = carrier.conj().T @ np.stack(fixed.basis) @ carrier
+    coords = _to_hermitian(images.swapaxes(1, 2).reshape(-1, r * r).T).real
+    return OperatorSubspace.from_hermitian(np.linalg.qr(coords)[0], r)
+
+
 def classify_od(
     system: PopescuSystem,
     tol: float = 1e-8,
@@ -186,10 +203,9 @@ def classify_chain(
 
     Otherwise M' is solved inside a fixed space: that of sigma when the
     state is faithful, else that of the compression to the support p of
-    the state, the one transfer map built beside the system's. M' of the
-    compression lies in its fixed space, so a fixed space read too large
-    still gives M', and one read too small gives a commutant below
-    dim Fix(sigma), which aborts. The centre of M is M cap M' = Z(M'), so M
+    the state, read from Fix(sigma) as p Fix(sigma) p, so no second
+    transfer map is built. A fixed space read too small gives a commutant
+    below dim Fix(sigma), which aborts. The centre of M is M cap M' = Z(M'), so M
     is a factor iff the commutant of M' inside M' is C.1; M itself is never
     formed. With one central block, K = C^{n_1} (x) C^{m_1},
     V_i = W_i (x) I, M = M_{n_1} (x) I and sigma = sigma_W (x) id, so sigma
@@ -201,8 +217,8 @@ def classify_chain(
     if not base.ergodic:
         state, within = base.invariant_state, fixed
         if not state.faithful:
-            system = compress(system, state.support)
-            within = fixed_points(system, tol)
+            system = compress(system, state.carrier)
+            within = _fixed_on_support(fixed, state.carrier)
         comm = commutant(system.operators, tol, within=within)
         if comm.dim != fixed.dim:
             raise NumericalHealthError(

@@ -71,6 +71,7 @@ __all__ = [
     "commutant",
     "generated_algebra",
     "invariant_state",
+    "check_invariant",
     "coinvariance_check",
     "invariance_bound",
     "invariance_residual",
@@ -474,42 +475,59 @@ class OperatorSubspace:
         return bool(max(ra, rb) <= tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
-    """A positive unit-trace matrix together with its support data."""
+    """A positive unit-trace matrix, held as its eigendecomposition.
 
-    rho: np.ndarray
-    support: np.ndarray
-    faithful: bool
+    ``weights`` ascend, clipped at 0 and summing to 1, over the orthonormal
+    eigenvectors in the columns of ``vectors``; rho, rho^{+-1/2} and the
+    support are read from them. ``carrier``, the n x r basis of the support,
+    holds the eigenvectors of weight above 1e-8 times the largest, and
+    ``faithful`` (r = n) is the one rule for faithfulness. A given matrix is
+    checked by :meth:`from_matrix`. States compare by identity.
+    """
+
+    weights: np.ndarray
+    vectors: np.ndarray
 
     @classmethod
     def from_matrix(cls, rho, tol: float = 1e-10) -> "DensityState":
         rho = as_matrix(rho, "density matrix")
         if np.linalg.norm(rho - rho.conj().T, 2) > max(tol, 1e-10):
             raise ValidationError("density matrix is not Hermitian within tolerance")
-        rho = 0.5 * (rho + rho.conj().T)
-        vals, vecs = np.linalg.eigh(rho)
+        vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
         if vals[0] < -max(tol, 1e-10):
             raise ValidationError(f"density matrix has negative eigenvalue {vals[0]:.3e}")
         vals = np.clip(vals, 0.0, None)
         tr = float(vals.sum())
         if abs(tr - 1.0) > 1e-6:
             raise ValidationError(f"density matrix has trace {tr:.6f}, expected 1")
-        vals /= tr
-        rho = (vecs * vals[None, :]) @ vecs.conj().T
-        keep = vals > DEFAULT_SUBSPACE_TOL * vals[-1]
-        carrier = vecs[:, keep]
-        support = carrier @ carrier.conj().T
-        faithful = bool(np.all(keep))
-        return cls(rho, support, faithful)
+        return cls(vals / tr, vecs)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return (self.vectors * self.weights[None, :]) @ self.vectors.conj().T
+
+    @cached_property
+    def carrier(self) -> np.ndarray:
+        """Orthonormal n x r basis of the support, an isometry."""
+        return self.vectors[:, self.weights > DEFAULT_SUBSPACE_TOL * self.weights[-1]]
+
+    @property
+    def support(self) -> np.ndarray:
+        return self.carrier @ self.carrier.conj().T
 
     @property
     def n(self) -> int:
-        return self.rho.shape[0]
+        return self.weights.size
 
     @property
     def rank(self) -> int:
-        return int(round(np.trace(self.support).real))
+        return self.carrier.shape[1]
+
+    @property
+    def faithful(self) -> bool:
+        return self.rank == self.n
 
 
 def fixed_points(system: PopescuSystem, tol: float = DEFAULT_SUBSPACE_TOL) -> OperatorSubspace:
@@ -633,11 +651,12 @@ def invariant_state(system: PopescuSystem, rho0: np.ndarray | None = None) -> De
     of the Ritz matrix S - I, and the basis R = H of the predual's fixed
     space from one bordered LU solve, with F^T H = I. The projection is
     then rho = H F^T r_0, r_0 the coordinates of rho_0, whatever the
-    dimension of the fixed space.
+    dimension of the fixed space. The state is built from the one eigh of
+    that rho, its eigenvalues clipped at 0 and normalized.
 
     A unital map fixes I, so an empty fixed space raises
-    :class:`NumericalHealthError`, as does a state with
-    ||sigma_*(rho) - rho||_F above :func:`invariance_bound`.
+    :class:`NumericalHealthError`, as does an eigenvalue below -1e-8 or a
+    state with ||sigma_*(rho) - rho||_F above :func:`invariance_bound`.
     """
     form, n = system.transfer, system.n
     if rho0 is None:
@@ -653,22 +672,21 @@ def invariant_state(system: PopescuSystem, rho0: np.ndarray | None = None) -> De
         raise _missing_one(f"S - I has no kernel at threshold {DEFAULT_SUBSPACE_TOL:.1e}", system)
     v = dual @ (fixed.T @ _to_hermitian(vec(rho0)))
     rho = unvec(_from_hermitian(v), (n, n))
-    rho = 0.5 * (rho + rho.conj().T)
-    vals, vecs = np.linalg.eigh(rho)
+    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     if vals[0] < -1e-8:
         raise NumericalHealthError(
             f"Cesaro limit has a significantly negative eigenvalue {vals[0]:.3e}"
         )
     vals = np.clip(vals, 0.0, None)
-    rho = (vecs * (vals / vals.sum())[None, :]) @ vecs.conj().T
-    h = _to_hermitian(vec(rho)).real
+    state = DensityState(vals / vals.sum(), vecs)
+    h = _to_hermitian(vec(state.rho)).real
     resid = float(np.linalg.norm(form.matrix.T @ h - h))
     gate = invariance_bound(system)
     if resid > gate:
         raise NumericalHealthError(
             f"invariant state has residual {resid:.3e}, above its bound {gate:.3e}"
         )
-    return DensityState.from_matrix(rho)
+    return state
 
 
 def coinvariance_check(system: PopescuSystem, p, tol: float = DEFAULT_SUBSPACE_TOL) -> bool:
@@ -728,6 +746,17 @@ def invariance_residual(system: PopescuSystem, rho: np.ndarray) -> float:
     return float(
         np.linalg.norm(sum(v.conj().T @ rho @ v for v in system.operators) - rho, 2)
     )
+
+
+def check_invariant(system: PopescuSystem, state: DensityState) -> None:
+    """The invariance gate of every stage that takes a state: ValueError
+    unless ||sigma_*(rho) - rho|| (spectral norm, at most the Frobenius norm
+    that :func:`invariant_state` gates) is within :func:`invariance_bound`."""
+    resid, bound = invariance_residual(system, state.rho), invariance_bound(system)
+    if resid > bound:
+        raise ValueError(
+            f"state is not invariant: residual {resid:.3e}, above its bound {bound:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -825,9 +854,8 @@ def peripheral_eigenunitary(
     eigenvalue has a one-dimensional eigenspace spanned by a unitary, and
     that unitary scales the generators: U V_i U* = t V_i. Both facts are
     verified on the returned operator; failure signals a hypothesis
-    violation (e.g. a non-faithful state). The state must be invariant
-    within :func:`invariance_bound`, the bound that
-    :func:`invariant_state` gates.
+    violation (e.g. a non-faithful state). The state must pass
+    :func:`check_invariant`.
 
     U is the operator that :func:`peripheral_spectrum`, at ``set_tol`` =
     ``tol``, reports for the value within ``tol`` of conj(t), rescaled: X
@@ -840,23 +868,15 @@ def peripheral_eigenunitary(
         raise ValueError(f"t = {t} is not unimodular")
     if not state.faithful:
         raise ValueError("eigenunitary extraction requires a faithful invariant state")
-    inv_resid, bound = invariance_residual(system, state.rho), invariance_bound(system)
-    if inv_resid > bound:
-        raise ValueError(
-            f"state is not invariant: residual {inv_resid:.3e}, above its bound {bound:.3e}"
-        )
+    check_invariant(system, state)
     peri = peripheral_spectrum(system, set_tol=tol)
     if peri[0].multiplicity != 1:
         raise ValueError("transfer map is not ergodic; eigenunitary is not unique")
     match = [p for p in peri if abs(p.value - np.conj(t)) <= tol]
     if not match:
         raise ValueError(f"t = {t} is not in the peripheral spectrum at tolerance {tol:.1e}")
-    u = match[0].operator
-    gram = u.conj().T @ u
-    scale = np.trace(gram).real / system.n
-    if scale <= 0:
-        raise NumericalHealthError("eigenvector has vanishing norm")
-    u = u / np.sqrt(scale)
+    # trace norm 1 keeps the Frobenius norm at least n^{-1/2}
+    u = match[0].operator * (sqrt(system.n) / np.linalg.norm(match[0].operator))
     unit_resid = np.linalg.norm(u.conj().T @ u - np.eye(system.n), 2)
     if unit_resid > tol:
         raise NumericalHealthError(

@@ -50,14 +50,13 @@ import numpy as np
 from .cpmap import (
     DEFAULT_PERIPHERAL_TOL,
     DensityState,
+    check_invariant,
     fixed_points,
-    invariance_bound,
     invariance_residual,
     peripheral_spectrum,
 )
 from .errors import NumericalHealthError
 from .numerics import eig  # noqa: F401  (bound here for perfbench's span tracer)
-from .numerics import herm_inv_sqrt, herm_sqrt
 from .popescu import PopescuSystem
 
 __all__ = [
@@ -103,27 +102,22 @@ class ModularData:
 def gns(system: PopescuSystem, state: DensityState) -> ModularData:
     """Modular data for a faithful invariant state; rejects any other.
 
-    Both preconditions are decided by the rules that built the state:
-    faithfulness is ``state.faithful`` (:meth:`DensityState.from_matrix`),
-    and the invariance residual ||sigma_*(rho) - rho|| (spectral norm, at
-    most the Frobenius norm that :func:`~fcstates.cpmap.invariant_state`
-    gates) must lie within the bound of that gate,
-    :func:`~fcstates.cpmap.invariance_bound`. The cyclic vector
-    Phi = rho^{1/2} reproduces the state, trace(Phi* X Phi) = trace(rho X),
-    by cyclicity of the trace, since herm_sqrt squares back to rho.
+    Faithfulness is ``state.faithful`` and invariance
+    :func:`~fcstates.cpmap.check_invariant`. rho^{+-1/2} = U w^{+-1/2} U* are
+    read from the state's eigenpairs (U, w), with no factorization here, so
+    Phi = rho^{1/2} squares back to rho: trace(Phi* X Phi) = trace(rho X).
     """
     if not state.faithful:
         raise ValueError(
             f"state is not faithful (support rank {state.rank} of {state.n}); "
             "compress the system to the support first"
         )
-    inv_resid, bound = invariance_residual(system, state.rho), invariance_bound(system)
-    if inv_resid > bound:
-        raise ValueError(
-            f"state is not invariant: residual {inv_resid:.3e}, above its bound {bound:.3e}"
-        )
+    check_invariant(system, state)
+    v, root = state.vectors, np.sqrt(state.weights)
     return ModularData(
-        state=state, phi_vector=herm_sqrt(state.rho), phi_inverse=herm_inv_sqrt(state.rho)
+        state=state,
+        phi_vector=(v * root) @ v.conj().T,
+        phi_inverse=(v / root) @ v.conj().T,
     )
 
 
@@ -155,9 +149,15 @@ class DualSystem:
 
 def dual_system(system: PopescuSystem, state: DensityState) -> DualSystem:
     """The dual generators of a faithful invariant state (:func:`gns`), as
-    the parameters W_j = rho^{1/2} V_j rho^{-1/2}, at O(d n^3)."""
+    the parameters W_j = rho^{1/2} V_j rho^{-1/2}, at O(d n^3). They are
+    formed as U (w^{1/2} U* V_j U w^{-1/2}) U* from the state's eigenpairs
+    (U, w): products with rho^{+-1/2} leave the dual map's peripheral
+    eigenvalues about ten times farther off the circle at cond(rho) = 1e7.
+    """
     md = gns(system, state)
-    params = tuple(md.phi_vector @ v @ md.phi_inverse for v in system.operators)
+    u, root = state.vectors, np.sqrt(state.weights)
+    scale = root[:, None] / root[None, :]
+    params = tuple(u @ (scale * (u.conj().T @ v @ u)) @ u.conj().T for v in system.operators)
     return DualSystem(system, md, params)
 
 

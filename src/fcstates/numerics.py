@@ -1,11 +1,11 @@
 """Dense linear-algebra substrate used by every other module.
 
 All routines are pure functions of their ndarray inputs and delegate the
-heavy lifting to LAPACK via numpy/scipy. What this module adds on top is
-contract enforcement: residual bounds on eigenpairs, rank-revealing kernel
-thresholds, and tolerance-aware comparison of spectral sets (eigenvalue
-ordering is not canonical, so sets are compared by an optimal matching in
-the complex plane).
+heavy lifting to LAPACK via numpy. What this module adds is contract
+enforcement: residual bounds on eigenpairs, rank-revealing kernel
+thresholds, and tolerance-aware matching of spectral sets in the complex
+plane. No matrix root is taken here: a state's rho^{+-1/2} is read from
+the eigenpairs it holds (:class:`~fcstates.cpmap.DensityState`).
 
 User inputs are coerced to complex by :func:`as_matrix`. The solvers
 :func:`eig` and :func:`kernel` keep a real input real, so real matrices,
@@ -26,8 +26,6 @@ __all__ = [
     "as_matrix",
     "eig",
     "kernel",
-    "herm_sqrt",
-    "herm_inv_sqrt",
     "spectral_sets_match",
     "distinct_values",
     "value_clusters",
@@ -130,39 +128,6 @@ def kernel(a, tol: float | None = None, scale: float | None = None) -> np.ndarra
     ncols = a.shape[1]
     rank = int(np.sum(s > tol * scale)) if scale > 0 else 0
     return vh[rank:].conj().T.reshape(ncols, ncols - rank)
-
-
-def _check_hermitian(rho: np.ndarray, tol: float) -> np.ndarray:
-    scale = max(np.linalg.norm(rho, 2), 1.0)
-    if np.linalg.norm(rho - rho.conj().T, 2) > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return 0.5 * (rho + rho.conj().T)
-
-
-def herm_sqrt(rho, tol: float = 1e-10) -> np.ndarray:
-    """Hermitian PSD square root via spectral calculus.
-
-    Eigenvalues in [-tol*||rho||, 0) are treated as roundoff and clipped to
-    zero; anything more negative is an error.
-    """
-    rho = _check_hermitian(as_matrix(rho), tol)
-    vals, vecs = np.linalg.eigh(rho)
-    scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
-    if vals[0] < -tol * scale:
-        raise ValueError(f"matrix has negative eigenvalue {vals[0]:.3e} beyond -tol")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)[None, :]) @ vecs.conj().T
-
-
-def herm_inv_sqrt(rho, tol: float = 1e-10) -> np.ndarray:
-    """Hermitian inverse square root; requires min eigenvalue > tol."""
-    rho = _check_hermitian(as_matrix(rho), tol)
-    vals, vecs = np.linalg.eigh(rho)
-    if vals[0] <= tol:
-        raise ValueError(
-            f"matrix is singular at tolerance {tol:.3e} (min eigenvalue {vals[0]:.3e})"
-        )
-    return (vecs / np.sqrt(vals)[None, :]) @ vecs.conj().T
 
 
 def spectral_sets_match(a, b, tol: float = 1e-8) -> bool:

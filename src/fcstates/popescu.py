@@ -35,7 +35,7 @@ Word = tuple[int, ...]
 DEFAULT_VALIDATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopescuSystem:
     """Immutable tuple of d generators on an n-dimensional space.
 
@@ -43,7 +43,7 @@ class PopescuSystem:
     relation; the raw constructor is reserved for internal callers that have
     already validated. The residual of the relation and the real matrix of
     the transfer map are each computed once and held (:attr:`residual`,
-    :attr:`transfer`).
+    :attr:`transfer`), so systems compare and hash by identity.
     """
 
     operators: tuple[np.ndarray, ...]
@@ -140,62 +140,35 @@ def random_system(d: int, n: int, seed: int) -> PopescuSystem:
     return PopescuSystem.from_operators(ops, tol=1e-12)
 
 
-def _range_basis(e: np.ndarray, rank: int, tol: float) -> np.ndarray:
-    # Deterministic orthonormal basis of range(E): Gram-Schmidt over the
-    # columns of E ordered by descending diagonal entry (column j of a
-    # projection has norm^2 = E_jj), ties broken by index.
-    n = e.shape[0]
-    order = sorted(range(n), key=lambda j: (-e[j, j].real, j))
-    basis: list[np.ndarray] = []
-    for j in order:
-        v = e[:, j].copy()
-        for b in basis:
-            v -= b * (b.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > max(tol, 1e-12):
-            basis.append(v / nrm)
-        if len(basis) == rank:
-            break
-    if len(basis) != rank:
-        raise ValidationError("could not extract an orthonormal basis of range(E)")
-    return np.column_stack(basis)
+def compress(system: PopescuSystem, basis, tol: float = 1e-8) -> PopescuSystem:
+    """The operators B* V_i B on the range of an n x r isometry B that every
+    V_i* leaves invariant, such as the support basis
+    :attr:`DensityState.carrier <fcstates.cpmap.DensityState.carrier>`.
 
-
-def compress(system: PopescuSystem, e, tol: float = 1e-8) -> PopescuSystem:
-    """Restrict the system to the range of a co-invariant projection E.
-
-    Requires E Hermitian idempotent and E V_i = E V_i E for all i (the range
-    of E is invariant under every V_i*). The compressed operators are E V_i E
-    expressed in a deterministic orthonormal basis of range(E). The defining
-    relation of the result is re-validated unconditionally: co-invariance of
-    a projection that is not the support of an invariant state can still
-    produce an invalid compression, and that must surface as an error.
+    Requires B*B = I and (I - BB*) V_i* B = 0, whose norm is
+    ||EV_i - EV_iE|| for E = BB*. The result is re-validated unconditionally:
+    a co-invariant range that is not the support of an invariant state can
+    give an invalid compression, and that must surface as an error.
     """
-    e = as_matrix(e, "projection")
+    basis = as_matrix(basis, "basis")
     n = system.n
-    if e.shape != (n, n):
-        raise ValidationError(f"projection must be {n}x{n}, got {e.shape}")
-    if np.linalg.norm(e - e.conj().T, 2) > tol:
-        raise ValidationError("E is not Hermitian within tolerance")
-    if np.linalg.norm(e @ e - e, 2) > tol:
-        raise ValidationError("E is not idempotent within tolerance")
+    if basis.shape[0] != n or basis.shape[1] == 0:
+        raise ValidationError(f"basis must be {n} x r with r >= 1, got {basis.shape}")
+    if np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1]), 2) > tol:
+        raise ValidationError("basis is not an isometry within tolerance")
     for i, v in enumerate(system.operators):
-        dev = np.linalg.norm(e @ v - e @ v @ e, 2)
+        image = v.conj().T @ basis
+        dev = np.linalg.norm(image - basis @ (basis.conj().T @ image), 2)
         if dev > tol:
             raise ValidationError(
-                f"co-invariance violated for generator {i}: ||EV - EVE|| = {dev:.3e}; "
-                "E is not the support of an invariant state"
+                f"co-invariance violated for generator {i}: ||(I - BB*) V* B|| = {dev:.3e}; "
+                "range(B) is not the support of an invariant state"
             )
-    rank = int(round(np.trace(e).real))
-    if rank == 0:
-        raise ValidationError("projection has rank 0; nothing to compress onto")
-    basis = _range_basis(e, rank, tol)
-    ops = tuple(basis.conj().T @ v @ basis for v in system.operators)
-    compressed = PopescuSystem(ops)
+    compressed = PopescuSystem(tuple(basis.conj().T @ v @ basis for v in system.operators))
     residual = validate(compressed)
     if residual > max(tol, DEFAULT_VALIDATE_TOL):
         raise ValidationError(
             f"compressed system fails the defining relation (residual {residual:.3e}); "
-            "E is co-invariant but not the support of an invariant state"
+            "range(B) is co-invariant but not the support of an invariant state"
         )
     return compressed

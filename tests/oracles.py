@@ -48,6 +48,11 @@ Tests compare the library against these independent routes:
   S_i* S_j and sum_i S_i S_i*, dilation moments from one dense mat-vec per
   letter of every word, and the moment recursion from a double loop over
   word pairs;
+* rho^{1/2} and rho^{-1/2} by an eigh of rho each, where the library
+  reads them from the eigenpairs that the state holds;
+* the fixed space of the compression to the support of the state by the
+  compression's own transfer map, where the library reads it as
+  B* Fix(sigma) B for the basis B of the support;
 * the modular layer in vec coordinates, where the library applies
   Delta^{1/2} and J as n x n maps: Delta^{+-1/2} as Kronecker products, J
   as conjugation plus the vec-transposition permutation, the dual
@@ -86,8 +91,6 @@ from fcstates.numerics import (
     as_matrix,
     distinct_values,
     eig,
-    herm_inv_sqrt,
-    herm_sqrt,
     kernel,
     spectral_sets_match,
     value_clusters,
@@ -120,6 +123,39 @@ def orthonormal_columns(a, tol: float = 1e-10, scale: float | None = None) -> np
         scale = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > tol * scale)) if scale > 0 else 0
     return u[:, :rank]
+
+
+def _check_hermitian(rho: np.ndarray, tol: float) -> np.ndarray:
+    scale = max(np.linalg.norm(rho, 2), 1.0)
+    if np.linalg.norm(rho - rho.conj().T, 2) > tol * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return 0.5 * (rho + rho.conj().T)
+
+
+def herm_sqrt(rho, tol: float = 1e-10) -> np.ndarray:
+    """Hermitian PSD square root via spectral calculus.
+
+    Eigenvalues in [-tol*||rho||, 0) are treated as roundoff and clipped to
+    zero; anything more negative is an error.
+    """
+    rho = _check_hermitian(as_matrix(rho), tol)
+    vals, vecs = np.linalg.eigh(rho)
+    scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
+    if vals[0] < -tol * scale:
+        raise ValueError(f"matrix has negative eigenvalue {vals[0]:.3e} beyond -tol")
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)[None, :]) @ vecs.conj().T
+
+
+def herm_inv_sqrt(rho, tol: float = 1e-10) -> np.ndarray:
+    """Hermitian inverse square root; requires min eigenvalue > tol."""
+    rho = _check_hermitian(as_matrix(rho), tol)
+    vals, vecs = np.linalg.eigh(rho)
+    if vals[0] <= tol:
+        raise ValueError(
+            f"matrix is singular at tolerance {tol:.3e} (min eigenvalue {vals[0]:.3e})"
+        )
+    return (vecs / np.sqrt(vals)[None, :]) @ vecs.conj().T
 
 
 def predual_matrix(system: PopescuSystem) -> np.ndarray:
@@ -402,7 +438,7 @@ def commutant_chain_verdicts(
     """
     state = invariant_state(system)
     if not state.faithful:
-        system = compress(system, state.support)
+        system = compress(system, state.carrier)
         state = invariant_state(system)
     comm = vec_commutant(system.operators, tol)
     algebra = vec_commutant(comm.basis, tol)

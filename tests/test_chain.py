@@ -259,7 +259,7 @@ def test_clustering_scalar_product_state(scalar_half):
 
 
 def test_clustering_compressed_rank_one(rank_one2):
-    small = compress(rank_one2, invariant_state(rank_one2).support)
+    small = compress(rank_one2, invariant_state(rank_one2).carrier)
     state = invariant_state(small)
     e11 = eij(0, 0, 2)
     rep = clustering_defect(small, state, obs(e11), obs(e11), n_max=10)

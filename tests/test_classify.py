@@ -14,6 +14,7 @@ from fcstates import (
     classify_od,
     commutant,
     fixed_points,
+    invariant_state,
     mixed_fixed_points,
     peripheral_spectrum,
     random_system,
@@ -40,7 +41,6 @@ from conftest import (
 from oracles import (
     commutant_chain_verdicts,
     kernel_peripheral_spectrum,
-    shifted,
     svd_fixed_kernels,
     vec_commutant,
 )
@@ -275,39 +275,16 @@ def test_multiplicity_mismatch_at_the_tolerance_boundary_aborts():
     assert rep.ergodic and rep.k == 1
 
 
-def _compressed_kernel_past_the_boundary(monkeypatch, system):
-    # off the ergodic path: the compressed map's fixed space is read as the
-    # SVD of sigma - I reads it at a threshold just above its smallest
-    # nonzero singular value, which the ancilla repeats four times
-    # (sigma = sigma_W (x) id on M_3 (x) M_2); returns the dimensions read
-    original, read = fcstates.classify.fixed_points, []
-
-    def at_boundary(compressed, tol):
-        if compressed.n < system.n:
-            form = compressed.transfer
-            s = np.linalg.svd(shifted(form, 1.0), compute_uv=False)
-            tol = 2.0 * s[-1 - np.sum(s <= tol)]
-            fixed = OperatorSubspace.from_hermitian(svd_fixed_kernels(form, tol)[0], form.n)
-            read.append(fixed.dim)
-            return fixed
-        return original(compressed, tol)
-
-    monkeypatch.setattr(fcstates.classify, "fixed_points", at_boundary)
-    return read
-
-
 def _compressed_kernel_short_of_the_boundary(monkeypatch, system):
-    # the compressed map's fixed space is read one direction short, as a
-    # kernel threshold that falls among its near-zero singular values reads it
-    original = fcstates.classify.fixed_points
+    # the compression's fixed space, read from Fix(sigma) as B* Fix(sigma) B,
+    # is read one direction short, as a QR that loses rank would leave it
+    original = fcstates.classify._fixed_on_support
 
-    def at_boundary(compressed, tol):
-        fixed = original(compressed, tol)
-        if compressed.n < system.n:
-            return OperatorSubspace(fixed.basis[:-1], fixed.shape)
-        return fixed
+    def at_boundary(fixed, carrier):
+        within = original(fixed, carrier)
+        return OperatorSubspace(within.basis[:-1], within.shape)
 
-    monkeypatch.setattr(fcstates.classify, "fixed_points", at_boundary)
+    monkeypatch.setattr(fcstates.classify, "_fixed_on_support", at_boundary)
 
 
 def _commutant_kernel_at_the_boundary(monkeypatch, system):
@@ -403,19 +380,6 @@ def test_unreachable_chain_outcomes_abort(monkeypatch, tmp_path, capsys, make, b
     assert re.search(message, doc["notes"][0])
 
 
-def test_a_compressed_fixed_space_read_too_large_still_gives_m_prime(monkeypatch):
-    # the compressed map's fixed space, read 16-dimensional where it has 4
-    # dimensions, only widens the space that M' is solved in: M' of the
-    # compression lies in its fixed space, so the commutant and the verdicts
-    # are the oracle's
-    system = ancilla(nonfaithful(2, 3, 2, 22), 2)
-    hyp, pure, _ = commutant_chain_verdicts(system)
-    read = _compressed_kernel_past_the_boundary(monkeypatch, system)
-    rep = classify_chain(system)
-    assert read == [16]
-    assert (rep.m_is_factor, rep.chain_pure) == (hyp.m_is_factor, pure) == (True, True)
-
-
 @pytest.mark.parametrize("name", ["averaging3", "nonfaithful(2,3,2)xI2", "nonfaithful(2,3,2)+A"])
 def test_peripheral_set_of_a_compressed_system_is_the_systems(request, name):
     # the predual's peripheral eigenvectors live on the support of the
@@ -424,10 +388,27 @@ def test_peripheral_set_of_a_compressed_system_is_the_systems(request, name):
     system = OFF_ERGODIC[name][0]() if name in OFF_ERGODIC else request.getfixturevalue(name)
     rep = classify_chain(system)
     assert not rep.ergodic and not rep.invariant_state.faithful
-    compressed = compress(system, rep.invariant_state.support)
+    compressed = compress(system, rep.invariant_state.carrier)
     for want in (kernel_peripheral_spectrum(system), kernel_peripheral_spectrum(compressed)):
         assert len(rep.peripheral) == len(want)
         assert all(abs(a - q.value) <= 1e-8 for a, q in zip(rep.peripheral, want))
+
+
+@pytest.mark.parametrize("name", ["averaging3", "nonfaithful(2,3,2)xI2", "nonfaithful(2,3,2)+A"])
+def test_fixed_space_of_a_compression_is_b_star_fix_b(request, name):
+    # X -> pXp maps Fix(sigma) onto the fixed space of the compression to
+    # the support p of the state, so in the support's basis B that space is
+    # B* Fix(sigma) B, of dimension dim Fix(sigma): the oracle reads it from
+    # the compression's own transfer map
+    system = OFF_ERGODIC[name][0]() if name in OFF_ERGODIC else request.getfixturevalue(name)
+    fixed, state = fixed_points(system), invariant_state(system)
+    assert fixed.dim > 1 and not state.faithful
+    form = compress(system, state.carrier).transfer
+    want = OperatorSubspace.from_hermitian(svd_fixed_kernels(form)[0], form.n)
+    got = fcstates.classify._fixed_on_support(fixed, state.carrier)
+    assert got.dim == want.dim == fixed.dim
+    assert got.span_equals(want)
+    assert np.linalg.norm(got.gram() - np.eye(got.dim)) <= 1e-12
 
 
 def _assert_chain_verdicts_match_oracle(system):
@@ -601,13 +582,13 @@ def _one_solve_each(*sizes):
         (
             # off the ergodic path with a state that is not faithful, the
             # system is compressed once, and both commutants are taken on
-            # the 6 x 6 compression, inside the fixed space of its 36 x 36
-            # map, which takes no solve; eig runs on the Ritz matrix of the
-            # 100 x 100 map, whose 4 Ritz values are its 4 fixed points
+            # the 6 x 6 compression, inside its fixed space, read from that
+            # of the 100 x 100 map with no map of its own; eig runs on the
+            # Ritz matrix of the 100 x 100 map, whose 4 Ritz values are its
+            # 4 fixed points
             lambda: ancilla(nonfaithful(2, 3, 2, 22), 2),
-            {"fixed_points": 2, "compress": 1, "invariant_state": 1, "sigma_matrix": 2,
-             "commutant": 2, "eig": 1, "kernel": 6,
-             "factorizations": [*_one_solve_each(100), ("real_transfer", 36)],
+            {"fixed_points": 1, "compress": 1, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 2, "eig": 1, "kernel": 5, "factorizations": _one_solve_each(100),
              "eig_dims": [4]},
         ),
         (
@@ -627,9 +608,8 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # M', and purity reads the one eig already taken: no commutant is solved
     # over all of M_n. factorizations lists each sigma_r that classify
     # builds, and the SVDs, eigs and solves of n^2 x n^2 matrices: one
-    # bordered solve, for the invariant state of the system's own sigma_r,
-    # and nothing else; a compression's sigma_r gives only its fixed
-    # space. The other
+    # sigma_r, the system's own, and one bordered solve, for its invariant
+    # state, and nothing else. The other
     # kernels are of the p x p Ritz matrix: S - I for fixed_points and again
     # for invariant_state, S - t for each peripheral cluster (k = 3 of them
     # for the block shift), about 20 us each at p <= 9 (1 BLAS thread).

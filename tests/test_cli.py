@@ -533,6 +533,31 @@ def test_analyze_validates_each_system_once(capsys, monkeypatch, tmp_path):
     assert sorted(computed) == [6, 10]
 
 
+@pytest.mark.parametrize(
+    "command, make, n",
+    [
+        ("analyze", lambda: fcstates.random_system(2, 5, 31), 5),
+        ("analyze", lambda: ancilla(nonfaithful(2, 3, 2, 22), 2), 10),
+        ("dual", lambda: fcstates.random_system(2, 5, 31), 5),
+    ],
+    ids=["analyze", "analyze_nonfaithful_x_I2", "dual"],
+)
+def test_each_op_takes_one_eigh_of_its_state(capsys, monkeypatch, tmp_path, command, make, n):
+    # the state is held as its eigendecomposition: rho, its support basis
+    # (which the compression takes) and rho^{+-1/2} are all read from the
+    # one eigh that invariant_state takes
+    path = write_system(tmp_path, make())
+    sizes, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert main([command, path]) == 0
+    assert sizes == [(n, n)]
+
+
 def test_dual_rejects_non_faithful(capsys, rank_one_path):
     # the GNS construction decides faithfulness, and names the support rank
     assert main(["dual", rank_one_path]) == 1

@@ -324,7 +324,7 @@ def test_fixed_kernels_match_separate_kernels(known_system):
 
 
 def _compressed(system):
-    return compress(system, invariant_state(system).support)
+    return compress(system, invariant_state(system).carrier)
 
 
 ERGODIC_FAMILIES = {
@@ -1007,6 +1007,18 @@ def test_density_state_support_projection():
     state = DensityState.from_matrix(np.diag([0.5, 0.5, 0.0]))
     assert state.rank == 2 and not state.faithful
     assert np.linalg.norm(state.support @ state.rho @ state.support - state.rho, 2) <= 1e-10
+
+
+def test_density_state_holds_its_eigendecomposition():
+    # ascending weights that sum to 1; the support basis is the eigenvectors
+    # of weight above 1e-8 times the largest, and rho is rebuilt from both
+    rho = np.diag([0.5, 1e-12, 0.5]) / (1 + 1e-12)
+    state = DensityState.from_matrix(rho)
+    assert np.all(np.diff(state.weights) >= 0) and state.weights.sum() == pytest.approx(1.0)
+    assert state.carrier.shape == (3, 2) and state.rank == 2 and not state.faithful
+    assert np.linalg.norm(state.carrier.conj().T @ state.carrier - np.eye(2)) <= 1e-15
+    assert np.linalg.norm(state.support - np.diag([1.0, 0.0, 1.0])) <= 1e-15
+    assert np.linalg.norm(state.rho - rho) <= 1e-15
 
 
 def test_density_state_rejects_bad_input():

@@ -6,8 +6,6 @@ import pytest
 from fcstates import (
     NumericalHealthError,
     eig,
-    herm_inv_sqrt,
-    herm_sqrt,
     kernel,
     real_transfer,
     sigma_matrix,
@@ -16,7 +14,7 @@ from fcstates import (
 from fcstates.numerics import distinct_values, value_clusters
 
 from conftest import eij
-from oracles import orthonormal_columns
+from oracles import herm_inv_sqrt, herm_sqrt, orthonormal_columns
 
 
 def test_eig_diagonal():

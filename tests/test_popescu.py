@@ -89,7 +89,7 @@ def test_random_system_rejects_bad_args():
 
 
 def test_compress_rank_one_to_scalar(rank_one2):
-    small = compress(rank_one2, eij(0, 0, 2))
+    small = compress(rank_one2, np.eye(2)[:, :1])
     assert small.n == 1
     assert abs(small.operators[0][0, 0] - 1.0) < 1e-12
     assert abs(small.operators[1][0, 0]) < 1e-12
@@ -102,22 +102,35 @@ def test_compress_identity_is_noop(swap2):
 
 
 def test_compress_wrong_support_errors(rank_one2):
-    # e22 is invariant for the V_i ranges but carries no invariant state;
-    # the operation must fail (either the co-invariance gate or the
-    # mandatory post-validation)
-    with pytest.raises(ValidationError):
-        compress(rank_one2, eij(1, 1, 2))
+    # span(e_2) carries no invariant state: V_2* e_2 = e_1 leaves it, so the
+    # co-invariance gate rejects it
+    with pytest.raises(ValidationError, match="co-invariance violated for generator 1"):
+        compress(rank_one2, np.eye(2)[:, 1:])
 
 
-def test_compress_rejects_non_projection(swap2):
-    with pytest.raises(ValidationError):
+def test_compress_rejects_a_basis_that_is_not_an_isometry(swap2):
+    # a projection is not a basis: 0.5 I has B*B = I/4
+    with pytest.raises(ValidationError, match="not an isometry"):
         compress(swap2, 0.5 * np.eye(2))
+    with pytest.raises(ValidationError, match="r >= 1"):
+        compress(swap2, np.zeros((2, 0)))
 
 
 def test_compress_support_of_invariant_state_validates():
     for seed in (0, 4, 9):
         sys_ = random_system(2, 4, seed)
         state = invariant_state(sys_)
-        small = compress(sys_, state.support)
+        small = compress(sys_, state.carrier)
         assert validate(small) <= 1e-9
         assert small.n == state.rank
+
+
+def test_systems_and_states_compare_by_identity():
+    # each holds arrays and cached objects, so equal operators do not make
+    # two systems one: == is identity, and both hash, so they can be keys
+    a, b = random_system(2, 3, 1), random_system(2, 3, 1)
+    assert a == a and (a == b) is False
+    assert {a: "a", b: "b"}[a] == "a"
+    s, t = invariant_state(a), invariant_state(b)
+    assert s == s and (s == t) is False
+    assert {s: "s", t: "t"}[t] == "t"
