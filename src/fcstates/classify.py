@@ -13,57 +13,49 @@ Three questions are answered about a system:
   hypotheses (M is a factor, fixed space equals its commutant, state
   faithful).
 
-Every spectral verdict is read off one transfer map, the system's own,
-and its one certified Ritz pair: the fixed space, the invariant state (the
-Cesaro limit from I/n) and the peripheral spectrum. The spectrum needs no
-compression when the state is not faithful. Its support p is the largest
-co-invariant subspace that carries a faithful invariant state, and the
-peripheral eigenvectors of the trace-preserving predual live on p, where
-it acts as the predual of the compression; so the compression has the
-peripheral set of the given map (Evans-Hoegh-Krohn), and on p the state
-is faithful and the gauge order k is at most rank p. The peripheral
-spectrum of a unital CP map is semisimple, and
-:func:`~fcstates.cpmap.peripheral_spectrum` raises unless each eigenspace
-has the dimension of its eig cluster.
+Every verdict is read from two stages on the system's own transfer map
+and its one certified Ritz pair: the invariant state (the Cesaro limit
+from I/n) and the peripheral spectrum, which holds each eigenspace once.
+Its first entry is the value 1, whose space is the fixed space: the
+multiplicity of 1 decides ergodicity, and off the ergodic path M' is
+solved inside that space. The spectrum needs no compression when the
+state is not faithful: its support p is the largest co-invariant subspace
+that carries a faithful invariant state, the peripheral eigenvectors of
+the predual live on p, so the compression has the peripheral set of the
+given map (Evans-Hoegh-Krohn), and k is at most rank p.
 
-Both chain verdicts come from two objects: the commutant M' and the
-peripheral set of sigma. An X that commutes with every V_i and V_i*
-satisfies sigma(X) = X sum_i V_i V_i* = X, so M' lies in the fixed space
-of sigma. When the map is ergodic its fixed space is C.1, hence M' = C.1,
-M = M'' = M_n, and sigma restricted to M is sigma itself: M is a factor,
-and the chain verdicts are read from the peripheral spectrum already
-computed for k. Off that path (direct sums, ancillas) the chain is that of
-the support: the system is compressed there, only when the state is not
-faithful, and a unital CP map with a faithful invariant state has
-Fix = M'. M' is solved inside the fixed space of the compression, which
-X -> pXp maps Fix(sigma) onto, so it is read in the basis of p from the
-fixed space already computed, with no second transfer map; and M
-is a factor iff the centre Z(M) = M cap M' = Z(M'), the commutant of M'
-inside M', is C.1. With one central block, sigma = sigma_W (x) id on
-M = M_{n_1} (x) I, so the peripheral set already reported decides purity
-there too. Neither M'' nor the restriction of sigma to it is formed.
+An X that commutes with every V_i and V_i* satisfies
+sigma(X) = X sum_i V_i V_i* = X, so M' lies in the fixed space. When the
+map is ergodic, M' = C.1 and M = M'' = M_n is a factor on which sigma is
+itself, so the chain verdicts are read from the spectrum already computed
+for k. Off that path (direct sums, ancillas) the chain is that of the
+support, where a unital CP map with a faithful invariant state has
+Fix = M'. X -> pXp maps Fix(sigma) onto the fixed space of the
+compression, so M' is solved inside the space of the value 1 read in the
+basis of p (:meth:`~fcstates.cpmap.OperatorSubspace.compressed`), with no
+second transfer map. M is a factor iff its centre Z(M) = Z(M'), the
+commutant of M' inside M', is C.1, and with one central block
+sigma = sigma_W (x) id on M = M_{n_1} (x) I, so the peripheral set already
+reported decides purity there too. Neither M'' nor the restriction of
+sigma to it is formed.
 
 Two outcomes cannot occur in exact arithmetic, so each aborts with
 :class:`NumericalHealthError` instead of flipping a verdict: a commutant
-whose dimension is not that of the fixed space of sigma (X -> pXp maps
-Fix(sigma) onto the fixed space of the compression), and two eigenvalues
-that eig clusters at one peripheral value of an ergodic map, whose
-peripheral values are simple. Each means a kernel or an eigensolver at its
-tolerance boundary.
+whose dimension is not that of the fixed space, and two eigenvalues that
+eig clusters at one peripheral value of an ergodic map, whose peripheral
+values are simple. Each means a kernel or an eigensolver at its
+tolerance boundary; so does an eigenspace of a dimension other than its
+eig cluster, on which :func:`~fcstates.cpmap.peripheral_spectrum` raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .cpmap import (
     DensityState,
     OperatorSubspace,
-    _to_hermitian,
     commutant,
-    fixed_points,
     gauge_group_order,
     invariant_state,
     peripheral_spectrum,
@@ -99,12 +91,13 @@ class ClassificationReport:
 
 
 def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
-    """:func:`classify_od`, also returning the fixed space of the system."""
+    """:func:`classify_od`, also returning the Hermitian coordinates of the
+    fixed space: the space of the value 1, the first peripheral entry."""
     notes: list[str] = []
     residual = validate(system)
-    fixed = fixed_points(system, tol)
-    ergodic = fixed.dim == 1
     state = invariant_state(system)
+    peripherals = peripheral_spectrum(system, tol_peripheral, tol)
+    ergodic = peripherals[0].multiplicity == 1
     if not ergodic:
         notes.append(
             "predual fixed space has dimension > 1; reported state is the "
@@ -115,7 +108,6 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
             f"invariant state has rank {state.rank} < {state.n}; "
             "verdicts after ergodicity are read on its support"
         )
-    peripherals = peripheral_spectrum(system, tol_peripheral, tol)
     clustered = [p for p in peripherals if p.multiplicity > 1]
     if ergodic and clustered:
         raise NumericalHealthError(
@@ -139,18 +131,7 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
         k=k,
         notes=tuple(notes),
     )
-    return report, fixed
-
-
-def _fixed_on_support(fixed: OperatorSubspace, carrier: np.ndarray) -> OperatorSubspace:
-    """Fix(sigma_p) = p Fix(sigma) p (Carbone-Pautrat) in the n x r basis B
-    of the support p: B* F_j B over the basis F_j of Fix(sigma), made
-    orthonormal by one QR of their Hermitian coordinates. The QR keeps every
-    column, so a lost rank shows as a commutant of another dimension."""
-    r = carrier.shape[1]
-    images = carrier.conj().T @ np.stack(fixed.basis) @ carrier
-    coords = _to_hermitian(images.swapaxes(1, 2).reshape(-1, r * r).T).real
-    return OperatorSubspace.from_hermitian(np.linalg.qr(coords)[0], r)
+    return report, peripherals[0].space
 
 
 def classify_od(
@@ -162,14 +143,12 @@ def classify_od(
 
     Ergodicity (a trivial fixed-point space of the transfer map) is
     equivalent to purity of the induced state: the self-intertwiner space of
-    the dilation is that same fixed space, so one kernel decides both. The
-    peripheral spectrum is taken on the same map, whether or not the
-    invariant state is faithful; a value whose eigenspace and eig cluster
-    differ in dimension raises (:func:`~fcstates.cpmap.peripheral_spectrum`).
-    When the map is ergodic, k is the order of the circle subgroup formed
-    by that peripheral spectrum, snapped with denominators up to the rank r
-    of the state; otherwise k is undefined and the peripheral set is
-    informational.
+    the dilation is that same fixed space, so one kernel decides both, that
+    of S - I, which :func:`~fcstates.cpmap.peripheral_spectrum` takes for
+    its first entry, the value 1: the map is ergodic iff 1 is simple. Then
+    k is the order of the circle subgroup formed by that spectrum, snapped
+    with denominators up to the rank r of the state; otherwise k is
+    undefined and the peripheral set is informational.
 
     An ergodic map is irreducible on the support of its state, so each
     peripheral value t is simple: its eigenspace is spanned by a power of
@@ -201,30 +180,29 @@ def classify_chain(
     factor, and the restricted spectrum is the peripheral spectrum already
     computed for k, so the chain state is pure iff k = 1.
 
-    Otherwise M' is solved inside a fixed space: that of sigma when the
-    state is faithful, else that of the compression to the support p of
-    the state, read from Fix(sigma) as p Fix(sigma) p, so no second
-    transfer map is built. A fixed space read too small gives a commutant
-    below dim Fix(sigma), which aborts. The centre of M is M cap M' = Z(M'), so M
-    is a factor iff the commutant of M' inside M' is C.1; M itself is never
-    formed. With one central block, K = C^{n_1} (x) C^{m_1},
+    Otherwise M' is solved inside the space of the value 1 that
+    :func:`classify_od` read, when the state is faithful, or inside its
+    image p Fix(sigma) p, the compression's fixed space, when it is not, so
+    no second transfer map and no second kernel of S - I is taken. A fixed
+    space read too small gives a commutant below dim Fix(sigma), which
+    aborts. The centre of M is Z(M'), so M is a factor iff the commutant of
+    M' inside M' is C.1; M itself is never formed. With one central block,
     V_i = W_i (x) I, M = M_{n_1} (x) I and sigma = sigma_W (x) id, so sigma
-    restricted to M has the peripheral set of sigma, the one
-    :func:`classify_od` reported.
+    restricted to M has the peripheral set :func:`classify_od` reported.
     """
     base, fixed = _classify_od(system, tol, tol_peripheral)
     factor = True  # an ergodic map has M = M_n
     if not base.ergodic:
-        state, within = base.invariant_state, fixed
+        state, within = base.invariant_state, OperatorSubspace.from_hermitian(fixed, system.n)
         if not state.faithful:
             system = compress(system, state.carrier)
-            within = _fixed_on_support(fixed, state.carrier)
+            within = within.compressed(state.carrier)
         comm = commutant(system.operators, tol, within=within)
-        if comm.dim != fixed.dim:
+        if comm.dim != fixed.shape[1]:
             raise NumericalHealthError(
                 f"the commutant of the operators on the support of the state "
                 f"({comm.dim}-dimensional) differs from the fixed space of sigma "
-                f"({fixed.dim}-dimensional), where the two have one dimension; a kernel "
+                f"({fixed.shape[1]}-dimensional), where the two have one dimension; a kernel "
                 "is at the tolerance boundary; classification is aborted"
             )
         factor = commutant(comm.basis, tol, within=comm).dim == 1

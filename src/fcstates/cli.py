@@ -55,20 +55,19 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_pair(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(rows, shape_name: str = "matrix") -> np.ndarray:
+    """Rows of [re, im] pairs of JSON numbers, or a :class:`SchemaError`; the
+    float pairs are viewed as complex, so every bit, -0.0 too, is kept."""
     try:
-        out = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, IndexError, ValueError) as exc:
+        pairs = np.asarray(rows)
+    except ValueError as exc:  # ragged nesting
         raise SchemaError(f"malformed {shape_name}: {exc}") from exc
-    if out.ndim != 2:
-        raise SchemaError(f"malformed {shape_name}: not two-dimensional")
-    return out
+    if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.dtype.kind not in "iuf":
+        raise SchemaError(f"malformed {shape_name}: not rows of [re, im] number pairs")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def system_to_json(system: PopescuSystem, seed: int | None = None) -> dict:

@@ -227,8 +227,10 @@ class RealTransfer:
                     if s_kept[-1] > _RITZ_GAP * s_kept[0]:
                         return np.linalg.qr(kept)[0], power, 2**squarings
                 ratios = s / s[0]
-                if squarings == _RITZ_MAX_SQUARINGS or any(
-                    np.max(np.abs(ratios - r)) <= 1e-9 for r in seen
+                if (
+                    squarings == _RITZ_MAX_SQUARINGS
+                    or 2 ** (squarings + 1) * self.residual > 1 / 16
+                    or any(np.max(np.abs(ratios - r)) <= 1e-9 for r in seen)
                 ):
                     break
                 seen.append(ratios)
@@ -238,11 +240,11 @@ class RealTransfer:
         return None
 
     @cached_property
-    def _dominant_subspace(self) -> tuple[np.ndarray, np.ndarray, float | None, int]:
-        # X, S, the certificate c (None when X = I) and m
+    def _dominant_subspace(self) -> tuple[np.ndarray, np.ndarray, float, int]:
+        # X, S, the certificate c and m; X = I leaves no complement, c = 0
         sampled = self._sampled_basis()
         if sampled is None:
-            return np.eye(self.matrix.shape[0]), self.matrix, None, 1
+            return np.eye(self.matrix.shape[0]), self.matrix, 0.0, 1
         basis, power, m = sampled
         image = self.matrix @ basis
         ritz = basis.T @ image
@@ -288,10 +290,15 @@ class RealTransfer:
         without a gap (its normalized singular values repeat within 1e-9
         those of an earlier squaring, as when P has converged to a
         projection of rank at least b, or cycles through the powers of a
-        root of unity), or that has none after 40 squarings, is redrawn
-        with 2b columns, squaring on from the same P. At b = n^2, X = I and
-        S is sigma itself, with no certificate: a map with every eigenvalue
-        on the circle (V_i = c_i U) is solved whole.
+        root of unity), that has none after 40 squarings, or that one more
+        squaring would take past m r = 1/16, the largest m the certificate
+        accepts, is redrawn with 2b columns, squaring on from the same P. A
+        residual r that is not uniform grows the top values at different
+        rates (1 + O(r))^m, so only that cap stops them; a slow mixer with
+        1 - |lambda_2| below about 370 r, whose gap needs m about
+        23 / (1 - |lambda_2|), so widens to X = I. There S is sigma itself,
+        with the empty certificate c = 0: a map with every eigenvalue on the
+        circle (V_i = c_i U) is solved whole.
 
         *Invariance.* R = sigma X - X S must have ||R||_F =: g at most 1e-10
         times the largest column norm of sigma, the bound
@@ -330,7 +337,7 @@ class RealTransfer:
         if not 0.0 < tol < 0.5:
             raise ValueError(f"tol = {tol} must lie in (0, 1/2)")
         basis, ritz, certificate, m = self._dominant_subspace
-        if certificate is not None and certificate >= exp(m * log1p(-tol)):
+        if certificate >= exp(m * log1p(-tol)):
             raise NumericalHealthError(
                 f"the eigenvalues of sigma outside its {basis.shape[1]} Ritz values are not "
                 f"certified below 1 - {tol:.1e}: c = {certificate:.3e} bounds ||T^m||, m = {m}, "
@@ -342,7 +349,7 @@ class RealTransfer:
     def _fixed_basis(self, tol: float) -> np.ndarray:
         """F = X ker(S - I) of :meth:`fixed_kernels`."""
         basis, ritz, certificate, m = self._dominant_subspace
-        if certificate is not None and certificate >= 1.0:
+        if certificate >= 1.0:
             raise NumericalHealthError(
                 f"the fixed space of sigma is not certified inside its {basis.shape[1]} Ritz "
                 f"values: c = {certificate:.3e} >= 1 bounds ||T^m||, m = {m}"
@@ -434,6 +441,16 @@ class OperatorSubspace:
     def from_hermitian(cls, columns: np.ndarray, n: int) -> "OperatorSubspace":
         """The subspace of n x n matrices with the given Hermitian coordinates."""
         return cls.from_vectors(_from_hermitian(columns), (n, n))
+
+    def compressed(self, carrier: np.ndarray) -> "OperatorSubspace":
+        """The span of B* F_j B over the Hermitian basis F_j, for an n x r
+        isometry B, orthonormalized by one QR in Hermitian coordinates that
+        keeps every column: from Fix(sigma) and the support of an invariant
+        state, the compression's fixed space (Carbone-Pautrat)."""
+        r = carrier.shape[1]
+        images = carrier.conj().T @ np.stack(self.basis) @ carrier
+        coords = _to_hermitian(images.swapaxes(1, 2).reshape(-1, r * r).T).real
+        return OperatorSubspace.from_hermitian(np.linalg.qr(coords)[0], r)
 
     def hermitian_columns(self) -> np.ndarray:
         """Real Hermitian coordinates of the basis, which must be Hermitian."""
@@ -540,7 +557,9 @@ def fixed_points(system: PopescuSystem, tol: float = DEFAULT_SUBSPACE_TOL) -> Op
     x = X y, ||(sigma - I) x|| = ||(S - I) y|| up to the invariance
     residual; a near-null direction of a non-normal sigma - I outside X,
     where the certificate puts every eigenvalue inside the circle, is not
-    counted.
+    counted. It needs only c < 1 of the certificate, so it takes no
+    peripheral tolerance; :func:`peripheral_spectrum` holds it as the space
+    of the value 1.
     """
     return OperatorSubspace.from_hermitian(system.transfer._fixed_basis(tol), system.n)
 
@@ -759,13 +778,24 @@ def check_invariant(system: PopescuSystem, state: DensityState) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeripheralEigenvalue:
-    """A unimodular eigenvalue of the forward transfer map."""
+    """A unimodular eigenvalue of sigma and its eigenspace X ker(S - value),
+    held as ``space`` in Hermitian coordinates (real at a real value); its
+    dimension, that of the value's eig cluster, is the multiplicity."""
 
     value: complex
-    multiplicity: int  # the dimension of its eigenspace, and the size of its eig cluster
-    operator: np.ndarray  # representative eigen-operator, unit trace norm
+    space: np.ndarray
+
+    @property
+    def multiplicity(self) -> int:
+        return self.space.shape[1]
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """The first column as an n x n matrix, unit trace norm, phase fixed."""
+        op = unvec(_from_hermitian(self.space[:, 0]))
+        return _canonical_phase(op / np.linalg.norm(op, "nuc"))
 
 
 def _canonical_phase(x: np.ndarray) -> np.ndarray:
@@ -784,7 +814,7 @@ def peripheral_spectrum(
     tol: float = DEFAULT_PERIPHERAL_TOL,
     set_tol: float = DEFAULT_SET_TOL,
 ) -> list[PeripheralEigenvalue]:
-    """Unimodular eigenvalues of the forward map, with eigen-operators.
+    """Unimodular eigenvalues of the forward map, with their eigenspaces.
 
     The eigenvalues come from one eig of the p x p Ritz matrix
     S = X^T sigma X of :meth:`RealTransfer.ritz_matrix`, whose certificate
@@ -792,12 +822,12 @@ def peripheral_spectrum(
     is the number of eigenvalues that survive repeated squaring, n^2 only
     when all of them do. The eigenvalues within ``tol`` of the circle are
     clustered by :func:`value_clusters` at ``set_tol``. The eigenspace of a
-    value is X times the kernel of S - value at threshold ``set_tol``, real
-    for a real value. Every such eigenvector of sigma lies in X, and
-    ||sigma X y - value X y|| = ||(S - value) y|| up to the invariance
-    residual. A unital map has the value 1, and the cluster nearest it
-    takes the kernel of S - I, the fixed space of :func:`fixed_points`, so
-    the two agree at every threshold.
+    value, held as its ``space``, is X times the kernel of S - value at
+    threshold ``set_tol``, real for a real value. Every such eigenvector of
+    sigma lies in X, and ||sigma X y - value X y|| = ||(S - value) y|| up
+    to the invariance residual. A unital map has the value 1, and the
+    cluster nearest it takes the kernel of S - I: its space is the fixed
+    space of :func:`fixed_points` at threshold ``set_tol``.
 
     The peripheral spectrum of a unital CP map is semisimple: sigma is a
     contraction in operator norm, so it has no Jordan block on the circle.
@@ -808,10 +838,9 @@ def peripheral_spectrum(
     eigenvalues that eig puts off the circle, and an empty one is a kernel
     threshold that misses the value; each is a kernel and a spectrum that
     disagree at the tolerance boundary. An empty peripheral set is a map
-    that misses the value 1, and raises as well. Results are sorted by
-    phase angle starting at 1.
+    that misses the value 1, and raises as well. The entry of the value 1
+    comes first, then the others by phase angle.
     """
-    n = system.n
     basis, ritz = system.transfer.ritz_matrix(tol)
     on_circle = [complex(z) for z in eig(ritz).eigenvalues if abs(1.0 - abs(z)) <= tol]
     if not on_circle:
@@ -830,15 +859,8 @@ def peripheral_spectrum(
                 "and a spectrum that disagree at the tolerance boundary; the verdict is "
                 "aborted"
             )
-        op = unvec(_from_hermitian(basis @ space[:, 0]), (n, n))
-        out.append(
-            PeripheralEigenvalue(
-                value=value,
-                multiplicity=algebraic,
-                operator=_canonical_phase(op / np.linalg.norm(op, "nuc")),
-            )
-        )
-    out.sort(key=lambda p: (abs(np.angle(p.value)), np.angle(p.value)))
+        out.append(PeripheralEigenvalue(value, basis @ space))
+    out.sort(key=lambda p: (p.value != one, abs(np.angle(p.value)), np.angle(p.value)))
     return out
 
 

@@ -50,8 +50,8 @@ import numpy as np
 from .cpmap import (
     DEFAULT_PERIPHERAL_TOL,
     DensityState,
+    OperatorSubspace,
     check_invariant,
-    fixed_points,
     invariance_residual,
     peripheral_spectrum,
 )
@@ -276,16 +276,15 @@ def compare_duals(
     spectrum, which raises :class:`NumericalHealthError` when an eigenspace
     and its eig cluster differ in dimension (a kernel of the Ritz matrix at
     its tolerance boundary, such as one that misses the value 1), as does
-    a moved pair above the threshold here. When the function returns, the two agree on ergodicity and on
-    the peripheral set, so no match flag is returned. As in
-    :func:`~fcstates.classify.classify_chain`, ``tol_peripheral`` places a
-    value on the circle and ``tol`` is the set and kernel tolerance. The
-    spectrum and the fixed space are read on the transfer map that the
-    dualized system holds, with its certified Ritz pair, so a system whose
-    state was solved is not sampled again.
+    a moved pair above the threshold here. When the function returns, the
+    two agree on ergodicity and on the peripheral set, so no match flag is
+    returned. As in :func:`~fcstates.classify.classify_chain`,
+    ``tol_peripheral`` places a value on the circle and ``tol`` is the set
+    and kernel tolerance. The fixed space is the space of the first entry,
+    the value 1, on the map and Ritz pair the dualized system holds.
     """
     peri = peripheral_spectrum(dual.system, tol_peripheral, tol)
-    fixed = fixed_points(dual.system, tol).basis
+    fixed = OperatorSubspace.from_hermitian(peri[0].space, dual.system.n).basis
     values = tuple(p.value for p in peri)
     lam = np.array(values + (1.0,) * len(fixed))[:, None, None]
     rs = dual.modular.phi_vector

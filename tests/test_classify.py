@@ -19,6 +19,7 @@ from fcstates import (
     peripheral_spectrum,
     random_system,
     spectral_sets_match,
+    validate,
 )
 from fcstates.classify import HYPOTHESES_NOT_MET
 from fcstates.cpmap import OperatorSubspace
@@ -278,13 +279,13 @@ def test_multiplicity_mismatch_at_the_tolerance_boundary_aborts():
 def _compressed_kernel_short_of_the_boundary(monkeypatch, system):
     # the compression's fixed space, read from Fix(sigma) as B* Fix(sigma) B,
     # is read one direction short, as a QR that loses rank would leave it
-    original = fcstates.classify._fixed_on_support
+    original = OperatorSubspace.compressed
 
     def at_boundary(fixed, carrier):
         within = original(fixed, carrier)
         return OperatorSubspace(within.basis[:-1], within.shape)
 
-    monkeypatch.setattr(fcstates.classify, "_fixed_on_support", at_boundary)
+    monkeypatch.setattr(OperatorSubspace, "compressed", at_boundary)
 
 
 def _commutant_kernel_at_the_boundary(monkeypatch, system):
@@ -405,7 +406,7 @@ def test_fixed_space_of_a_compression_is_b_star_fix_b(request, name):
     assert fixed.dim > 1 and not state.faithful
     form = compress(system, state.carrier).transfer
     want = OperatorSubspace.from_hermitian(svd_fixed_kernels(form)[0], form.n)
-    got = fcstates.classify._fixed_on_support(fixed, state.carrier)
+    got = fixed.compressed(state.carrier)
     assert got.dim == want.dim == fixed.dim
     assert got.span_equals(want)
     assert np.linalg.norm(got.gram() - np.eye(got.dim)) <= 1e-12
@@ -495,6 +496,52 @@ def test_fixed_kernels_match_svd_route_on_families(name, make):
     assert_fixed_kernels_match_svd_route(make(), bound=bound)
 
 
+def _assert_value_one_carries_the_fixed_space(system):
+    # the entry of the value 1 comes first, and its eigenspace, the one
+    # kernel of S - I that classify reads, is the fixed space
+    one, fixed = peripheral_spectrum(system)[0], fixed_points(system)
+    assert abs(one.value - 1.0) <= 1e-8 and one.space.dtype.kind == "f"
+    assert one.multiplicity == one.space.shape[1] == fixed.dim
+    assert OperatorSubspace.from_hermitian(one.space, system.n).span_equals(fixed, 1e-12)
+
+
+def test_value_one_carries_the_fixed_space(known_system):
+    _assert_value_one_carries_the_fixed_space(known_system)
+
+
+@pytest.mark.parametrize("make", ORACLE_FAMILIES.values(), ids=ORACLE_FAMILIES.keys())
+def test_value_one_carries_the_fixed_space_on_families(make):
+    _assert_value_one_carries_the_fixed_space(make())
+
+
+def _unital_to(system, r, seed):
+    # G^{1/2} V_i with G = I + r H, H a seeded Hermitian matrix of norm 1,
+    # so sum_i V_i V_i* - I = r H: a residual r that is not uniform
+    g = np.random.default_rng(seed).standard_normal((2, system.n, system.n))
+    h = g[0] + 1j * g[1]
+    h += h.conj().T
+    w, u = np.linalg.eigh(np.eye(system.n) + r * h / np.linalg.norm(h, 2))
+    root = (u * np.sqrt(w)) @ u.conj().T
+    return PopescuSystem.from_operators([root @ v for v in system.operators])
+
+
+DRIFTING = [(a, r) for a in (3, 4) for r in (1e-11, 1e-10, 3e-10, 9e-10)]
+
+
+@pytest.mark.parametrize("a, r", DRIFTING, ids=[f"xI{a}:r={r:.0e}" for a, r in DRIFTING])
+def test_a_residual_that_is_not_uniform_stops_the_squaring(a, r):
+    # random(2,4,5) (x) I_a, unital only to r and unevenly: the a^2 largest
+    # singular values of the sample grow at different rates (1 + O(r))^m,
+    # so their ratios never repeat, and unless the squaring stops where one
+    # more would take m r past 1/16 the certificate cannot close
+    system = _unital_to(ancilla(random_system(2, 4, 5), a), r, seed=0)
+    assert validate(system) == pytest.approx(r, rel=1e-3)
+    rep = classify_chain(system)
+    assert not rep.ergodic and rep.m_is_factor is True and rep.chain_pure is True
+    basis, _, _, m = system.transfer._dominant_subspace
+    assert basis.shape[1] == a * a and m * r <= 1 / 16
+
+
 @pytest.mark.parametrize("make", ORACLE_FAMILIES.values(), ids=ORACLE_FAMILIES.keys())
 def test_commutant_matches_vec_oracle_on_families(make):
     ops = make().operators
@@ -525,12 +572,12 @@ BLOCK_SHIFTS = {
 @pytest.mark.parametrize("make", BLOCK_SHIFTS.values(), ids=BLOCK_SHIFTS.keys())
 def test_classify_chain_takes_only_ritz_kernels_on_block_shifts(monkeypatch, make):
     # every peripheral value is simple, and its eigenspace is the kernel of
-    # S - t for the k x k Ritz matrix S; fixed_points and invariant_state
-    # take that of S - I
+    # S - t for the k x k Ritz matrix S; invariant_state takes that of S - I
+    # too, and the space of t = 1 is the fixed space, taken once
     kernels = record_kernels(monkeypatch)
     rep = classify_chain(make())
     assert rep.ergodic and rep.k == len(rep.peripheral) > 1
-    assert [shape for _, shape in kernels] == [(rep.k, rep.k)] * (rep.k + 2)
+    assert [shape for _, shape in kernels] == [(rep.k, rep.k)] * (rep.k + 1)
 
 
 def test_classify_chain_takes_no_kernel_of_the_whole_map(monkeypatch, known_system):
@@ -557,26 +604,26 @@ def _one_solve_each(*sizes):
     [
         (
             lambda: random_system(3, 5, 21),
-            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 0, "eig": 1, "kernel": 3, "factorizations": _one_solve_each(25),
+            {"fixed_points": 0, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 0, "eig": 1, "kernel": 2, "factorizations": _one_solve_each(25),
              "eig_dims": [1]},
         ),
         (
             lambda: nonfaithful(2, 3, 2, 22),
-            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 0, "eig": 1, "kernel": 3, "factorizations": _one_solve_each(25),
+            {"fixed_points": 0, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 0, "eig": 1, "kernel": 2, "factorizations": _one_solve_each(25),
              "eig_dims": [1]},
         ),
         (
             lambda: direct_sum(random_system(2, 2, 23), random_system(2, 3, 24)),
-            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 2, "eig": 1, "kernel": 5, "factorizations": _one_solve_each(25),
+            {"fixed_points": 0, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 2, "eig": 1, "kernel": 4, "factorizations": _one_solve_each(25),
              "eig_dims": [2]},
         ),
         (
             lambda: ancilla(random_system(2, 2, 63), 3),
-            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 2, "eig": 1, "kernel": 5, "factorizations": _one_solve_each(36),
+            {"fixed_points": 0, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 2, "eig": 1, "kernel": 4, "factorizations": _one_solve_each(36),
              "eig_dims": [9]},
         ),
         (
@@ -587,14 +634,14 @@ def _one_solve_each(*sizes):
             # Ritz matrix of the 100 x 100 map, whose 4 Ritz values are its
             # 4 fixed points
             lambda: ancilla(nonfaithful(2, 3, 2, 22), 2),
-            {"fixed_points": 1, "compress": 1, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 2, "eig": 1, "kernel": 5, "factorizations": _one_solve_each(100),
+            {"fixed_points": 0, "compress": 1, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 2, "eig": 1, "kernel": 4, "factorizations": _one_solve_each(100),
              "eig_dims": [4]},
         ),
         (
             lambda: block_shift(3, 2, 3, 71),
-            {"fixed_points": 1, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
-             "commutant": 0, "eig": 1, "kernel": 5, "factorizations": _one_solve_each(81),
+            {"fixed_points": 0, "compress": 0, "invariant_state": 1, "sigma_matrix": 1,
+             "commutant": 0, "eig": 1, "kernel": 4, "factorizations": _one_solve_each(81),
              "eig_dims": [3]},
         ),
     ],
@@ -610,9 +657,10 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     # builds, and the SVDs, eigs and solves of n^2 x n^2 matrices: one
     # sigma_r, the system's own, and one bordered solve, for its invariant
     # state, and nothing else. The other
-    # kernels are of the p x p Ritz matrix: S - I for fixed_points and again
-    # for invariant_state, S - t for each peripheral cluster (k = 3 of them
-    # for the block shift), about 20 us each at p <= 9 (1 BLAS thread).
+    # kernels are of the p x p Ritz matrix: S - I for invariant_state, S - t
+    # for each peripheral cluster (k = 3 of them for the block shift), about
+    # 20 us each at p <= 9 (1 BLAS thread). The fixed space is the space of
+    # t = 1, so fixed_points, counted where cpmap defines it, never runs.
     # The one eig runs on the p x p Ritz matrix, never on the n^2 x n^2 map:
     # p is 1 for a primitive map, dim Fix = 2, 9 or 4 where the peripheral
     # set is {1}, and k = 3 for the block shift.
@@ -633,9 +681,9 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
 
         return wrapper
 
-    for name in ("fixed_points", "compress", "invariant_state", "commutant", "eig"):
+    for name in ("compress", "invariant_state", "commutant", "eig"):
         monkeypatch.setattr(fcstates.classify, name, counted(fcstates.classify, name))
-    for name in ("sigma_matrix", "commutant", "eig"):
+    for name in ("fixed_points", "sigma_matrix", "commutant", "eig"):
         monkeypatch.setattr(fcstates.cpmap, name, counted(fcstates.cpmap, name))
     kernels = record_kernels(monkeypatch)
     counts["factorizations"] = record_transfer_factorizations(monkeypatch)
@@ -643,3 +691,10 @@ def test_classify_chain_computes_each_object_once(monkeypatch, make, calls):
     counts["kernel"] = len(kernels)
     assert counts == calls
     assert unrestricted == []
+    assert not hasattr(fcstates.classify, "fixed_points")
+
+
+def test_classify_reads_only_public_names_of_cpmap():
+    private = [name for name, obj in vars(fcstates.classify).items()
+               if name.startswith("_") and getattr(obj, "__module__", "") == "fcstates.cpmap"]
+    assert private == []

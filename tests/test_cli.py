@@ -59,6 +59,11 @@ def test_matrix_round_trip_bit_exact():
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
     assert np.array_equal(m, back)
+    assert matrix_to_json(m) == [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    # signed zeros survive both ways
+    m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]])
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+    assert np.array_equal(np.signbit(back.view(float)), [[True, False, False, True]])
 
 
 def test_system_round_trip_bit_exact(averaging3):
@@ -107,6 +112,12 @@ def test_validate_invalid_system(tmp_path, capsys):
 _SITE_FACTOR = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
 
+def _swap2_entry(entry):
+    # the operators of swap2 with the (0, 0) entry of V_1 replaced
+    zero, one = [0.0, 0.0], [1.0, 0.0]
+    return {"operators": [[[entry, one], [zero, zero]], [[zero, zero], [one, zero]]]}
+
+
 @pytest.mark.parametrize(
     "system_fields, observable",
     [
@@ -126,10 +137,18 @@ _SITE_FACTOR = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         ({}, {"start_site": 1.9, "factors": [_SITE_FACTOR]}),
         ({}, {"start_site": "3", "factors": [_SITE_FACTOR]}),
         ({}, {"start_site": True, "factors": [_SITE_FACTOR]}),
+        # a matrix entry is a pair of JSON numbers: a third number is not
+        # dropped, and an integer too large for a float is no traceback
+        (_swap2_entry([0.0, 0.0, 7.0]), None),
+        (_swap2_entry([0.0]), None),
+        (_swap2_entry("0"), None),
+        (_swap2_entry([10**400, 0]), None),
+        ({}, {"factors": [[[[1.0, 0.0, 7.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}),
     ],
     ids=["operators_5", "dim_null", "dim_infinite", "tolerances_list", "d_two", "factors_5",
          "start_site_null", "start_site_x", "dim_2.7", "dim_string", "d_float",
-         "start_site_1.9", "start_site_string", "start_site_true"],
+         "start_site_1.9", "start_site_string", "start_site_true", "entry_3_numbers",
+         "entry_1_number", "entry_string", "entry_huge_integer", "factor_entry_3_numbers"],
 )
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, swap2, system_fields, observable):
     # a field of the wrong kind exits 2 with one line on stderr, never a
@@ -432,12 +451,11 @@ def test_dual_swap(capsys, monkeypatch, swap_path):
     assert sum(s is system for s in forms) == 1
     # n^2 = 4 does not exceed the first sample width, 8, so the Ritz
     # subspace is everything (p = n^2) and eig runs on sigma itself; its
-    # kernels are those of S - I for the state and the fixed space, and of
-    # S - t at the two peripheral values
+    # kernels are those of S - I for the state, and of S - t at the two
+    # peripheral values, the first of which, t = 1, gives the fixed space
     assert solved == [(4, 4)]
     assert factored == [
         ("real_transfer", 4), ("svd", 4), ("solve", 4), ("eig", 4), ("svd", 4), ("svd", 4),
-        ("svd", 4),
     ]
     doc = json.loads(capsys.readouterr().out)
     assert list(doc) == [

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -32,6 +33,7 @@ from fcstates import (
 from fcstates.cpmap import (
     DensityState,
     OperatorSubspace,
+    PeripheralEigenvalue,
     _commutant_constraints_within,
     invariance_residual,
     real_form,
@@ -656,6 +658,19 @@ def test_peripheral_eigenspace_kernel_at_its_threshold(monkeypatch, factor, semi
     (p,) = [p for p in peri if abs(p.value - t) <= 1e-6]
     assert p.multiplicity == 1
     assert abs(np.linalg.norm(p.operator, "nuc") - 1.0) <= 1e-10
+
+
+def test_a_peripheral_entry_holds_its_value_and_space(swap2):
+    # each decided value is held once: the multiplicity is the column count
+    # of the space, and the representative is formed when first read
+    assert [f.name for f in dataclasses.fields(PeripheralEigenvalue)] == ["value", "space"]
+    one, minus = peripheral_spectrum(swap2)
+    assert one.value == pytest.approx(1.0) and minus.value == pytest.approx(-1.0)
+    assert minus.multiplicity == minus.space.shape[1] == 1
+    assert "operator" not in vars(minus)
+    op = minus.operator
+    assert vars(minus)["operator"] is op and minus.operator is op
+    assert np.allclose(op, np.diag([0.5, -0.5]))
 
 
 def test_eigenunitary_swap(swap2):
