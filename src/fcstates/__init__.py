@@ -21,9 +21,7 @@ from .cpmap import (
     commutant,
     fixed_points,
     gauge_group_order,
-    generated_algebra,
     invariant_state,
-    is_algebra,
     mixed_fixed_points,
     peripheral_eigenunitary,
     peripheral_spectrum,
@@ -66,9 +64,7 @@ __all__ = [
     "sigma_matrix",
     "real_transfer",
     "fixed_points",
-    "is_algebra",
     "commutant",
-    "generated_algebra",
     "invariant_state",
     "coinvariance_check",
     "peripheral_spectrum",

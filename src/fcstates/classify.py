@@ -53,6 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .cpmap import (
+    DEFAULT_PERIPHERAL_TOL,
+    DEFAULT_SET_TOL,
     DensityState,
     OperatorSubspace,
     commutant,
@@ -136,8 +138,8 @@ def _classify_od(system: PopescuSystem, tol: float, tol_peripheral: float):
 
 def classify_od(
     system: PopescuSystem,
-    tol: float = 1e-8,
-    tol_peripheral: float = 1e-9,
+    tol: float = DEFAULT_SET_TOL,
+    tol_peripheral: float = DEFAULT_PERIPHERAL_TOL,
 ) -> ClassificationReport:
     """Ergodicity, purity, and gauge-subgroup order, from one transfer map.
 
@@ -161,8 +163,8 @@ def classify_od(
 
 def classify_chain(
     system: PopescuSystem,
-    tol: float = 1e-8,
-    tol_peripheral: float = 1e-9,
+    tol: float = DEFAULT_SET_TOL,
+    tol_peripheral: float = DEFAULT_PERIPHERAL_TOL,
 ) -> ClassificationReport:
     """Full report: adds the two-sided chain verdicts to :func:`classify_od`.
 

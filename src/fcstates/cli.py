@@ -19,13 +19,16 @@ import functools
 import hashlib
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
 from . import __version__
-from .chain import LocalObservable, clustering_defect, expectation
+from .chain import DEFAULT_DECAY_TOL, DEFAULT_N_MAX, LocalObservable, clustering_defect, expectation
 from .classify import ClassificationReport, classify_chain
 from .cpmap import (
+    DEFAULT_PERIPHERAL_TOL,
+    DEFAULT_SET_TOL,
     invariance_residual,
     invariant_state,
     mixed_fixed_points,
@@ -34,7 +37,7 @@ from .cpmap import (
 from .dilation import build, cuntz_residuals
 from .errors import NumericalHealthError, ValidationError
 from .modular import compare_duals, dual_system, verify_duality
-from .popescu import PopescuSystem, random_system, validate
+from .popescu import DEFAULT_VALIDATE_TOL, PopescuSystem, random_system, validate
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -60,13 +63,17 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 def matrix_from_json(rows, shape_name: str = "matrix") -> np.ndarray:
     """Rows of [re, im] pairs of JSON numbers, or a :class:`SchemaError`; the
-    float pairs are viewed as complex, so every bit, -0.0 too, is kept."""
+    float pairs are viewed as complex, so every bit, -0.0 too, is kept. A
+    boolean is not a number, though numpy would read one next to numbers
+    as 0 or 1."""
     try:
         pairs = np.asarray(rows)
     except ValueError as exc:  # ragged nesting
         raise SchemaError(f"malformed {shape_name}: {exc}") from exc
     if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.dtype.kind not in "iuf":
         raise SchemaError(f"malformed {shape_name}: not rows of [re, im] number pairs")
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(rows)))):
+        raise SchemaError(f"malformed {shape_name}: a boolean where a number belongs")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
@@ -110,7 +117,7 @@ def _field(doc: dict, key: str, convert, default=None):
         raise SchemaError(f"malformed '{key}' field: {value!r:.60}") from exc
 
 
-def parse_system(doc: dict, tol_validate: float = 1e-9) -> PopescuSystem:
+def parse_system(doc: dict, tol_validate: float = DEFAULT_VALIDATE_TOL) -> PopescuSystem:
     if not isinstance(doc, dict):
         raise SchemaError("system file does not hold a JSON object")
     for key in ("d", "dim", "operators"):
@@ -128,7 +135,7 @@ def parse_system(doc: dict, tol_validate: float = 1e-9) -> PopescuSystem:
     return PopescuSystem.from_operators(ops, tol=tol)
 
 
-def load_system(path: str, tol_validate: float = 1e-9) -> tuple[PopescuSystem, bytes]:
+def load_system(path: str, tol_validate: float = DEFAULT_VALIDATE_TOL) -> tuple[PopescuSystem, bytes]:
     with open(path, "rb") as fh:
         raw = fh.read()
     doc = json.loads(raw.decode("utf-8"))
@@ -319,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fcstates",
         description="Spectral classification of finitely correlated states",
     )
-    parser.add_argument("--tol-validate", type=float, default=1e-9)
-    parser.add_argument("--tol-peripheral", type=float, default=1e-9)
-    parser.add_argument("--tol-spectral-set", type=float, default=1e-8)
+    parser.add_argument("--tol-validate", type=float, default=DEFAULT_VALIDATE_TOL)
+    parser.add_argument("--tol-peripheral", type=float, default=DEFAULT_PERIPHERAL_TOL)
+    parser.add_argument("--tol-spectral-set", type=float, default=DEFAULT_SET_TOL)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the defining relation of a system file")
@@ -341,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("x", help="observable spec (inline JSON or path)")
     p.add_argument("y", help="observable spec (inline JSON or path)")
-    p.add_argument("--n-max", type=int, default=200)
-    p.add_argument("--decay-tol", type=float, default=1e-6)
+    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    p.add_argument("--decay-tol", type=float, default=DEFAULT_DECAY_TOL)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("dilate", help="truncated dilation dimension and residuals")

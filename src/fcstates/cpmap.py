@@ -67,9 +67,7 @@ __all__ = [
     "sigma_matrix",
     "real_transfer",
     "fixed_points",
-    "is_algebra",
     "commutant",
-    "generated_algebra",
     "invariant_state",
     "check_invariant",
     "coinvariance_check",
@@ -128,24 +126,27 @@ def _hermitian_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return index
 
 
-def _to_hermitian(v: np.ndarray) -> np.ndarray:
-    """Hermitian coordinates B* v of vec coordinates v (along axis 0)."""
-    dg, up, lo = _hermitian_index(isqrt(v.shape[0]))
+def _to_hermitian(x: np.ndarray) -> np.ndarray:
+    """Hermitian coordinates (last axis) of n x n matrices (last two axes)."""
+    n = x.shape[-1]
+    dg, lo, up = _hermitian_index(n)  # row-major: up holds (j, k), lo (k, j)
+    flat = x.reshape(*x.shape[:-2], n * n)
+    xu, xl = flat[..., up], flat[..., lo]
     return np.concatenate(
-        [v[dg], _HALF_SQRT2 * (v[up] + v[lo]), -1j * _HALF_SQRT2 * (v[up] - v[lo])]
+        [flat[..., dg], _HALF_SQRT2 * (xu + xl), -1j * _HALF_SQRT2 * (xu - xl)], axis=-1
     )
 
 
 def _from_hermitian(c: np.ndarray) -> np.ndarray:
-    """Vec coordinates B c of Hermitian coordinates c (along axis 0)."""
-    n = isqrt(c.shape[0])
-    dg, up, lo = _hermitian_index(n)
+    """The n x n matrices (last two axes) of Hermitian coordinates (last axis)."""
+    n = isqrt(c.shape[-1])
+    dg, lo, up = _hermitian_index(n)
     p = up.size
-    sym = _HALF_SQRT2 * c[n : n + p]
-    anti = 1j * _HALF_SQRT2 * c[n + p :]
-    v = np.empty(c.shape, dtype=complex)
-    v[dg], v[up], v[lo] = c[:n], sym + anti, sym - anti
-    return v
+    sym = _HALF_SQRT2 * c[..., n : n + p]
+    anti = 1j * _HALF_SQRT2 * c[..., n + p :]
+    x = np.empty(c.shape, dtype=complex)
+    x[..., dg], x[..., up], x[..., lo] = c[..., :n], sym + anti, sym - anti
+    return x.reshape(*c.shape[:-1], n, n)
 
 
 def real_form(m: np.ndarray) -> np.ndarray:
@@ -408,12 +409,12 @@ class RealTransfer:
         trace(R H_a) is the a-th Hermitian coordinate of R, p + i q, so each
         value is (p.h - q.k) + i (q.h + p.k), contracted in real arithmetic.
         """
-        c = _to_hermitian(vec(b))
+        c = _to_hermitian(b)
         orbit = np.empty((steps + 1, 2, c.size))
         orbit[0] = c.real, c.imag
         for s in range(steps):
             np.matmul(orbit[s], self.matrix.T, out=orbit[s + 1])
-        c = _to_hermitian(vec(r))
+        c = _to_hermitian(r)
         g = orbit @ np.stack([c.real, c.imag], axis=1)
         return g[:, 0, 0] - g[:, 1, 1] + 1j * (g[:, 0, 1] + g[:, 1, 0])
 
@@ -427,47 +428,49 @@ def real_transfer(system: PopescuSystem) -> RealTransfer:
 
 @dataclass(frozen=True)
 class OperatorSubspace:
-    """A linear subspace of matrices with a trace-orthonormal basis."""
+    """A linear subspace of matrices with a trace-orthonormal basis, held as
+    one (dim, rows, cols) complex array; matrices of another shape raise."""
 
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     shape: tuple[int, int]
+
+    def __post_init__(self):
+        basis = np.ascontiguousarray(self.basis, dtype=complex)
+        basis = basis.reshape(0, *self.shape) if basis.size == 0 else basis
+        if basis.shape[1:] != tuple(self.shape):
+            raise ValueError(f"a basis of shape {basis.shape} does not hold {self.shape} matrices")
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def from_vectors(cls, columns: np.ndarray, shape: tuple[int, int]) -> "OperatorSubspace":
-        mats = tuple(unvec(columns[:, k], shape) for k in range(columns.shape[1]))
-        return cls(mats, shape)
+        return cls(columns.T.reshape(columns.shape[1], shape[1], shape[0]).swapaxes(1, 2), shape)
 
     @classmethod
     def from_hermitian(cls, columns: np.ndarray, n: int) -> "OperatorSubspace":
         """The subspace of n x n matrices with the given Hermitian coordinates."""
-        return cls.from_vectors(_from_hermitian(columns), (n, n))
+        return cls(_from_hermitian(columns.T), (n, n))
 
     def compressed(self, carrier: np.ndarray) -> "OperatorSubspace":
         """The span of B* F_j B over the Hermitian basis F_j, for an n x r
         isometry B, orthonormalized by one QR in Hermitian coordinates that
         keeps every column: from Fix(sigma) and the support of an invariant
         state, the compression's fixed space (Carbone-Pautrat)."""
-        r = carrier.shape[1]
-        images = carrier.conj().T @ np.stack(self.basis) @ carrier
-        coords = _to_hermitian(images.swapaxes(1, 2).reshape(-1, r * r).T).real
-        return OperatorSubspace.from_hermitian(np.linalg.qr(coords)[0], r)
+        coords = _to_hermitian(carrier.conj().T @ self.basis @ carrier).real.T
+        return OperatorSubspace.from_hermitian(np.linalg.qr(coords)[0], carrier.shape[1])
 
     def hermitian_columns(self) -> np.ndarray:
         """Real Hermitian coordinates of the basis, which must be Hermitian."""
-        c = _to_hermitian(self.to_columns())
+        c = _to_hermitian(self.basis).T
         if np.abs(c.imag).max(initial=0.0) > 1e-12:
             raise ValueError("subspace basis is not Hermitian")
         return c.real
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.shape[0]
 
     def to_columns(self) -> np.ndarray:
-        cols = np.empty((self.shape[0] * self.shape[1], self.dim), dtype=complex)
-        for k, b in enumerate(self.basis):
-            cols[:, k] = vec(b)
-        return cols
+        return self.basis.swapaxes(1, 2).reshape(self.dim, self.shape[0] * self.shape[1]).T
 
     def gram(self) -> np.ndarray:
         q = self.to_columns()
@@ -475,8 +478,7 @@ class OperatorSubspace:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of a matrix onto the subspace."""
-        q = self.to_columns()
-        return unvec(q @ (q.conj().T @ vec(x)), self.shape)
+        return np.tensordot(np.tensordot(self.basis.conj(), x, 2), self.basis, 1)
 
     def contains(self, x: np.ndarray, tol: float = DEFAULT_SUBSPACE_TOL) -> bool:
         scale = max(np.linalg.norm(x), 1.0)
@@ -564,21 +566,6 @@ def fixed_points(system: PopescuSystem, tol: float = DEFAULT_SUBSPACE_TOL) -> Op
     return OperatorSubspace.from_hermitian(system.transfer._fixed_basis(tol), system.n)
 
 
-def is_algebra(sub: OperatorSubspace, tol: float = DEFAULT_SUBSPACE_TOL) -> bool:
-    """True iff the span contains I and is closed under products."""
-    if sub.dim == 0:
-        raise ValueError("subspace is empty")
-    if sub.shape[0] != sub.shape[1]:
-        return False
-    if not sub.contains(np.eye(sub.shape[0]), tol):
-        return False
-    for a in sub.basis:
-        for b in sub.basis:
-            if not sub.contains(a @ b, tol):
-                return False
-    return True
-
-
 def _hermitian_parts(gens: list[np.ndarray]) -> list[np.ndarray]:
     """(A + A*)/sqrt(2) for each generator A, and i(A - A*)/sqrt(2) for each
     A that is not Hermitian."""
@@ -593,12 +580,11 @@ def _commutant_constraints_within(
     generators, of c -> i[sum_j c_j F_j, K] for the Hermitian basis
     F_1..F_f of ``within``: column j holds the Hermitian coordinates of the
     image i[F_j, K], so each K costs O(f n^3)."""
-    n = within.shape[0]
-    f = np.stack(within.basis)
+    f = within.basis
     blocks = []
     for k in _hermitian_parts(gens):
         images = 1j * (f @ k - k @ f)  # Hermitian, as F_j and K are
-        blocks.append(_to_hermitian(images.swapaxes(1, 2).reshape(-1, n * n).T).real)
+        blocks.append(_to_hermitian(images).real.T)
     return np.concatenate(blocks)
 
 
@@ -632,21 +618,12 @@ def commutant(
     for g in gens:
         if g.shape != (n, n):
             raise ValueError("generators must share a common square dimension")
-    scale = max(1.0, float(max(np.linalg.norm(g, 2) for g in gens)))
+    scale = max(1.0, float(np.linalg.norm(np.stack(gens), 2, axis=(1, 2)).max()))
     if within is None:
         within = OperatorSubspace.from_hermitian(np.eye(n * n), n)
     basis = within.hermitian_columns()
     null = kernel(_commutant_constraints_within(gens, within), tol, scale=scale)
     return OperatorSubspace.from_hermitian(basis @ null, n)
-
-
-def generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:
-    """The unital *-algebra M generated by the operators, as the bicommutant M''.
-
-    In finite dimensions a unital *-algebra equals its double commutant, so
-    M is the commutant of a basis of the commutant of the generators.
-    """
-    return commutant(commutant(generators, tol).basis, tol)
 
 
 def invariant_state(system: PopescuSystem, rho0: np.ndarray | None = None) -> DensityState:
@@ -689,8 +666,7 @@ def invariant_state(system: PopescuSystem, rho0: np.ndarray | None = None) -> De
     fixed, dual = form.fixed_kernels(DEFAULT_SUBSPACE_TOL)
     if not fixed.shape[1]:
         raise _missing_one(f"S - I has no kernel at threshold {DEFAULT_SUBSPACE_TOL:.1e}", system)
-    v = dual @ (fixed.T @ _to_hermitian(vec(rho0)))
-    rho = unvec(_from_hermitian(v), (n, n))
+    rho = _from_hermitian(dual @ (fixed.T @ _to_hermitian(rho0)))
     vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     if vals[0] < -1e-8:
         raise NumericalHealthError(
@@ -698,7 +674,7 @@ def invariant_state(system: PopescuSystem, rho0: np.ndarray | None = None) -> De
         )
     vals = np.clip(vals, 0.0, None)
     state = DensityState(vals / vals.sum(), vecs)
-    h = _to_hermitian(vec(state.rho)).real
+    h = _to_hermitian(state.rho).real
     resid = float(np.linalg.norm(form.matrix.T @ h - h))
     gate = invariance_bound(system)
     if resid > gate:
@@ -794,7 +770,7 @@ class PeripheralEigenvalue:
     @cached_property
     def operator(self) -> np.ndarray:
         """The first column as an n x n matrix, unit trace norm, phase fixed."""
-        op = unvec(_from_hermitian(self.space[:, 0]))
+        op = _from_hermitian(self.space[:, 0])
         return _canonical_phase(op / np.linalg.norm(op, "nuc"))
 
 

@@ -49,6 +49,7 @@ import numpy as np
 
 from .cpmap import (
     DEFAULT_PERIPHERAL_TOL,
+    DEFAULT_SET_TOL,
     DensityState,
     OperatorSubspace,
     check_invariant,
@@ -240,7 +241,8 @@ class DualComparison:
     the system's fixed-space dimension. Both agreements hold whenever
     :func:`compare_duals` returns. ``similarity`` is the largest relative
     residual ||tau^dagger(Z) - lambda Z||_F / ||Z||_F over the moved
-    eigenpairs (see :func:`compare_duals`).
+    eigenpairs, one per column of each peripheral eigenspace (see
+    :func:`compare_duals`).
     """
 
     peripheral: tuple[complex, ...]
@@ -249,7 +251,7 @@ class DualComparison:
 
 def compare_duals(
     dual: DualSystem,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_SET_TOL,
     tol_peripheral: float = DEFAULT_PERIPHERAL_TOL,
 ) -> DualComparison:
     """Ergodicity and peripheral-spectrum agreement of the dual pair, from
@@ -259,14 +261,13 @@ def compare_duals(
     The dual map tau is Gamma^{-1} sigma_* Gamma with
     Gamma(Y) = rho^{1/2} Y rho^{1/2} (see the module docstring), so its
     peripheral values and multiplicities are those of sigma. The similarity
-    is checked, not assumed: the representative operator X of every
-    peripheral value lambda, and every element of the fixed space (value 1),
-    is moved to Z = rho^{1/2} X rho^{1/2}, and each must satisfy
+    is checked, not assumed: each column X of each entry's ``space``, one
+    stack, is moved once to Z = rho^{1/2} X rho^{1/2}, and must satisfy
 
         ||sum_j W_j Z W_j* - lambda Z||_F <= max(tol, 1e-9) ||Z||_F,
 
     at O(d n^3) per pair; sum_j W_j Z W_j* is tau^dagger. So every system
-    value is a dual value (conjugated), and the fixed space moves into the
+    value is a dual value (conjugated), and each eigenspace moves into the
     dual's with its dimension, since Gamma is invertible. The reverse
     inclusion, that the dual has no further peripheral value, rests on
     W_j = rho^{1/2} V_j rho^{-1/2}, which :func:`verify_duality` measures as
@@ -280,15 +281,15 @@ def compare_duals(
     two agree on ergodicity and on the peripheral set, so no match flag is
     returned. As in :func:`~fcstates.classify.classify_chain`,
     ``tol_peripheral`` places a value on the circle and ``tol`` is the set
-    and kernel tolerance. The fixed space is the space of the first entry,
-    the value 1, on the map and Ritz pair the dualized system holds.
+    and kernel tolerance, on the map and Ritz pair the dualized system
+    holds.
     """
     peri = peripheral_spectrum(dual.system, tol_peripheral, tol)
-    fixed = OperatorSubspace.from_hermitian(peri[0].space, dual.system.n).basis
     values = tuple(p.value for p in peri)
-    lam = np.array(values + (1.0,) * len(fixed))[:, None, None]
+    lam = np.repeat(values, [p.multiplicity for p in peri])[:, None, None]
+    spaces = np.concatenate([p.space for p in peri], axis=1)
     rs = dual.modular.phi_vector
-    z = rs @ np.stack([p.operator for p in peri] + list(fixed)) @ rs
+    z = rs @ OperatorSubspace.from_hermitian(spaces, dual.system.n).basis @ rs
     moved = sum(w @ z @ w.conj().T for w in dual.parameters)
     similarity = float(
         np.max(np.linalg.norm(moved - lam * z, axis=(1, 2)) / np.linalg.norm(z, axis=(1, 2)))

@@ -6,7 +6,7 @@ from scipy.linalg import block_diag
 
 import fcstates.cpmap
 from fcstates import PopescuSystem, peripheral_spectrum, random_system
-from fcstates.cpmap import OperatorSubspace, _to_hermitian, vec
+from fcstates.cpmap import OperatorSubspace, _to_hermitian
 
 from oracles import (
     kernel_peripheral_spectrum,
@@ -133,7 +133,7 @@ def assert_peripheral_spectrum_matches_kernel_oracle(system):
             assert np.linalg.norm(p.operator - q.operator) <= 1e-10
             continue
         space = peripheral_eigenspace(form, q.value)
-        c = _to_hermitian(vec(p.operator))
+        c = _to_hermitian(p.operator)
         assert np.linalg.norm(c - space @ (space.conj().T @ c)) <= 1e-10 * np.linalg.norm(c)
         ours = OperatorSubspace.from_hermitian(peripheral_eigenspace(form, p.value), form.n)
         assert ours.span_equals(OperatorSubspace.from_hermitian(space, form.n), 1e-10)

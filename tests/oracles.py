@@ -38,8 +38,11 @@ Tests compare the library against these independent routes:
   of M' inside M' for the factor test and reads purity from the
   peripheral set of sigma;
 
-* the unital *-algebra generated by a set of matrices, by closing the span
-  of {I} + generators + adjoints under multiplication;
+* the unital *-algebra generated by a set of matrices, both as the double
+  commutant and by closing the span of {I} + generators + adjoints under
+  multiplication, and the test of a subspace for being a unital algebra;
+  no verdict of the library forms M = M'' or asks whether a span is an
+  algebra;
 * the truncated dilation, as the quotient of the formal word vectors
   I (x) xi (|I| <= L) by the null space of the prefix-rule Gram matrix;
 * the checks on a dilation and its moment table, by the direct
@@ -77,6 +80,7 @@ from fcstates.cpmap import (
     RealTransfer,
     _canonical_phase,
     _from_hermitian,
+    commutant,
     fixed_points,
     invariance_residual,
     invariant_state,
@@ -362,7 +366,7 @@ def kernel_peripheral_spectrum(
         if geometric == 0:
             idx = int(np.argmin(np.abs(dec.eigenvalues - value)))
             space = dec.eigenvectors[:, idx : idx + 1]
-        op = unvec(_from_hermitian(space[:, 0]), (n, n))
+        op = _from_hermitian(space[:, 0])
         op = op / np.linalg.norm(op, "nuc")
         out.append(
             OraclePeripheralValue(
@@ -394,7 +398,7 @@ def kernel_eigenunitary(
     space = kernel(shifted(form, np.conj(t)), tol, scale=1.0)
     if space.shape[1] == 0:
         raise ValueError(f"t = {t} is not in the peripheral spectrum at tolerance {tol:.1e}")
-    u = unvec(_from_hermitian(space[:, 0]), (system.n, system.n))
+    u = _from_hermitian(space[:, 0])
     u = u / np.sqrt(np.trace(u.conj().T @ u).real / system.n)
     if np.linalg.norm(u.conj().T @ u - np.eye(system.n), 2) > tol:
         raise NumericalHealthError("peripheral eigenvector fails unitarity after rescaling")
@@ -454,6 +458,30 @@ def commutant_chain_verdicts(
     peri = distinct_values([z for z in vals if abs(1.0 - abs(z)) <= tol_peripheral], tol)
     pure = spectral_sets_match(peri, [1.0], tol)
     return hyp, pure, pure
+
+
+def is_algebra(sub: OperatorSubspace, tol: float = 1e-8) -> bool:
+    """True iff the span contains I and is closed under products."""
+    if sub.dim == 0:
+        raise ValueError("subspace is empty")
+    if sub.shape[0] != sub.shape[1]:
+        return False
+    if not sub.contains(np.eye(sub.shape[0]), tol):
+        return False
+    for a in sub.basis:
+        for b in sub.basis:
+            if not sub.contains(a @ b, tol):
+                return False
+    return True
+
+
+def generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:
+    """The unital *-algebra M generated by the operators, as the bicommutant M''.
+
+    In finite dimensions a unital *-algebra equals its double commutant, so
+    M is the commutant of a basis of the commutant of the generators.
+    """
+    return commutant(commutant(generators, tol).basis, tol)
 
 
 def frontier_generated_algebra(generators, tol: float = 1e-10) -> OperatorSubspace:

@@ -24,7 +24,6 @@ from fcstates import (
     expectation,
     fixed_points,
     invariant_state,
-    is_algebra,
     mixed_fixed_points,
     moment_checks,
     moment_psd_with_D,
@@ -41,7 +40,7 @@ from fcstates import (
 from fcstates.cli import main, system_to_json
 
 from conftest import eij
-from oracles import apply_map, two_eig_compare_duals
+from oracles import apply_map, is_algebra, two_eig_compare_duals
 
 
 @pytest.fixture(autouse=True)

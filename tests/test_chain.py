@@ -9,7 +9,6 @@ from fcstates import (
     compress,
     expectation,
     fixed_points,
-    generated_algebra,
     invariant_state,
     peripheral_eigenunitary,
     random_system,
@@ -20,7 +19,7 @@ from fcstates import (
 )
 
 from conftest import direct_sum, eij
-from oracles import dense_expectation, e_map, padded_product, vec_commutant
+from oracles import dense_expectation, e_map, generated_algebra, padded_product, vec_commutant
 
 
 def obs(*factors, start=1):

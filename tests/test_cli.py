@@ -1,3 +1,4 @@
+import inspect
 import functools
 import json
 import os
@@ -144,11 +145,15 @@ def _swap2_entry(entry):
         (_swap2_entry("0"), None),
         (_swap2_entry([10**400, 0]), None),
         ({}, {"factors": [[[[1.0, 0.0, 7.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}),
+        # nor is a boolean, which numpy would read next to numbers as 0 or 1
+        (_swap2_entry([False, 0.0]), None),
+        ({}, {"factors": [[[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}),
     ],
     ids=["operators_5", "dim_null", "dim_infinite", "tolerances_list", "d_two", "factors_5",
          "start_site_null", "start_site_x", "dim_2.7", "dim_string", "d_float",
          "start_site_1.9", "start_site_string", "start_site_true", "entry_3_numbers",
-         "entry_1_number", "entry_string", "entry_huge_integer", "factor_entry_3_numbers"],
+         "entry_1_number", "entry_string", "entry_huge_integer", "factor_entry_3_numbers",
+         "entry_boolean", "factor_entry_boolean"],
 )
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, swap2, system_fields, observable):
     # a field of the wrong kind exits 2 with one line on stderr, never a
@@ -632,3 +637,27 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_default_tolerances_are_the_named_constants():
+    # each default tolerance is defined once: the parser and the functions
+    # read the constants of the module that owns them
+    from fcstates.chain import DEFAULT_DECAY_TOL, DEFAULT_N_MAX, clustering_defect
+    from fcstates.cli import build_parser, load_system, parse_system
+    from fcstates.cpmap import DEFAULT_PERIPHERAL_TOL, DEFAULT_SET_TOL
+    from fcstates.modular import compare_duals
+    from fcstates.popescu import DEFAULT_VALIDATE_TOL
+
+    args = build_parser().parse_args(["cluster", "p", "x", "y"])
+    assert (args.tol_validate, args.tol_peripheral, args.tol_spectral_set) == (
+        DEFAULT_VALIDATE_TOL, DEFAULT_PERIPHERAL_TOL, DEFAULT_SET_TOL)
+    assert (args.n_max, args.decay_tol) == (DEFAULT_N_MAX, DEFAULT_DECAY_TOL)
+
+    def defaults(fn):
+        return {k: p.default for k, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+
+    assert defaults(parse_system) == defaults(load_system) == {"tol_validate": DEFAULT_VALIDATE_TOL}
+    for fn in (fcstates.classify_od, fcstates.classify_chain, compare_duals):
+        assert defaults(fn) == {"tol": DEFAULT_SET_TOL, "tol_peripheral": DEFAULT_PERIPHERAL_TOL}
+    assert defaults(clustering_defect) == {"n_max": DEFAULT_N_MAX, "tol": DEFAULT_DECAY_TOL}

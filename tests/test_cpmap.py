@@ -16,9 +16,7 @@ from fcstates import (
     compress,
     fixed_points,
     gauge_group_order,
-    generated_algebra,
     invariant_state,
-    is_algebra,
     kernel,
     mixed_fixed_points,
     peripheral_eigenunitary,
@@ -35,6 +33,8 @@ from fcstates.cpmap import (
     OperatorSubspace,
     PeripheralEigenvalue,
     _commutant_constraints_within,
+    _from_hermitian,
+    _to_hermitian,
     invariance_residual,
     real_form,
 )
@@ -62,6 +62,8 @@ from oracles import (
     apply_map,
     bordered_ergodic_kernels,
     frontier_generated_algebra,
+    generated_algebra,
+    is_algebra,
     kernel_eigenunitary,
     predual_matrix,
     shifted,
@@ -181,7 +183,7 @@ def test_real_forms_match_vec_oracles(known_system):
     fx, comm = fixed_points(known_system), commutant(ops)
     assert fx.span_equals(vec_fixed_points(known_system))
     assert comm.span_equals(vec_commutant(ops))
-    for b in fx.basis + comm.basis:
+    for b in [*fx.basis, *comm.basis]:
         assert np.linalg.norm(b - b.conj().T) <= 1e-12
 
 
@@ -1052,3 +1054,43 @@ def test_subspace_span_equals_is_basis_independent(swap2):
     fx = fixed_points(swap2)
     rotated = OperatorSubspace(tuple(1j * b for b in fx.basis), fx.shape)
     assert fx.span_equals(rotated)
+
+
+def test_hermitian_coordinates_round_trip_on_stacks():
+    # the converters act on the last two axes and on the last axis: a stack
+    # of stacks converts bit for bit as its matrices do one at a time, and
+    # comes back to roundoff (sqrt(1/2)^2 is not 1/2 in doubles, so the
+    # off-diagonal entries can move by an ulp)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    c = _to_hermitian(x)
+    assert c.shape == (2, 3, 16)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(c[i, j], _to_hermitian(x[i, j]))
+        assert np.array_equal(_from_hermitian(c[i, j]), _from_hermitian(c)[i, j])
+    assert np.max(np.abs(_from_hermitian(c) - x)) <= 4 * np.finfo(float).eps * np.abs(x).max()
+    # entries that are 0 or on the diagonal come back bit for bit
+    d = np.diag([1.0, -2.0, 3.5, 0.0]).astype(complex)
+    assert np.array_equal(_from_hermitian(_to_hermitian(d)), d)
+
+
+def test_hermitian_coordinates_are_b_star_vec():
+    # B, the Hermitian basis in vec coordinates, is the subspace whose
+    # Hermitian coordinates are the identity
+    n = 4
+    b = OperatorSubspace.from_hermitian(np.eye(n * n), n).to_columns()
+    assert np.linalg.norm(b.conj().T @ b - np.eye(n * n)) <= 1e-14
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    want = b.conj().T @ np.stack([vec(m) for m in x], axis=1)
+    assert np.linalg.norm(_to_hermitian(x).T - want) <= 1e-14
+
+
+def test_subspace_holds_one_array_and_rejects_other_shapes():
+    eye = np.eye(3)
+    sub = OperatorSubspace((eye, 2 * eye), (3, 3))
+    assert sub.basis.shape == (2, 3, 3) and sub.basis.dtype == complex
+    assert OperatorSubspace((), (3, 3)).basis.shape == (0, 3, 3)
+    for bad in ((np.eye(2),), np.eye(3), (np.ones((3, 2)),)):
+        with pytest.raises(ValueError):
+            OperatorSubspace(bad, (3, 3))

@@ -21,7 +21,7 @@ from fcstates import (
 
 from fcstates.cli import main, system_to_json
 
-from conftest import block_shift, eij
+from conftest import block_shift, direct_sum, eij
 from oracles import kron_dual_generators, kron_duality_residuals, two_eig_compare_duals
 
 
@@ -360,3 +360,33 @@ def test_compare_duals_multiplicity_mismatch_aborts(monkeypatch, tmp_path, capsy
     path.write_text(json.dumps(system_to_json(system)))
     assert main(["dual", str(path)]) == 3
     assert "geometric 0, algebraic 1" in capsys.readouterr().err
+
+
+def test_compare_duals_moves_each_eigenvector_once(monkeypatch):
+    # the values 1 and -1 each have multiplicity 2: every column of every
+    # peripheral space moves once, as one stack of 4 independent matrices,
+    # and no representative operator is formed
+    system = direct_sum(block_shift(2, 2, 2, 5), block_shift(2, 2, 2, 6))
+    dual = dual_system(system, invariant_state(system))
+    peri = fcstates.peripheral_spectrum(system)
+    assert [(round(p.value.real), p.multiplicity) for p in peri] == [(1, 2), (-1, 2)]
+
+    def no_operator(self):
+        raise AssertionError("PeripheralEigenvalue.operator formed")
+
+    monkeypatch.setattr(fcstates.cpmap.PeripheralEigenvalue, "operator", property(no_operator))
+    norm, stacks = np.linalg.norm, []
+
+    def recorded(x, *args, **kwargs):
+        if kwargs.get("axis") == (1, 2):
+            stacks.append(np.asarray(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recorded)
+    got = compare_duals(dual)
+    monkeypatch.undo()
+    assert got.peripheral == tuple(p.value for p in peri)
+    assert got.similarity <= 1e-12
+    z = stacks[-1]  # the denominator ||Z||_F: the moved eigenvectors
+    assert z.shape == (4, system.n, system.n)
+    assert np.linalg.matrix_rank(z.reshape(4, -1), tol=1e-8) == 4

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,9 +11,12 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = str(ROOT / "tools" / "verdict_digest.py")
 
 
-def run_tool(*args):
+def run_tool(*args, threads=None):
+    env = None
+    if threads is not None:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
     return subprocess.run(
-        [sys.executable, TOOL, *map(str, args)], capture_output=True, text=True, timeout=300
+        [sys.executable, TOOL, *map(str, args)], capture_output=True, text=True, timeout=300, env=env
     )
 
 
@@ -64,3 +68,11 @@ def test_a_doctored_verdict_is_reported(one_round, tmp_path):
     moved = re.fullmatch(r"largest float difference (\S+)  analyze invariant_state\.rho\[\]\[\]\[\]", lines[-1])
     assert moved and float(moved[1]) == pytest.approx(1e-12, rel=1e-3)
     assert len(lines) == 3
+
+
+def test_the_digest_does_not_depend_on_the_blas_threads():
+    # the floats depend on the BLAS thread count, so the tool pins it to
+    # one thread: a run asked for two prints the digest of a one-thread run
+    one, two = (run_tool("--seeds", "41", "--rounds", "1", threads=t) for t in (1, 2))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert two.stdout == one.stdout

@@ -11,7 +11,8 @@ op of the given seeds and rounds (rounds 0 .. R-1, every slot), the op's
 input is drawn and run exactly as ``perfbench/run.py`` draws and runs it,
 and its exit code and standard output are fed, in order, into one hash.
 Two checkouts that print the same digest gave bit-identical verdicts on
-every op. ``--root`` names the checkout whose ``src/`` and ``perfbench/``
+every op. The BLAS libraries run on one thread, whatever the environment
+asks, since the floats depend on the thread count. ``--root`` names the checkout whose ``src/`` and ``perfbench/``
 are imported (default: the one holding this script), so the same script
 can digest another checkout. Nothing under ``perfbench/`` is written.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +41,10 @@ OP_FIELDS = ("workload", "seed", "round", "slot")
 
 def _ops(root: Path, seeds: list[int], rounds: int):
     """(workload, seed, round, slot, exit code, stdout) of every op, in order."""
+    # the digest depends on the BLAS thread count; pin it to one thread
+    # before numpy loads, as perfbench/run.py does
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
 
